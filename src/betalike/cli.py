@@ -3,13 +3,18 @@
 Subcommands: gen-data, generalize, perturb, audit, queryeval. All randomness
 flows from --seed, so identical invocations produce byte-identical outputs.
 Exit codes: 0 success, 1 configuration or data errors, 2 internal invariant
-breach (a freshly produced artifact failing its own audit).
+breach (a freshly produced artifact failing its own audit), 141 when the
+reader of standard output closed it early (as in `betalike audit ... |
+head -1`; 141 is what a shell reports for a process ended by SIGPIPE).
+That case prints nothing more, and the command's remaining work, such as
+writing its output file, may not have happened.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -47,6 +52,7 @@ from .queries import (
 from .release import load_release, save_release
 
 USER_ERRORS = (DataError, HierarchyError, LikenessError, PerturbationError, OSError)
+EXIT_BROKEN_PIPE = 141
 
 
 class InternalAuditError(RuntimeError):
@@ -221,6 +227,9 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # An OSError, so it must be caught before USER_ERRORS.
+        return EXIT_BROKEN_PIPE
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -233,7 +242,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    code = run()
+    if code == EXIT_BROKEN_PIPE:
+        # The interpreter flushes stdout at exit, which would fail on the
+        # closed pipe again and print a warning.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

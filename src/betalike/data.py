@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,10 @@ class Table:
     QI columns are stored per attribute (float64 for numeric, leaf indices for
     categorical). SA values are interned to dense codes 0..m-1 in ascending
     frequency order, ties broken by first appearance in row order; every
-    downstream module relies on that ordering.
+    downstream module relies on that ordering. The derived arrays
+    `qi_values` and `qi_codes` are computed on first use and never
+    invalidated, which is sound only because a table is never modified
+    after it is built.
     """
 
     schema: DatasetSchema
@@ -108,6 +112,20 @@ class Table:
 
     def sa_counts(self) -> np.ndarray:
         return np.bincount(self.sa_codes, minlength=self.m)
+
+    @cached_property
+    def qi_values(self) -> tuple[np.ndarray, ...]:
+        """Sorted distinct values of each QI column."""
+        return tuple(np.unique(col) for col in self.qi_columns)
+
+    @cached_property
+    def qi_codes(self) -> tuple[np.ndarray, ...]:
+        """Per QI column, each row's index into `qi_values`, in the narrowest
+        unsigned dtype that holds it."""
+        return tuple(
+            np.searchsorted(values, col).astype(np.min_scalar_type(max(len(values) - 1, 0)))
+            for values, col in zip(self.qi_values, self.qi_columns)
+        )
 
     def qi_row(self, i: int) -> tuple:
         """Original QI values of one row (numbers and leaf labels)."""

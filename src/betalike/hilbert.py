@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import CATEGORICAL, DatasetSchema, Table
+from .data import CATEGORICAL, DataError, DatasetSchema, Table
 
 
 def hilbert_indices(cells: np.ndarray, order: int):
@@ -23,7 +23,7 @@ def hilbert_indices(cells: np.ndarray, order: int):
         raise ValueError("cells must be an (n, d) array")
     n, d = cells.shape
     if not 1 <= order <= 31:
-        raise ValueError(f"order must be in [1, 31], got {order}")
+        raise DataError(f"curve order must be in [1, 31], got {order}")
     if n and (cells.min() < 0 or float(cells.max()) >= float(1 << order)):
         raise ValueError(f"cell coordinates must lie in [0, 2**{order})")
     if d == 1:

@@ -83,8 +83,8 @@ def frequency_bound(p: float, beta: float) -> float:
 
 
 def _check_beta(beta: float) -> None:
-    if not beta > 0.0:
-        raise LikenessError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise LikenessError(f"beta must be a finite number > 0, got {beta}")
 
 
 def one_plus_beta(beta: float) -> tuple[int, int]:

@@ -191,24 +191,27 @@ def save_perturbation(outdir, perturbed: Table, model: PerturbationModel, seed: 
 
 
 def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
-    """Read a published artifact back; rebuilds the model from matrix + P."""
+    """Read a published artifact back. The model is rebuilt from the
+    published distribution and beta, and the published matrix must equal
+    the rebuilt one exactly (save_perturbation writes round-trip reprs)."""
     outdir = Path(outdir)
     try:
         obj = json.loads((outdir / _DIST_FILE).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataError(f"{outdir}: not a perturbation artifact (missing {_DIST_FILE})") from None
     dist = Distribution(tuple(obj["values"]), tuple(obj["counts"]), obj["total"])
-    matrix = np.loadtxt(outdir / _MATRIX_FILE, ndmin=2)
+    matrix_path = outdir / _MATRIX_FILE
+    try:
+        matrix = np.loadtxt(matrix_path, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{matrix_path}: not a transition matrix ({exc})") from None
     if matrix.shape != (dist.m, dist.m):
-        raise DataError(f"{outdir}: transition matrix shape {matrix.shape} does not match m={dist.m}")
+        raise DataError(f"{matrix_path}: transition matrix shape {matrix.shape} does not match m={dist.m}")
+    model = build_model(dist, float(obj["beta"]))
+    if not np.array_equal(matrix, model.matrix):
+        raise DataError(
+            f"{matrix_path}: transition matrix differs from the one the published "
+            "distribution and beta determine"
+        )
     table = load_table(outdir / _TABLE_FILE, schema, sa_order=dist.values)
-    beta = float(obj["beta"])
-    p = dist.freqs()
-    gammas = np.asarray([ratio_bound(pi, beta) for pi in p])
-    # Invert the diagonal: Pr(keep as-is) = retention + (1 - retention) / m.
-    retention = (np.diag(matrix) * dist.m - 1.0) / (dist.m - 1)
-    model = PerturbationModel(
-        dist, beta, gammas, 1.0 / (gammas.max() + dist.m - 1), retention, matrix,
-        float(np.linalg.cond(matrix)),
-    )
     return table, model

@@ -10,9 +10,28 @@ SA-matching mass uniformly over its extent; the perturbed estimator filters
 on exact QI values, reconstructs the SA counts of the filtered subset, and
 sums the requested range. The baseline publishes exact QI values plus only
 the global SA distribution.
+
+How the workload reports count rows: every count a report needs (precise
+counts, the perturbed table's per-query SA histograms, the baseline's
+QI-matching row counts) is read from a prefix-sum cube over the table's
+distinct QI values x SA codes (Ho, Agrawal, Megiddo, Srikant, "Range
+Queries in OLAP Data Cubes", SIGMOD 1997). One pass over the rows builds
+the cube; each query then costs 2^d corner lookups per SA value, all
+queries at once. A predicate [lo, hi] maps to the distinct values v with
+lo <= v <= hi through `searchsorted(values, lo, "left")` and
+`searchsorted(values, hi, "right")`, the same float comparisons a row mask
+makes, so inclusive ends stay exact and the counts equal the row-mask
+counts. The cube is built only when it has at most CUBE_CELLS_PER_ROW cells
+per table row; a table with a high-cardinality QI column (say a zip code)
+is counted with per-query row masks instead, and computes no `qi_codes`.
+`Table.qi_values` and `Table.qi_codes` are computed once per table and
+never invalidated (tables are immutable), so later workloads on the same
+table pay only for the cube.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -80,11 +99,100 @@ def _qi_mask(table: Table, query: AggregateQuery) -> np.ndarray:
     return mask
 
 
+def _sa_mask(table: Table, query: AggregateQuery) -> np.ndarray:
+    return (table.sa_codes >= query.sa_lo) & (table.sa_codes <= query.sa_hi)
+
+
 def exact_count(table: Table, query: AggregateQuery) -> int:
     """Rows satisfying every predicate, SA included."""
     mask = _qi_mask(table, query)
-    mask &= (table.sa_codes >= query.sa_lo) & (table.sa_codes <= query.sa_hi)
+    mask &= _sa_mask(table, query)
     return int(mask.sum())
+
+
+# The cube over distinct QI values x SA is built only when it has at most
+# this many cells per table row; beyond that, building and scanning it costs
+# more than row masks.
+CUBE_CELLS_PER_ROW = 8
+
+
+def _cube_shape(table: Table) -> tuple[int, ...] | None:
+    """(distinct values per QI column..., m) when that cube fits the cell
+    budget, else None."""
+    shape = (*(len(values) for values in table.qi_values), table.m)
+    return shape if math.prod(shape) <= CUBE_CELLS_PER_ROW * table.n_rows else None
+
+
+def _prefix_cube(table: Table, shape: tuple[int, ...]) -> np.ndarray:
+    """Zero-padded prefix sums: cube[i_1, ..., i_d, s] counts the rows with
+    SA code s whose value on every QI axis k is among its first i_k
+    distinct values."""
+    *sizes, m = shape
+    counts = np.bincount(np.ravel_multi_index((*table.qi_codes, table.sa_codes), shape),
+                         minlength=math.prod(shape))
+    cube = np.zeros(tuple(n + 1 for n in sizes) + (m,), dtype=np.int64)
+    cube[(slice(1, None),) * len(sizes)] = counts.reshape(shape)
+    for axis in range(len(sizes)):
+        np.cumsum(cube, axis=axis, out=cube)
+    return cube
+
+
+def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarray:
+    """(queries, m) int64: per query, the SA histogram of the rows matching
+    its QI predicates (the SA range is not applied)."""
+    out = np.zeros((len(workload), table.m), dtype=np.int64)
+    shape = _cube_shape(table)
+    if shape is None:
+        for i, q in enumerate(workload):
+            out[i] = np.bincount(table.sa_codes[_qi_mask(table, q)], minlength=table.m)
+        return out
+    cube = _prefix_cube(table, shape)
+    d = len(shape) - 1
+    # Per axis, the intersection of the query's predicates on it; an
+    # unconstrained axis keeps (-inf, inf), and a NaN bound matches no row.
+    preds = np.asarray([(k, i, lo, hi) for i, q in enumerate(workload) for k, lo, hi in q.qi],
+                       dtype=float).reshape(-1, 4)
+    at = (preds[:, 0].astype(np.intp), preds[:, 1].astype(np.intp))
+    q_lo = np.full((d, len(workload)), -np.inf)
+    q_hi = np.full((d, len(workload)), np.inf)
+    np.maximum.at(q_lo, at, preds[:, 2])
+    np.minimum.at(q_hi, at, preds[:, 3])
+    corners = []
+    for k, values in enumerate(table.qi_values):
+        first = np.searchsorted(values, q_lo[k], "left")
+        end = np.searchsorted(values, q_hi[k], "right")
+        end[np.isnan(q_hi[k])] = 0
+        corners.append((first, np.maximum(end, first)))
+    # Inclusion-exclusion over the 2^d corners of each query's box.
+    for upper in itertools.product((False, True), repeat=d):
+        index = tuple(corners[k][1] if up else corners[k][0] for k, up in enumerate(upper))
+        if (d - sum(upper)) % 2:
+            out -= cube[index]
+        else:
+            out += cube[index]
+    return out
+
+
+def _workload_counts(table: Table, workload: Sequence[AggregateQuery]) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, as int64: the rows matching its QI predicates, and the
+    precise count (those rows whose SA code is in the query's range)."""
+    if _cube_shape(table) is None:
+        rows = np.zeros(len(workload), dtype=np.int64)
+        prec = np.zeros(len(workload), dtype=np.int64)
+        for i, q in enumerate(workload):
+            mask = _qi_mask(table, q)
+            rows[i] = np.count_nonzero(mask)
+            mask &= _sa_mask(table, q)
+            prec[i] = np.count_nonzero(mask)
+        return rows, prec
+    hist = _qi_histograms(table, workload)
+    cum = np.zeros((len(workload), table.m + 1), dtype=np.int64)
+    np.cumsum(hist, axis=1, out=cum[:, 1:])
+    # Clipping reproduces the SA compare for codes outside 0..m-1.
+    first = np.clip([q.sa_lo for q in workload], 0, table.m).astype(np.intp)
+    end = np.clip([q.sa_hi + 1 for q in workload], first, table.m).astype(np.intp)
+    picked = np.arange(len(workload))
+    return cum[:, -1], cum[picked, end] - cum[picked, first]
 
 
 class _ReleaseArrays:
@@ -138,15 +246,21 @@ def estimate_perturbed(
     the queried range of the clamped reconstruction."""
     mask = _qi_mask(perturbed, query)
     observed = np.bincount(perturbed.sa_codes[mask], minlength=model.m)
+    return _reconstructed_range(observed, model, query)
+
+
+def _reconstructed_range(observed: np.ndarray, model: PerturbationModel, query: AggregateQuery) -> float:
     estimate = reconstruct_nonnegative(observed, model)
     return float(estimate[query.sa_lo : query.sa_hi + 1].sum())
 
 
 def baseline_estimate(table: Table, dist: Distribution, query: AggregateQuery) -> float:
     """Anatomy-style baseline: exact QI plus only the global SA distribution."""
-    mask = _qi_mask(table, query)
-    p = dist.freqs()
-    return float(mask.sum() * p[query.sa_lo : query.sa_hi + 1].sum())
+    return _baseline_value(_qi_mask(table, query).sum(), dist.freqs(), query)
+
+
+def _baseline_value(rows, freqs: np.ndarray, query: AggregateQuery) -> float:
+    return float(rows * freqs[query.sa_lo : query.sa_hi + 1].sum())
 
 
 @dataclass(frozen=True)
@@ -174,8 +288,13 @@ def evaluate_workload(
 ) -> WorkloadReport:
     """Relative error per query against the original table; zero-precision
     queries are dropped and the median is over the rest."""
-    prec = np.asarray([exact_count(table, q) for q in workload], dtype=float)
-    est = np.asarray([estimator(q) for q in workload], dtype=float)
+    _, prec = _workload_counts(table, workload)
+    return _report(prec, [estimator(q) for q in workload])
+
+
+def _report(prec, est) -> WorkloadReport:
+    prec = np.asarray(prec, dtype=float)
+    est = np.asarray(est, dtype=float)
     kept = prec > 0
     errors = np.abs(est[kept] - prec[kept]) / prec[kept]
     return WorkloadReport(prec, est, errors, int((~kept).sum()))
@@ -228,8 +347,16 @@ def workload_report_generalized(table: Table, release: Release, workload) -> Wor
 
 
 def workload_report_perturbed(table: Table, perturbed: Table, model: PerturbationModel, workload) -> WorkloadReport:
-    return evaluate_workload(table, lambda q: estimate_perturbed(perturbed, model, q), workload)
+    """estimate_perturbed on every query, from one histogram pass over the
+    perturbed table."""
+    _, prec = _workload_counts(table, workload)
+    observed = _qi_histograms(perturbed, workload)
+    return _report(prec, [_reconstructed_range(o, model, q) for o, q in zip(observed, workload)])
 
 
 def workload_report_baseline(table: Table, dist: Distribution, workload) -> WorkloadReport:
-    return evaluate_workload(table, lambda q: baseline_estimate(table, dist, q), workload)
+    """baseline_estimate on every query, from the same counts as the
+    precise ones."""
+    rows, prec = _workload_counts(table, workload)
+    freqs = dist.freqs()
+    return _report(prec, [_baseline_value(r, freqs, q) for r, q in zip(rows, workload)])

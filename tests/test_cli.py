@@ -5,7 +5,7 @@ import json
 import pytest
 
 import betalike as bl
-from betalike.cli import run
+from betalike.cli import EXIT_BROKEN_PIPE, run
 
 from conftest import disease_table, patient_schema
 
@@ -240,3 +240,58 @@ def test_infeasible_perturbation_exits_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "no feasible retention" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--beta", "inf"], ["--order", "40"]])
+def test_unusable_generalize_parameter_exits_one(example_files, tmp_path, capsys, flag):
+    csv, schema = example_files
+    out = tmp_path / "r.json"
+    code = run(["generalize", "--input", str(csv), "--schema", str(schema), *flag, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tamper", [
+    # Every entry x3: the clamp-and-rescale in reconstruction would hide it.
+    lambda text: "\n".join(" ".join(repr(3 * float(x)) for x in line.split())
+                           for line in text.splitlines()) + "\n",
+    lambda text: text.replace(" ", " oops ", 1),
+], ids=["scaled", "unparsable"])
+def test_tampered_transition_matrix_exits_one(example_files, tmp_path, capsys, tamper):
+    csv, schema = example_files
+    outdir = tmp_path / "pert"
+    assert run(["perturb", "--input", str(csv), "--schema", str(schema),
+                "--beta", "2", "--seed", "1", "--out", str(outdir)]) == 0
+    pm = outdir / "pm.txt"
+    pm.write_text(tamper(pm.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
+                "--artifact", str(outdir), "--lambda", "1", "--queries", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "pm.txt" in err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_quietly(example_files, tmp_path, capsys, monkeypatch):
+    csv, schema = example_files
+    release = tmp_path / "release.json"
+    assert run(["generalize", "--input", str(csv), "--schema", str(schema),
+                "--beta", "2", "--seed", "7", "--out", str(release)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = run(["audit", "--release", str(release), "--input", str(csv), "--schema", str(schema)])
+    assert code == EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""

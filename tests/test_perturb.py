@@ -255,3 +255,17 @@ def test_artifact_round_trip(tmp_path, example2):
     assert np.allclose(loaded.retention, model.retention)
     assert loaded.dist == dist
     assert loaded.beta == 2.0
+
+
+def test_load_rejects_matrix_that_does_not_match_the_model(tmp_path, example2):
+    dist = bl.sa_distribution(example2)
+    model = bl.build_model(dist, 2.0)
+    bl.save_perturbation(tmp_path / "out", bl.perturb(example2, model, seed=8), model, seed=8)
+    _, loaded = bl.load_perturbation(tmp_path / "out", example2.schema)
+    assert np.array_equal(loaded.matrix, model.matrix)
+    pm = tmp_path / "out" / "pm.txt"
+    rows = [line.split() for line in pm.read_text().splitlines()]
+    rows[0][1] = repr(float(rows[0][1]) * (1 + 1e-15))
+    pm.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    with pytest.raises(bl.DataError, match="pm.txt"):
+        bl.load_perturbation(tmp_path / "out", example2.schema)

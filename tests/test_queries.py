@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import betalike as bl
+from betalike import queries
 from betalike.queries import AggregateQuery
 from betalike.release import EquivalenceClass, NumericExtent, Release
 
@@ -226,3 +228,130 @@ def test_relative_errors_are_scale_free(example2):
     )
     scaled = bl.workload_report_generalized(doubled, doubled_rel, workload)
     assert scaled.errors == pytest.approx(base.errors)
+
+
+# Workload counting: the prefix-sum cube and the row-mask fallback must both
+# reproduce per-query counts exactly.
+
+# Non-integer values, so inclusive bounds drawn from this pool land exactly
+# on data values.
+NUMERIC_POOL = (0.0, 0.25, 1.5, 2.75, 3.0, 4.125, 7.5, 10.0)
+LEAVES = ("a", "b", "c", "d")
+FITS_ANY_CUBE = 10**6
+
+
+def _bounds(attr):
+    """Data values, values between them, out-of-domain values, and NaN (a
+    workload file may hold one; it matches no row)."""
+    if attr.kind == "numeric":
+        within = st.sampled_from(NUMERIC_POOL) | st.floats(-1.0, 11.0)
+    else:
+        within = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 4.0]) | st.floats(-0.5, 3.5)
+    return within | st.just(float("nan"))
+
+
+@st.composite
+def tables_and_workloads(draw):
+    d = draw(st.integers(1, 3))
+    attrs = []
+    for k in range(d):
+        if draw(st.booleans()):
+            attrs.append(bl.Attribute(f"x{k}", "qi", "numeric", lo=0, hi=10))
+        else:
+            tree = bl.Hierarchy({"name": "any", "children": list(LEAVES)})
+            attrs.append(bl.Attribute(f"c{k}", "qi", hierarchy=tree))
+    schema = bl.DatasetSchema((*attrs, bl.Attribute("s", "sa")))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        row = {"s": draw(st.sampled_from("pqrs"))}
+        for attr in attrs:
+            pool = NUMERIC_POOL if attr.kind == "numeric" else LEAVES
+            row[attr.name] = draw(st.sampled_from(pool))
+        rows.append(row)
+    table = bl.table_from_rows(schema, rows)
+    workload = []
+    for _ in range(draw(st.integers(0, 8))):
+        # Often fewer axes than d; an axis may be constrained twice.
+        axes = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d + 1))
+        # Bounds are drawn independently, so some intervals are inverted
+        # and match nothing.
+        preds = tuple((k, draw(_bounds(attrs[k])), draw(_bounds(attrs[k]))) for k in axes)
+        sa_lo = draw(st.integers(0, table.m - 1))
+        workload.append(AggregateQuery(preds, sa_lo, draw(st.integers(sa_lo, table.m - 1))))
+    return table, workload
+
+
+def reference_histogram(table, query):
+    """SA histogram of the rows matching the QI predicates, row by row."""
+    hist = np.zeros(table.m, dtype=np.int64)
+    for i in range(table.n_rows):
+        if all(lo <= float(table.qi_columns[k][i]) <= hi for k, lo, hi in query.qi):
+            hist[table.sa_codes[i]] += 1
+    return hist
+
+
+def perturbation_of(table):
+    dist = bl.sa_distribution(table)
+    try:
+        model = bl.build_model(dist, 4.0)
+    except bl.PerturbationError:
+        model = identity_model(dist)
+    return bl.perturb(table, model, seed=0), model
+
+
+@pytest.mark.parametrize("cells_per_row", [0, FITS_ANY_CUBE])
+@given(tables_and_workloads())
+@settings(max_examples=80, deadline=None)
+def test_qi_histograms_match_per_query_counts(cells_per_row, case):
+    table, workload = case
+    # SA ranges reaching past both ends of the codes, and inverted ones.
+    odd_sa = [AggregateQuery(q.qi, lo, hi) for q in workload
+              for lo, hi in ((-2, table.m + 1), (q.sa_hi, q.sa_lo - 1))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries, "CUBE_CELLS_PER_ROW", cells_per_row)
+        hist = queries._qi_histograms(table, workload)
+        rows, prec = queries._workload_counts(table, workload + odd_sa)
+    assert hist.shape == (len(workload), table.m) and hist.dtype == np.int64
+    expected = [reference_histogram(table, q) for q in workload]
+    assert np.array_equal(hist, np.asarray(expected, dtype=np.int64).reshape(hist.shape))
+    assert np.array_equal(rows, [reference_histogram(table, q).sum() for q in workload + odd_sa])
+    assert np.array_equal(prec, [bl.exact_count(table, q) for q in workload + odd_sa])
+    # The fallback never builds the codes the cube needs.
+    assert ("qi_codes" in vars(table)) == (cells_per_row == FITS_ANY_CUBE)
+
+
+@pytest.mark.parametrize("cells_per_row", [0, FITS_ANY_CUBE])
+@given(tables_and_workloads())
+@settings(max_examples=60, deadline=None)
+def test_workload_reports_match_per_query_estimators(cells_per_row, case):
+    table, workload = case
+    release = bl.generalize(table, 4.0, seed=0)
+    perturbed, model = perturbation_of(table)
+    dist = bl.sa_distribution(table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries, "CUBE_CELLS_PER_ROW", cells_per_row)
+        reports = {
+            "generalized": bl.workload_report_generalized(table, release, workload),
+            "perturbed": bl.workload_report_perturbed(table, perturbed, model, workload),
+            "baseline": bl.workload_report_baseline(table, dist, workload),
+        }
+    expected = {
+        "generalized": [bl.estimate_generalized(release, q) for q in workload],
+        "perturbed": [bl.estimate_perturbed(perturbed, model, q) for q in workload],
+        "baseline": [bl.baseline_estimate(table, dist, q) for q in workload],
+    }
+    prec = np.asarray([bl.exact_count(table, q) for q in workload], dtype=float)
+    for name, report in reports.items():
+        assert np.array_equal(report.prec, prec), name
+        # A NaN bound gives the generalized estimator a NaN estimate.
+        assert np.array_equal(report.est, np.asarray(expected[name], dtype=float), equal_nan=True), name
+
+
+def test_cube_budget_follows_distinct_values():
+    # 79 ages x 2 sexes x 17 education levels x 50 SA values is about 134k
+    # cells: inside 8 cells per row at 100k rows, outside at 10k.
+    small = bl.generate_synthetic(10_000, 50, seed=0, sa_freqs=bl.census_like_profile(50))
+    large = bl.generate_synthetic(100_000, 50, seed=0, sa_freqs=bl.census_like_profile(50))
+    assert queries._cube_shape(small) is None
+    assert queries._cube_shape(large) == (79, 2, 17, 50)
+    assert [c.dtype for c in large.qi_codes] == [np.uint8] * 3
