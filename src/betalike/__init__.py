@@ -36,9 +36,9 @@ from .data import (
     table_from_rows,
 )
 from .ectree import bi_split, eligible
-from .generalize import SortedBucket, generalize, retrieve
-from .hierarchy import Hierarchy, HierarchyError, leaf_preorder_index
-from .hilbert import hilbert_indices, hilbert_key, table_keys
+from .generalize import SortedBucket, generalize
+from .hierarchy import Hierarchy, HierarchyError
+from .hilbert import hilbert_indices, table_keys
 from .infoloss import ail, il_categorical, il_ec, il_numeric
 from .likeness import (
     Distribution,
@@ -137,11 +137,9 @@ __all__ = [
     "generalize_ec",
     "generate_synthetic",
     "hilbert_indices",
-    "hilbert_key",
     "il_categorical",
     "il_ec",
     "il_numeric",
-    "leaf_preorder_index",
     "load_perturbation",
     "load_release",
     "load_schema",
@@ -157,7 +155,6 @@ __all__ = [
     "reconstruct_nonnegative",
     "relative_distance",
     "required_beta",
-    "retrieve",
     "sa_distribution",
     "save_perturbation",
     "save_release",

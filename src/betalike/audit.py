@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, DataError, Table
-from .likeness import Distribution, required_beta
+from .likeness import Bound, Distribution, required_beta
 from .release import Release
 
 
@@ -36,9 +36,16 @@ def achieved_beta(release: Release, dist: Distribution | None = None) -> float:
     return worst
 
 
+def failing_classes(release: Release, dist: Distribution | None = None) -> list[int]:
+    """Indices of the classes above the release's own beta (the exact check)."""
+    bound = Bound(dist or release.dist, release.beta)
+    return [k for k, ec in enumerate(release.ecs) if not bound.admits(ec.sa_counts.tolist(), ec.size)]
+
+
 def ec_audit_lines(release: Release, dist: Distribution | None = None) -> list[str]:
     """One line per class: size, worst value, worst gain, pass/fail."""
     dist = dist or release.dist
+    failing = set(failing_classes(release, dist))
     p = dist.freqs()
     lines = []
     for k, ec in enumerate(release.ecs):
@@ -46,7 +53,7 @@ def ec_audit_lines(release: Release, dist: Distribution | None = None) -> list[s
         gains = np.where(ec.sa_counts > 0, (q - p) / p, -np.inf)
         worst = int(np.argmax(gains))
         need = required_beta(dist, ec.sa_counts)
-        status = "PASS" if need <= release.beta + 1e-9 else "FAIL"
+        status = "FAIL" if k in failing else "PASS"
         need_txt = "unbounded" if math.isinf(need) else f"{need:.6f}"
         lines.append(
             f"ec={k} size={ec.size} worst_value={dist.values[worst]} "
@@ -60,7 +67,7 @@ class NbAuditReport:
     """Conditional-probability ratios and classifier accuracy on a release."""
 
     beta: float
-    bounds: np.ndarray                 # per SA value: 1 + min(beta, -ln p)
+    bounds: np.ndarray                 # per SA value: f(p) / p = 1 + min(beta, -ln p)
     max_ratio: np.ndarray              # per SA value: worst observed ratio
     worst: tuple[str, object, str, float]  # attribute, QI value, SA value, ratio
     worst_bound: float
@@ -98,7 +105,8 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     counts = np.stack([ec.sa_counts for ec in release.ecs])        # (E, m)
     sizes = counts.sum(axis=1).astype(float)
     n_i = np.asarray(dist.counts, dtype=float)
-    bounds = 1.0 + np.minimum(release.beta, -np.log(p))
+    bound = Bound(dist, release.beta)
+    bounds = bound.caps() / p
 
     max_ratio = np.zeros(m)
     worst = ("", 0.0, "", 0.0)
@@ -119,11 +127,16 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
             hi = np.asarray([e.hi for e in extents])
         values, value_idx = np.unique(col, return_inverse=True)
         covers = (lo[None, :] <= values[:, None]) & (values[:, None] <= hi[None, :])
-        cond = (covers @ counts) / n_i[None, :]                    # Pr[t | v_i]
+        hits = covers @ counts                                     # (V, m) int64
+        cond = hits / n_i[None, :]                                 # Pr[t | v_i]
         marginal = (covers @ sizes) / dist.total                   # Pr[t]
         ratio = cond / marginal[:, None]
         pairs += ratio.size
-        violations += int((ratio > bounds[None, :] + 1e-9).sum())
+        # ratio > bounds is hits / covered > f(p). A pair below 1 - 1e-9 of
+        # its float bound cannot break it; the bound decides the rest exactly.
+        covered = hits.sum(axis=1)
+        for vi, si in zip(*np.nonzero(ratio > bounds[None, :] * (1.0 - 1e-9))):
+            violations += not bound.at([si]).admits([int(hits[vi, si])], int(covered[vi]))
         flat = int(np.argmax(ratio))
         vi, si = divmod(flat, m)
         if ratio[vi, si] > worst[3]:

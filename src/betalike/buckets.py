@@ -2,19 +2,20 @@
 
 Values are grouped into buckets of consecutive ascending-frequency runs. A
 run is admissible when its total mass stays strictly below the frequency
-bound of its rarest member; classes drawing from buckets proportionally then
-keep every value inside its bound even in the worst-case composition. Dynamic
-programming over run endpoints minimizes the number of buckets.
+bound of its rarest member (`Bound.admits(..., strict=True)`: exact integers
+on the linear branch, the float cap on the logarithmic one); classes drawing
+from buckets proportionally then keep every value inside its bound even in
+the worst-case composition. Dynamic programming over run endpoints minimizes
+the number of buckets.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Table, sa_distribution
-from .likeness import Distribution, LikenessError, _check_beta, one_plus_beta
+from .likeness import Bound, Distribution, LikenessError
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,11 @@ def combinable(dist: Distribution, b: int, e: int, beta: float) -> bool:
     """Can values b..e (0-based, inclusive) share a bucket?
 
     True when their combined mass is strictly below the frequency bound of
-    value b, the rarest of the run since the distribution is ascending. The
-    linear branch of the bound is compared with exact integer arithmetic.
+    value b, the rarest of the run since the distribution is ascending.
     """
-    _check_beta(beta)
     if not 0 <= b <= e < dist.m:
         raise LikenessError(f"value range [{b}, {e}] out of bounds for m={dist.m}")
-    run = sum(dist.counts[b : e + 1])
-    n_b = dist.counts[b]
-    if n_b / dist.total <= math.exp(-beta):
-        num, den = one_plus_beta(beta)
-        return run * den < num * n_b
-    p = n_b / dist.total
-    return run / dist.total < p * (1.0 - math.log(p))
+    return Bound(dist, beta).at([b]).admits([sum(dist.counts[b : e + 1])], dist.total, strict=True)
 
 
 def partition_spans(dist: Distribution, beta: float) -> list[tuple[int, int]]:
@@ -69,22 +62,11 @@ def partition_spans(dist: Distribution, beta: float) -> list[tuple[int, int]]:
     happen only on strict improvement, so among equal-count partitions the
     latest bucket is the smallest admissible one.
     """
-    _check_beta(beta)
+    bound = Bound(dist, beta)
     m = dist.m
-    num, den = one_plus_beta(beta)
-    cut = math.exp(-beta)
-    counts = dist.counts
     prefix = [0]
-    for c in counts:
+    for c in dist.counts:
         prefix.append(prefix[-1] + c)
-
-    def _combinable(b: int, e: int) -> bool:
-        run = prefix[e + 1] - prefix[b]
-        n_b = counts[b]
-        if n_b / dist.total <= cut:
-            return run * den < num * n_b
-        p = n_b / dist.total
-        return run / dist.total < p * (1.0 - math.log(p))
 
     best = [0] * (m + 1)
     start = [0] * (m + 1)
@@ -94,7 +76,7 @@ def partition_spans(dist: Distribution, beta: float) -> list[tuple[int, int]]:
         b = e - 1
         # Mass grows and the bound shrinks as the run extends left, so the
         # first inadmissible b ends the scan.
-        while b > 0 and _combinable(b - 1, e - 1):
+        while b > 0 and bound.at([b - 1]).admits([prefix[e] - prefix[b - 1]], dist.total, strict=True):
             if best[b - 1] + 1 < best[e]:
                 best[e] = best[b - 1] + 1
                 start[e] = b

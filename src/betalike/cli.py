@@ -3,9 +3,11 @@
 Subcommands: gen-data, generalize, perturb, audit, queryeval. All randomness
 flows from --seed, so identical invocations produce byte-identical outputs.
 Exit codes: 0 success, 1 configuration or data errors, 2 internal invariant
-breach (a freshly produced artifact failing its own audit), 141 when the
-reader of standard output closed it early (as in `betalike audit ... |
-head -1`; 141 is what a shell reports for a process ended by SIGPIPE).
+breach (a freshly produced artifact failing its own audit), 3 when `audit`
+finds a violation (a class above the release's beta, or a naive-Bayes
+ratio above its bound), 141 when the reader of standard output closed it
+early (as in `betalike audit ... | head -1`; 141 is what a shell reports
+for a process ended by SIGPIPE).
 That case prints nothing more, and the command's remaining work, such as
 writing its output file, may not have happened.
 """
@@ -18,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .audit import achieved_beta, ec_audit_lines, nb_bound_audit
+from .audit import achieved_beta, ec_audit_lines, failing_classes, nb_bound_audit
 from .buckets import dp_partition
 from .data import (
     DataError,
@@ -52,6 +54,7 @@ from .queries import (
 from .release import load_release, save_release
 
 USER_ERRORS = (DataError, HierarchyError, LikenessError, PerturbationError, OSError)
+EXIT_VIOLATION = 3
 EXIT_BROKEN_PIPE = 141
 
 
@@ -144,11 +147,10 @@ def _cmd_generalize(args) -> int:
     print(f"classes={len(release.ecs)} rows={release.n_rows} ail={loss:.6f}")
     achieved_txt = "unbounded" if math.isinf(achieved) else f"{achieved:.6f}"
     print(f"achieved_beta={achieved_txt} requested_beta={args.beta}")
-    if not achieved <= args.beta + 1e-9:
-        raise InternalAuditError(
-            f"freshly generalized release violates its own budget: "
-            f"achieved {achieved_txt} > {args.beta}"
-        )
+    failing = failing_classes(release)
+    if failing:
+        raise InternalAuditError(f"freshly generalized release violates its own budget: "
+                                 f"{len(failing)} classes fail it, first ec={failing[0]}")
     save_release(release, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -185,7 +187,7 @@ def _cmd_audit(args) -> int:
     report = nb_bound_audit(release, table)
     for line in report.lines():
         print(line)
-    return 0
+    return EXIT_VIOLATION if failing_classes(release) or report.violations else 0
 
 
 def _cmd_queryeval(args) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .hierarchy import Hierarchy, HierarchyError
-from .likeness import Distribution
+from .likeness import Distribution, LikenessError
 
 QI = "qi"
 SA = "sa"
@@ -20,6 +20,34 @@ CATEGORICAL = "categorical"
 
 class DataError(ValueError):
     pass
+
+
+_JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer", (int, float): "number"}
+
+
+def json_field(obj: dict, key: str, kind, where, items=None):
+    """obj[key] when it is a `kind` (a list holding only `items`, if given);
+    otherwise a DataError naming `where` (the file) and the field."""
+    if key not in obj:
+        raise DataError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    def is_a(v, t) -> bool:
+        return isinstance(v, t) and not isinstance(v, bool)
+    if not is_a(value, kind) or items is not None and not all(is_a(v, items) for v in value):
+        expected = _JSON_NAMES[kind] + (f" of {_JSON_NAMES[items]}s" if items is not None else "")
+        raise DataError(f"{where}: field {key!r} must be a JSON {expected}")
+    return value
+
+
+def distribution_from_obj(obj: dict, where) -> Distribution:
+    """The SA distribution an artifact stores as "values", "counts", "total"."""
+    values = json_field(obj, "values", list, where, items=str)
+    counts = json_field(obj, "counts", list, where, items=int)
+    total = json_field(obj, "total", int, where)
+    try:
+        return Distribution(tuple(values), tuple(counts), total)
+    except LikenessError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -3,59 +3,31 @@
 The root allocation takes every bucket whole. A node splits into two children
 holding the floor and remainder halves of each bucket's count; the split is
 kept only when both children are non-empty and eligible, i.e. every bucket's
-share of the child stays within the frequency bound of the bucket's rarest
-value. Leaves are emitted left-first, smallest eligible classes.
+share of the child stays at or below the frequency bound of the bucket's
+rarest value. Leaves are emitted left-first, smallest eligible classes.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .buckets import BucketPartition
-from .likeness import LikenessError, _check_beta, one_plus_beta
+from .likeness import Bound, LikenessError
 
 
-def _bucket_bounds(partition: BucketPartition):
-    """Per bucket, either an exact integer form of the bound or a float."""
-    dist = partition.dist
-    _check_beta(partition.beta)
-    num, den = one_plus_beta(partition.beta)
-    cut = math.exp(-partition.beta)
-    out = []
-    for bucket in partition.buckets:
-        n_min = dist.counts[bucket.lo]
-        if n_min / dist.total <= cut:
-            out.append((num * n_min, den * dist.total, 0.0))
-        else:
-            p = n_min / dist.total
-            out.append((0, 0, p * (1.0 - math.log(p))))
-    return out
+def _bucket_bound(partition: BucketPartition) -> Bound:
+    """Each bucket's cap: the bound of its rarest value."""
+    return Bound(partition.dist, partition.beta).at([b.lo for b in partition.buckets])
 
 
-def eligible(alloc, partition: BucketPartition, beta: float | None = None) -> bool:
+def eligible(alloc, partition: BucketPartition) -> bool:
     """Does every bucket's share of this allocation respect its bound?"""
-    if beta is not None and beta != partition.beta:
-        raise LikenessError("allocation eligibility is defined at the partition's beta")
     counts = np.asarray(alloc, dtype=np.int64)
     if counts.shape != (len(partition.buckets),):
         raise LikenessError("allocation length must match the bucket count")
     size = int(counts.sum())
     if size <= 0:
         raise LikenessError("allocation is empty")
-    return _eligible(counts, size, _bucket_bounds(partition))
-
-
-def _eligible(counts, size, bounds) -> bool:
-    for a, (lin_num, lin_den, f_log) in zip(counts, bounds):
-        if a == 0:
-            continue
-        if lin_den:
-            if int(a) * lin_den > lin_num * size:
-                return False
-        elif a / size > f_log:
-            return False
-    return True
+    return _bucket_bound(partition).admits(counts.tolist(), size)
 
 
 def bi_split(partition: BucketPartition) -> list[np.ndarray]:
@@ -65,7 +37,7 @@ def bi_split(partition: BucketPartition) -> list[np.ndarray]:
     passes the eligibility check. The root is its own fallback leaf, so the
     result is never empty.
     """
-    bounds = _bucket_bounds(partition)
+    bound = _bucket_bound(partition)
     root = np.asarray([b.size for b in partition.buckets], dtype=np.int64)
     leaves: list[np.ndarray] = []
     stack = [root]
@@ -74,7 +46,7 @@ def bi_split(partition: BucketPartition) -> list[np.ndarray]:
         left = node // 2
         right = node - left
         ls, rs = int(left.sum()), int(right.sum())
-        if ls >= 1 and rs >= 1 and _eligible(left, ls, bounds) and _eligible(right, rs, bounds):
+        if ls >= 1 and rs >= 1 and bound.admits(left.tolist(), ls) and bound.admits(right.tolist(), rs):
             stack.append(right)
             stack.append(left)
         else:

@@ -27,16 +27,11 @@ class SortedBucket:
     key) and uniform random draws. Equal keys keep original row order.
     """
 
-    def __init__(self, keys, rows: np.ndarray) -> None:
+    def __init__(self, keys: np.ndarray, rows: np.ndarray) -> None:
         rows = np.asarray(rows, dtype=np.int64)
         n = len(rows)
-        if isinstance(keys, np.ndarray):
-            order = np.lexsort((rows, keys))
-            self._keys = keys[order].tolist()
-        else:
-            keys = list(keys)
-            order = np.asarray(sorted(range(n), key=lambda i: (keys[i], int(rows[i]))))
-            self._keys = [keys[i] for i in order]
+        order = np.lexsort((rows, keys))
+        self._keys = keys[order].tolist()
         self._rows = rows[order].tolist()
         self._n = n
         self._head = n
@@ -122,10 +117,6 @@ class SortedBucket:
         return out
 
 
-def retrieve(bucket: SortedBucket, anchor_key: int, count: int) -> np.ndarray:
-    return bucket.draw_nearest(anchor_key, count)
-
-
 def generalize(
     table: Table,
     beta: float,
@@ -145,10 +136,7 @@ def generalize(
     partition = dp_partition(table, beta)
     leaves = bi_split(partition)
     keys = table_keys(table, curve_order)
-    if isinstance(keys, np.ndarray):
-        stores = [SortedBucket(keys[b.rows], b.rows) for b in partition.buckets]
-    else:
-        stores = [SortedBucket([keys[r] for r in b.rows], b.rows) for b in partition.buckets]
+    stores = [SortedBucket(keys[b.rows], b.rows) for b in partition.buckets]
     rng = np.random.default_rng(seed)
     ecs = []
     for alloc in leaves:

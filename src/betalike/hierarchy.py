@@ -121,7 +121,3 @@ class Hierarchy:
             for i in range(0, len(values), fanout)
         ]
         return cls({"name": root_label, "children": groups})
-
-
-def leaf_preorder_index(hierarchy: Hierarchy, value: str) -> int:
-    return hierarchy.leaf_index(value)

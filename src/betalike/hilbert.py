@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import CATEGORICAL, DataError, DatasetSchema, Table
+from .data import CATEGORICAL, DataError, Table
 
 
 def hilbert_indices(cells: np.ndarray, order: int):
     """Map (n, d) grid coordinates in [0, 2**order) to curve positions.
 
-    Returns an int64 array when d * order fits in 63 bits, otherwise a list
-    of Python ints.
+    Returns a uint64 array when d * order fits in 64 bits, otherwise an
+    object array of Python ints; both sort with `np.lexsort`.
     """
     cells = np.asarray(cells)
     if cells.ndim != 2:
@@ -26,8 +26,6 @@ def hilbert_indices(cells: np.ndarray, order: int):
         raise DataError(f"curve order must be in [1, 31], got {order}")
     if n and (cells.min() < 0 or float(cells.max()) >= float(1 << order)):
         raise ValueError(f"cell coordinates must lie in [0, 2**{order})")
-    if d == 1:
-        return cells[:, 0].astype(np.int64)
 
     x = cells.astype(np.uint64).copy()
     m_top = np.uint64(1 << (order - 1))
@@ -58,23 +56,14 @@ def hilbert_indices(cells: np.ndarray, order: int):
 
     # Interleave bit planes, most significant first, dimension 0 first.
     bit_positions = [(b, i) for b in range(order - 1, -1, -1) for i in range(d)]
-    if d * order <= 63:
-        key = np.zeros(n, dtype=np.uint64)
-        for b, i in bit_positions:
-            key = (key << np.uint64(1)) | ((x[:, i] >> np.uint64(b)) & np.uint64(1))
-        return key.astype(np.int64)
-    # Wide keys: assemble <=63-bit chunks, then combine as Python ints.
-    chunks = []
-    for lo in range(0, len(bit_positions), 63):
-        part = bit_positions[lo : lo + 63]
+    # Assemble 64-bit chunks; wider keys combine them as Python ints.
+    keys = None
+    for lo in range(0, len(bit_positions), 64):
+        part = bit_positions[lo : lo + 64]
         acc = np.zeros(n, dtype=np.uint64)
         for b, i in part:
             acc = (acc << np.uint64(1)) | ((x[:, i] >> np.uint64(b)) & np.uint64(1))
-        chunks.append((acc, len(part)))
-    keys = [0] * n
-    for acc, width in chunks:
-        acc_list = acc.tolist()
-        keys = [(k << width) | v for k, v in zip(keys, acc_list)]
+        keys = acc if keys is None else (keys.astype(object) << len(part)) | acc.astype(object)
     return keys
 
 
@@ -95,19 +84,3 @@ def quantize_table(table: Table, order: int) -> np.ndarray:
 
 def table_keys(table: Table, order: int):
     return hilbert_indices(quantize_table(table, order), order)
-
-
-def hilbert_key(qi_values, schema: DatasetSchema, order: int) -> int:
-    """Curve key of a single record given its QI values in schema order."""
-    cells = []
-    top = (1 << order) - 1
-    for attr, value in zip(schema.qi_attributes, qi_values):
-        if attr.kind == CATEGORICAL:
-            idx = attr.hierarchy.leaf_index(value) if isinstance(value, str) else int(value)
-            span = attr.hierarchy.n_leaves - 1
-            scaled = idx / span * top if span > 0 else 0.0
-        else:
-            scaled = (float(value) - attr.lo) / (attr.hi - attr.lo) * top
-        cells.append(min(max(int(np.floor(scaled + 0.5)), 0), top))
-    out = hilbert_indices(np.asarray([cells], dtype=np.uint64), order)
-    return int(out[0])

@@ -6,9 +6,14 @@ some value's frequency above its global one. The model caps that gain in
 relative terms: q <= p * (1 + min(beta, -ln p)) for every value, so rare
 values get the full beta budget while frequent ones are bent away from
 certainty.
+
+`Bound.admits` is the one place that cap is compared: non-strict for
+classes, strict for bucket runs.
 """
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,11 +98,6 @@ def one_plus_beta(beta: float) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-# Slack for the logarithmic branch only; the linear branch is compared with
-# exact integer cross-multiplication so boundary classes cannot flip.
-LOG_BRANCH_SLACK = 1e-12
-
-
 def class_counts(dist: Distribution, sa_values: Iterable[str]) -> np.ndarray:
     """Per-value counts of one class, aligned with `dist`; unknown value errors."""
     counts = np.zeros(dist.m, dtype=np.int64)
@@ -106,7 +106,8 @@ def class_counts(dist: Distribution, sa_values: Iterable[str]) -> np.ndarray:
     return counts
 
 
-def _as_counts(dist: Distribution, counts: Sequence[int] | np.ndarray) -> np.ndarray:
+def _as_counts(dist: Distribution, counts: Sequence[int] | np.ndarray) -> tuple[list[int], int]:
+    """A class's counts as Python ints, checked, and its size."""
     arr = np.asarray(counts, dtype=np.int64)
     if arr.shape != (dist.m,):
         raise LikenessError(f"class counts must align with the {dist.m} SA values")
@@ -114,22 +115,62 @@ def _as_counts(dist: Distribution, counts: Sequence[int] | np.ndarray) -> np.nda
         raise LikenessError("class counts must be nonnegative")
     if arr.sum() == 0:
         raise LikenessError("class is empty")
-    return arr
+    return arr.tolist(), int(arr.sum())
+
+
+class Bound:
+    """The cap q <= f(p) = p * (1 + min(beta, -ln p)) of every SA value.
+
+    Built once per (distribution, beta); `admits` is the one comparison
+    every privacy check makes. On the linear branch (p <= e^-beta) a cap
+    (1 + beta) * N_i / total is the exact integer pair (num * N_i,
+    den * total) from `one_plus_beta`, so a class sitting on it cannot flip;
+    on the logarithmic branch it is the float p * (1 - ln p), with no slack.
+    """
+
+    def __init__(self, dist: Distribution, beta: float, cut: float | None = None) -> None:
+        # The basic model passes cut=1.0 (every value linear); cut=0.0 gives
+        # the limit as beta grows (every value logarithmic).
+        _check_beta(beta)
+        num, den = one_plus_beta(beta)
+        cut = math.exp(-beta) if cut is None else cut
+        self.terms = [
+            (num * n_i, den * dist.total, 0.0) if n_i / dist.total <= cut
+            else (0, 0, n_i / dist.total * (1.0 - math.log(n_i / dist.total)))
+            for n_i in dist.counts
+        ]
+
+    def at(self, values: Iterable[int]) -> "Bound":
+        """The caps of the given SA value indices, in that order."""
+        sub = copy.copy(self)
+        sub.terms = [self.terms[i] for i in values]
+        return sub
+
+    def admits(self, counts, size: int, strict: bool = False) -> bool:
+        """Is counts[j] / size at or below the j-th cap for every positive
+        count (strictly below when `strict`)? A plain loop with early exit:
+        the halving tree calls it tens of thousands of times per release."""
+        for c, (num, den, cap) in zip(counts, self.terms):
+            if c:
+                excess = int(c) * den - num * size if den else c / size - cap
+                if excess > 0 or strict and excess == 0:
+                    return False
+        return True
+
+    def caps(self) -> np.ndarray:
+        """The caps as floats, for screening and display."""
+        return np.asarray([num / den if den else cap for num, den, cap in self.terms])
+
+
+@functools.lru_cache(maxsize=32)
+def _bound(dist: Distribution, beta: float, cut: float | None = None) -> Bound:
+    """One Bound per (distribution, beta) for the per-class checks."""
+    return Bound(dist, beta, cut)
 
 
 def check_basic(dist: Distribution, counts, beta: float) -> bool:
     """Does the class keep every value's relative gain at or below beta?"""
-    _check_beta(beta)
-    arr = _as_counts(dist, counts)
-    g = int(arr.sum())
-    num, den = one_plus_beta(beta)
-    for i, c in enumerate(arr):
-        if c == 0:
-            continue
-        # c/g <= (1+beta) * N_i/total, cross-multiplied exactly
-        if int(c) * den * dist.total > num * dist.counts[i] * g:
-            return False
-    return True
+    return _bound(dist, beta, cut=1.0).admits(*_as_counts(dist, counts))
 
 
 def check_enhanced(dist: Distribution, counts, beta: float) -> bool:
@@ -138,23 +179,7 @@ def check_enhanced(dist: Distribution, counts, beta: float) -> bool:
     Every present value must satisfy q <= frequency_bound(p, beta); values
     absent from the class pass by definition.
     """
-    _check_beta(beta)
-    arr = _as_counts(dist, counts)
-    g = int(arr.sum())
-    num, den = one_plus_beta(beta)
-    cut = math.exp(-beta)
-    for i, c in enumerate(arr):
-        if c == 0:
-            continue
-        n_i = dist.counts[i]
-        p = n_i / dist.total
-        if p <= cut:
-            if int(c) * den * dist.total > num * n_i * g:
-                return False
-        else:
-            if c / g > p * (1.0 - math.log(p)) + LOG_BRANCH_SLACK:
-                return False
-    return True
+    return _bound(dist, beta).admits(*_as_counts(dist, counts))
 
 
 def required_beta(dist: Distribution, counts) -> float:
@@ -163,17 +188,14 @@ def required_beta(dist: Distribution, counts) -> float:
     Returns 0.0 when no value exceeds its global frequency and math.inf when
     some value exceeds the p * (1 - ln p) cap that no finite beta relaxes.
     """
-    arr = _as_counts(dist, counts)
-    g = int(arr.sum())
+    counts, g = _as_counts(dist, counts)
+    # With every value on the logarithmic branch, beta itself is unused.
+    if not _bound(dist, 1.0, cut=0.0).admits(counts, g):
+        return math.inf
     worst = 0.0
-    for i, c in enumerate(arr):
-        if c == 0:
-            continue
-        p = dist.counts[i] / dist.total
+    for n_i, c in zip(dist.counts, counts):
+        p = n_i / dist.total
         q = c / g
-        if q <= p:
-            continue
-        if q > p * (1.0 - math.log(p)) + LOG_BRANCH_SLACK:
-            return math.inf
-        worst = max(worst, (q - p) / p)
+        if q > p:
+            worst = max(worst, (q - p) / p)
     return worst

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Table, save_table, load_table
+from .data import DataError, Table, distribution_from_obj, json_field, load_table, save_table
 from .likeness import Distribution, frequency_bound
 
 
@@ -195,11 +195,15 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     published distribution and beta, and the published matrix must equal
     the rebuilt one exactly (save_perturbation writes round-trip reprs)."""
     outdir = Path(outdir)
+    dist_path = outdir / _DIST_FILE
     try:
-        obj = json.loads((outdir / _DIST_FILE).read_text(encoding="utf-8"))
+        obj = json.loads(dist_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataError(f"{outdir}: not a perturbation artifact (missing {_DIST_FILE})") from None
-    dist = Distribution(tuple(obj["values"]), tuple(obj["counts"]), obj["total"])
+    if not isinstance(obj, dict) or obj.get("kind") != "perturbed-release":
+        raise DataError(f"{dist_path}: not a perturbed-release distribution")
+    dist = distribution_from_obj(obj, dist_path)
+    beta = json_field(obj, "beta", (int, float), dist_path)
     matrix_path = outdir / _MATRIX_FILE
     try:
         matrix = np.loadtxt(matrix_path, ndmin=2)
@@ -207,7 +211,7 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
         raise DataError(f"{matrix_path}: not a transition matrix ({exc})") from None
     if matrix.shape != (dist.m, dist.m):
         raise DataError(f"{matrix_path}: transition matrix shape {matrix.shape} does not match m={dist.m}")
-    model = build_model(dist, float(obj["beta"]))
+    model = build_model(dist, float(beta))
     if not np.array_equal(matrix, model.matrix):
         raise DataError(
             f"{matrix_path}: transition matrix differs from the one the published "

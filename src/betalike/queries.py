@@ -188,11 +188,17 @@ def _workload_counts(table: Table, workload: Sequence[AggregateQuery]) -> tuple[
     hist = _qi_histograms(table, workload)
     cum = np.zeros((len(workload), table.m + 1), dtype=np.int64)
     np.cumsum(hist, axis=1, out=cum[:, 1:])
-    # Clipping reproduces the SA compare for codes outside 0..m-1.
-    first = np.clip([q.sa_lo for q in workload], 0, table.m).astype(np.intp)
-    end = np.clip([q.sa_hi + 1 for q in workload], first, table.m).astype(np.intp)
+    spans = [_sa_span(q, table.m) for q in workload]
+    first, end = np.asarray([(s.start, s.stop) for s in spans], dtype=np.intp).reshape(-1, 2).T
     picked = np.arange(len(workload))
     return cum[:, -1], cum[picked, end] - cum[picked, first]
+
+
+def _sa_span(query: AggregateQuery, m: int) -> slice:
+    """The SA codes c in 0..m-1 with sa_lo <= c <= sa_hi, as a slice: the
+    same codes the SA compare of `exact_count` selects, for any range."""
+    first = min(max(query.sa_lo, 0), m)
+    return slice(first, min(max(query.sa_hi + 1, first), m))
 
 
 class _ReleaseArrays:
@@ -231,7 +237,8 @@ def estimate_generalized(release: Release, query: AggregateQuery, _arrays: _Rele
     """Uniform-spread estimate: per class, SA-matching count times the
     product of per-axis overlap fractions with the class extent."""
     arrays = _arrays or _ReleaseArrays(release)
-    sa_match = arrays.cum[:, query.sa_hi + 1] - arrays.cum[:, query.sa_lo]
+    span = _sa_span(query, release.dist.m)
+    sa_match = arrays.cum[:, span.stop] - arrays.cum[:, span.start]
     frac = np.ones(len(release.ecs))
     for k, q_lo, q_hi in query.qi:
         kind, lo, hi = arrays.extents[k]
@@ -251,7 +258,7 @@ def estimate_perturbed(
 
 def _reconstructed_range(observed: np.ndarray, model: PerturbationModel, query: AggregateQuery) -> float:
     estimate = reconstruct_nonnegative(observed, model)
-    return float(estimate[query.sa_lo : query.sa_hi + 1].sum())
+    return float(estimate[_sa_span(query, model.m)].sum())
 
 
 def baseline_estimate(table: Table, dist: Distribution, query: AggregateQuery) -> float:
@@ -260,7 +267,7 @@ def baseline_estimate(table: Table, dist: Distribution, query: AggregateQuery) -
 
 
 def _baseline_value(rows, freqs: np.ndarray, query: AggregateQuery) -> float:
-    return float(rows * freqs[query.sa_lo : query.sa_hi + 1].sum())
+    return float(rows * freqs[_sa_span(query, len(freqs))].sum())
 
 
 @dataclass(frozen=True)

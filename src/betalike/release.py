@@ -8,12 +8,13 @@ parameters are embedded so a release file is auditable on its own.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import NUMERIC, DataError, DatasetSchema, Table
+from .data import NUMERIC, DataError, DatasetSchema, Table, distribution_from_obj, json_field
 from .likeness import Distribution
 
 
@@ -133,27 +134,40 @@ def load_release(path, schema: DatasetSchema) -> Release:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
-    if obj.get("kind") != "generalized-release":
+    if not isinstance(obj, dict) or obj.get("kind") != "generalized-release":
         raise DataError(f"{path}: not a generalized release file")
-    sa = obj["sa"]
-    dist = Distribution(tuple(sa["values"]), tuple(sa["counts"]), sa["total"])
-    if [a.name for a in schema.qi_attributes] != obj["qi"]:
+    dist = distribution_from_obj(json_field(obj, "sa", dict, path), f"{path}: sa")
+    if [a.name for a in schema.qi_attributes] != json_field(obj, "qi", list, path, items=str):
         raise DataError(f"{path}: QI attributes do not match the schema")
+    beta = json_field(obj, "beta", (int, float), path)
+    if not 0 < beta < math.inf:
+        raise DataError(f"{path}: field 'beta' must be a finite number > 0")
+    seed = json_field(obj, "seed", int, path)
+    curve_order = json_field(obj, "curve_order", int, path)
     index = {v: i for i, v in enumerate(dist.values)}
     ecs = []
-    for cls in obj["classes"]:
+    for k, cls in enumerate(json_field(obj, "classes", list, path, items=dict)):
+        where = f"{path}: classes[{k}]"
+        raw_extents = json_field(cls, "extents", list, where, items=dict)
+        if len(raw_extents) != len(schema.qi_attributes):
+            raise DataError(f"{where}: needs one extent per QI attribute")
         extents: list[Extent] = []
-        for attr, ext in zip(schema.qi_attributes, cls["extents"]):
+        for attr, ext in zip(schema.qi_attributes, raw_extents):
+            at = f"{where}: extent {attr.name}"
             if attr.kind == NUMERIC:
-                extents.append(NumericExtent(float(ext["lo"]), float(ext["hi"])))
+                lo, hi = (float(json_field(ext, key, (int, float), at)) for key in ("lo", "hi"))
+                extents.append(NumericExtent(lo, hi))
             else:
-                extents.append(CategoricalExtent(ext["label"], ext["leaf_lo"], ext["leaf_hi"]))
+                fields = (("label", str), ("leaf_lo", int), ("leaf_hi", int))
+                extents.append(CategoricalExtent(*(json_field(ext, key, kind, at) for key, kind in fields)))
         counts = np.zeros(dist.m, dtype=np.int64)
-        for value, c in cls["sa"].items():
+        for value, c in json_field(cls, "sa", dict, where).items():
             if value not in index:
-                raise DataError(f"{path}: class references unknown SA value {value!r}")
-            counts[index[value]] = int(c)
-        if counts.sum() != cls["size"]:
-            raise DataError(f"{path}: class size does not match its SA counts")
+                raise DataError(f"{where}: unknown SA value {value!r}")
+            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                raise DataError(f"{where}: count of {value!r} must be a nonnegative integer")
+            counts[index[value]] = c
+        if counts.sum() != json_field(cls, "size", int, where):
+            raise DataError(f"{where}: class size does not match its SA counts")
         ecs.append(EquivalenceClass(tuple(extents), counts, None))
-    return Release(schema, dist, obj["beta"], obj["seed"], obj["curve_order"], tuple(ecs))
+    return Release(schema, dist, beta, seed, curve_order, tuple(ecs))

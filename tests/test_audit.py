@@ -131,3 +131,17 @@ def test_nb_row_count_mismatch(example2):
     other = bl.generate_synthetic(30, 5, seed=1)
     with pytest.raises(bl.DataError, match="row count"):
         bl.nb_bound_audit(rel, other)
+
+
+def test_audits_agree_with_the_exact_class_check():
+    # The float 0.3 lies just below 3/10, so a class at q = 1.3 p exactly is
+    # over its cap; a float comparison with slack would let it pass.
+    rows = ([{"x": 1, "s": "a"}] * 10 + [{"x": 1, "s": "b"}] * 38 + [{"x": 1, "s": "c"}] * 52
+            + [{"x": 9, "s": "b"}] * 12 + [{"x": 9, "s": "c"}] * 18)
+    t = bl.table_from_rows(single_attr_schema(), rows)
+    rel = nb_release(t, [range(100), range(100, 130)], beta=0.3)
+    assert [bl.check_enhanced(rel.dist, ec.sa_counts, 0.3) for ec in rel.ecs] == [False, True]
+    assert [line.endswith("FAIL") for line in bl.ec_audit_lines(rel)] == [True, False]
+    report = bl.nb_bound_audit(rel, t)
+    assert report.violations == 1
+    assert report.worst[:3] == ("x", 1.0, "a")

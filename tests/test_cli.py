@@ -5,7 +5,7 @@ import json
 import pytest
 
 import betalike as bl
-from betalike.cli import EXIT_BROKEN_PIPE, run
+from betalike.cli import EXIT_BROKEN_PIPE, EXIT_VIOLATION, run
 
 from conftest import disease_table, patient_schema
 
@@ -162,10 +162,58 @@ def test_audit_reports_unbounded_on_leaky_release(example_files, tmp_path, capsy
     path.write_text(json.dumps(release), encoding="utf-8")
     assert run([
         "audit", "--release", str(path), "--input", str(csv), "--schema", str(schema),
-    ]) == 0
+    ]) == EXIT_VIOLATION
     out = capsys.readouterr().out
     assert "achieved_beta=unbounded" in out
     assert "FAIL" in out
+
+
+def test_audit_exits_three_on_tampered_release(example_files, tmp_path, capsys):
+    csv, schema = example_files
+    path = tmp_path / "release.json"
+    assert run(["generalize", "--input", str(csv), "--schema", str(schema),
+                "--beta", "2", "--seed", "7", "--out", str(path)]) == 0
+    audit = ["audit", "--release", str(path), "--input", str(csv), "--schema", str(schema)]
+    assert run(audit) == 0
+    # Move every SA count of class 0 onto the rarest value.
+    release = json.loads(path.read_text(encoding="utf-8"))
+    cls = release["classes"][0]
+    cls["sa"] = {release["sa"]["values"][0]: cls["size"]}
+    path.write_text(json.dumps(release), encoding="utf-8")
+    capsys.readouterr()
+    assert run(audit) == EXIT_VIOLATION == 3
+    out = capsys.readouterr().out
+    assert "ec=0 " in out and "required_beta=unbounded FAIL" in out
+
+
+def test_malformed_release_names_field(example_files, tmp_path, capsys):
+    csv, schema = example_files
+    path = tmp_path / "release.json"
+    path.write_text(json.dumps({"kind": "generalized-release"}), encoding="utf-8")
+    code = run(["audit", "--release", str(path), "--input", str(csv), "--schema", str(schema)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "release.json" in err and "'sa'" in err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"kind": "perturbed-release"}, "'values'"),
+    ({"kind": "generalized-release", "values": ["a"]}, "perturbed-release"),
+], ids=["missing-values", "wrong-kind"])
+def test_malformed_distribution_names_field(example_files, tmp_path, capsys, doc, named):
+    csv, schema = example_files
+    outdir = tmp_path / "pert"
+    assert run(["perturb", "--input", str(csv), "--schema", str(schema),
+                "--beta", "2", "--seed", "1", "--out", str(outdir)]) == 0
+    (outdir / "distribution.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
+                "--artifact", str(outdir), "--lambda", "1", "--queries", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "distribution.json" in err and named in err
 
 
 def test_perturb_byte_identical_reruns(example_files, tmp_path):
@@ -185,7 +233,7 @@ def test_internal_audit_breach_exits_two(example_files, tmp_path, capsys, monkey
     # The pipeline guarantees compliance, so simulate a breach to check the
     # distinct exit code is wired up.
     import betalike.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "achieved_beta", lambda release: float("inf"))
+    monkeypatch.setattr(cli_mod, "failing_classes", lambda release: [0])
     code = run([
         "generalize", "--input", str(csv), "--schema", str(schema),
         "--beta", "2", "--seed", "1", "--out", str(tmp_path / "r.json"),

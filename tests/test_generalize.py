@@ -62,11 +62,6 @@ def test_random_draws_deterministic():
     assert a.draw_random(ra, 20).tolist() == b.draw_random(rb, 20).tolist()
 
 
-def test_retrieve_wrapper():
-    b = make_bucket([10, 20, 30, 40])
-    assert sorted(bl.retrieve(b, 21, 2).tolist()) == [1, 2]
-
-
 def test_example2_release(example2):
     release = bl.generalize(example2, 2.0, seed=7)
     assert sorted(ec.size for ec in release.ecs) == [4, 5, 10]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from betalike import Hierarchy, HierarchyError, leaf_preorder_index
+from betalike import Hierarchy, HierarchyError
 
 from conftest import DISEASE_HIERARCHY
 
@@ -17,7 +17,7 @@ def test_preorder_leaves():
 
 def test_first_leaf_is_zero():
     h = Hierarchy({"name": "r", "children": ["x", "y", "z"]})
-    assert leaf_preorder_index(h, "x") == 0
+    assert h.leaf_index("x") == 0
 
 
 def test_single_leaf_hierarchy():

@@ -60,9 +60,9 @@ def test_wide_keys_refine_narrow_keys():
     rng = np.random.default_rng(8)
     d = 3
     cells = rng.integers(0, 1 << 21, size=(64, d), dtype=np.uint64)
-    narrow = bl.hilbert_indices(cells, 21)          # 63 bits: int64 path
+    narrow = bl.hilbert_indices(cells, 21)          # 63 bits: uint64 path
     wide = bl.hilbert_indices(cells * 2, 22)        # 66 bits: python-int path
-    assert isinstance(wide, list)
+    assert wide.dtype == object
     for n, w in zip(narrow.tolist(), wide):
         assert (w >> d) == n
 
@@ -96,7 +96,6 @@ def test_identical_records_identical_keys():
     t = bl.table_from_rows(schema, rows)
     keys = bl.table_keys(t, 16)
     assert keys[0] == keys[1]
-    assert keys[0] == bl.hilbert_key((55, 33), schema, 16)
 
 
 def test_categorical_axis_uses_leaf_rank():

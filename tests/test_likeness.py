@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import betalike as bl
-from betalike.likeness import Distribution, one_plus_beta
+from betalike.likeness import Bound, Distribution, one_plus_beta
 
 
 def dist(counts, names=None):
@@ -168,3 +168,67 @@ def test_one_plus_beta_is_exact():
     assert Fraction(num, den) == Fraction(3, 2)
     num, den = one_plus_beta(2.0)
     assert (num, den) == (3, 1)
+
+
+# Bound against an oracle: exact fractions on the linear branch, the float
+# cap p * (1 - ln p) on the logarithmic one.
+BETAS = st.sampled_from([0.3, 1 / 3, 0.1, 0.5, 1.0, 2.0, 4.0]) | st.floats(0.01, 8.0)
+
+
+def oracle_admits(d, beta, cut, counts, size, strict):
+    cut = math.exp(-beta) if cut is None else cut
+    for n_i, c in zip(d.counts, counts):
+        if c == 0:
+            continue
+        p = n_i / d.total
+        if p <= cut:
+            q, cap = Fraction(c, size), (1 + Fraction(beta)) * Fraction(n_i, d.total)
+        else:
+            q, cap = c / size, p * (1.0 - math.log(p))
+        if q > cap or strict and q == cap:
+            return False
+    return True
+
+
+@given(
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=8), BETAS,
+    st.sampled_from([None, 1.0, 0.0]), st.booleans(), st.data(),
+)
+@settings(max_examples=300)
+def test_bound_matches_fraction_oracle(base, beta, cut, strict, data):
+    # cut None: the enhanced model; 1.0: basic (all linear); 0.0: the limit
+    # as beta grows (all logarithmic).
+    d = dist(base)
+    size = data.draw(st.integers(1, 10**7))
+    counts = data.draw(st.lists(st.integers(0, size), min_size=d.m, max_size=d.m))
+    expected = oracle_admits(d, beta, cut, counts, size, strict)
+    assert Bound(d, beta, cut).admits(counts, size, strict) == expected
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8), BETAS)
+@settings(max_examples=200)
+def test_linear_cap_admits_classes_and_rejects_bucket_runs(base, beta):
+    # c / g exactly (1 + beta) * p: (c, g) may need far more than 64 bits
+    # when beta is not dyadic.
+    d = dist(base)
+    bound = Bound(d, beta)
+    num, den = one_plus_beta(beta)
+    for i, n_i in enumerate(d.counts):
+        if n_i / d.total > math.exp(-beta):
+            continue
+        cap = Fraction(num * n_i, den * d.total)
+        one = bound.at([i])
+        assert one.admits([cap.numerator], cap.denominator)
+        assert not one.admits([cap.numerator], cap.denominator, strict=True)
+        assert not one.admits([cap.numerator + 1], cap.denominator)
+        # Scaled up to a shared size, next to another value's count.
+        pair = bound.at([i, i])
+        assert pair.admits([2 * cap.numerator, 0], 2 * cap.denominator)
+        assert not pair.admits([1, 2 * cap.numerator + 1], 2 * cap.denominator)
+
+
+def test_bound_caps_are_the_frequency_bound():
+    d = dist([3, 5, 40, 200])
+    for beta in (0.3, 1.0, 4.0):
+        expected = [bl.frequency_bound(p, beta) for p in d.freqs()]
+        assert Bound(d, beta).caps() == pytest.approx(expected, rel=1e-15)

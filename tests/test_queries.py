@@ -325,6 +325,10 @@ def test_qi_histograms_match_per_query_counts(cells_per_row, case):
 @settings(max_examples=60, deadline=None)
 def test_workload_reports_match_per_query_estimators(cells_per_row, case):
     table, workload = case
+    m = table.m
+    # SA ranges reaching past either end of the codes, and inverted ones.
+    workload = workload + [AggregateQuery(q.qi, lo, hi) for q in workload
+                           for lo, hi in ((-2, m + 1), (q.sa_lo - m, q.sa_hi), (q.sa_hi, q.sa_lo - 1))]
     release = bl.generalize(table, 4.0, seed=0)
     perturbed, model = perturbation_of(table)
     dist = bl.sa_distribution(table)
@@ -335,16 +339,23 @@ def test_workload_reports_match_per_query_estimators(cells_per_row, case):
             "perturbed": bl.workload_report_perturbed(table, perturbed, model, workload),
             "baseline": bl.workload_report_baseline(table, dist, workload),
         }
-    expected = {
-        "generalized": [bl.estimate_generalized(release, q) for q in workload],
-        "perturbed": [bl.estimate_perturbed(perturbed, model, q) for q in workload],
-        "baseline": [bl.baseline_estimate(table, dist, q) for q in workload],
+    estimators = {
+        "generalized": lambda q: bl.estimate_generalized(release, q),
+        "perturbed": lambda q: bl.estimate_perturbed(perturbed, model, q),
+        "baseline": lambda q: bl.baseline_estimate(table, dist, q),
     }
     prec = np.asarray([bl.exact_count(table, q) for q in workload], dtype=float)
+    # A range past the codes means its part inside 0..m-1, as in exact_count.
+    inside = [(i, AggregateQuery(q.qi, max(q.sa_lo, 0), min(q.sa_hi, m - 1)))
+              for i, q in enumerate(workload) if max(q.sa_lo, 0) <= min(q.sa_hi, m - 1)]
     for name, report in reports.items():
+        estimate = estimators[name]
         assert np.array_equal(report.prec, prec), name
         # A NaN bound gives the generalized estimator a NaN estimate.
-        assert np.array_equal(report.est, np.asarray(expected[name], dtype=float), equal_nan=True), name
+        expected = np.asarray([estimate(q) for q in workload], dtype=float)
+        assert np.array_equal(report.est, expected, equal_nan=True), name
+        clipped = np.asarray([estimate(q) for _, q in inside], dtype=float)
+        assert np.array_equal(report.est[[i for i, _ in inside]], clipped, equal_nan=True), name
 
 
 def test_cube_budget_follows_distinct_values():
