@@ -5,7 +5,8 @@ with a positive gain, the needed budget is the relative gain itself, unless
 the gain exceeds the logarithmic cap that no finite budget relaxes. The
 classifier-bound audit measures, per (QI value, SA value), how far apart the
 conditional and unconditional value probabilities are in the published
-classes, and runs the naive-Bayes predictor those conditionals support.
+classes, and runs the naive-Bayes predictor those conditionals support. A
+class counts toward the QI values in its extent's span, as in the query cube.
 """
 from __future__ import annotations
 
@@ -102,8 +103,6 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
         raise DataError("release and table disagree on row count")
     m = dist.m
     p = dist.freqs()
-    counts = np.stack([ec.sa_counts for ec in release.ecs])        # (E, m)
-    sizes = counts.sum(axis=1).astype(float)
     n_i = np.asarray(dist.counts, dtype=float)
     bound = Bound(dist, release.beta)
     bounds = bound.caps() / p
@@ -114,27 +113,20 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     violations = 0
     pairs = 0
     log_scores = np.tile(np.log(p), (table.n_rows, 1))
-    for attr, col, extents in zip(
-        table.schema.qi_attributes,
-        table.qi_columns,
-        zip(*(ec.extents for ec in release.ecs)),
-    ):
-        if attr.kind == CATEGORICAL:
-            lo = np.asarray([e.leaf_lo for e in extents], dtype=float)
-            hi = np.asarray([e.leaf_hi for e in extents], dtype=float)
-        else:
-            lo = np.asarray([e.lo for e in extents])
-            hi = np.asarray([e.hi for e in extents])
-        values, value_idx = np.unique(col, return_inverse=True)
-        covers = (lo[None, :] <= values[:, None]) & (values[:, None] <= hi[None, :])
-        hits = covers @ counts                                     # (V, m) int64
+    for k, (attr, values) in enumerate(zip(table.schema.qi_attributes, table.qi_values)):
+        # +counts at each class span's first value, -counts past its last.
+        first, end = table.value_spans(k, *release.class_extents[k])
+        steps = np.zeros((len(values) + 1, m), dtype=np.int64)
+        np.add.at(steps, first, release.class_counts)
+        np.subtract.at(steps, end, release.class_counts)
+        hits = np.cumsum(steps[:-1], axis=0)                       # (V, m)
+        covered = hits.sum(axis=1)
         cond = hits / n_i[None, :]                                 # Pr[t | v_i]
-        marginal = (covers @ sizes) / dist.total                   # Pr[t]
+        marginal = covered / dist.total                            # Pr[t]
         ratio = cond / marginal[:, None]
         pairs += ratio.size
         # ratio > bounds is hits / covered > f(p). A pair below 1 - 1e-9 of
         # its float bound cannot break it; the bound decides the rest exactly.
-        covered = hits.sum(axis=1)
         for vi, si in zip(*np.nonzero(ratio > bounds[None, :] * (1.0 - 1e-9))):
             violations += not bound.at([si]).admits([int(hits[vi, si])], int(covered[vi]))
         flat = int(np.argmax(ratio))
@@ -145,7 +137,7 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
             worst_bound = float(bounds[si])
         max_ratio = np.maximum(max_ratio, ratio.max(axis=0))
         with np.errstate(divide="ignore"):
-            log_scores += np.log(cond)[value_idx]
+            log_scores += np.log(cond)[table.qi_codes[k]]
 
     # Among ties prefer the more frequent value (highest code).
     predictions = m - 1 - np.argmax(log_scores[:, ::-1], axis=1)

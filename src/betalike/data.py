@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -37,6 +38,15 @@ def json_field(obj: dict, key: str, kind, where, items=None):
         expected = _JSON_NAMES[kind] + (f" of {_JSON_NAMES[items]}s" if items is not None else "")
         raise DataError(f"{where}: field {key!r} must be a JSON {expected}")
     return value
+
+
+def json_beta(obj: dict, where):
+    """obj["beta"], a finite number > 0; a JSON integer too large for a
+    float is not one."""
+    beta = json_field(obj, "beta", (int, float), where)
+    if not 0 < beta <= sys.float_info.max:
+        raise DataError(f"{where}: field 'beta' must be a finite number > 0")
+    return beta
 
 
 def distribution_from_obj(obj: dict, where) -> Distribution:
@@ -154,6 +164,14 @@ class Table:
             np.searchsorted(values, col).astype(np.min_scalar_type(max(len(values) - 1, 0)))
             for values, col in zip(self.qi_values, self.qi_columns)
         )
+
+    def value_spans(self, k: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per interval, the span [first, end) of `qi_values[k]` holding the
+        v with lo <= v <= hi (as a row mask compares); empty if NaN or inverted."""
+        first = np.searchsorted(self.qi_values[k], lo, "left")
+        end = np.searchsorted(self.qi_values[k], hi, "right")
+        end[np.isnan(hi)] = 0
+        return first, np.maximum(end, first)
 
     def qi_row(self, i: int) -> tuple:
         """Original QI values of one row (numbers and leaf labels)."""

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Table, distribution_from_obj, json_field, load_table, save_table
+from .data import DataError, Table, distribution_from_obj, json_beta, load_table, save_table
 from .likeness import Distribution, frequency_bound
 
 
@@ -111,9 +111,7 @@ def _check_model(model: PerturbationModel) -> None:
     scaled = matrix / matrix.min(axis=1)[:, None]
     if (scaled.max(axis=0) > model.ratio_bounds + 1e-9).any():
         raise PerturbationError("transition ratio bound violated")
-    post = posterior(model)
-    caps = np.asarray([frequency_bound(pi, model.beta) for pi in model.dist.freqs()])
-    if (post.max(axis=1) > caps + 1e-9).any():
+    if posterior_margin(model) < -1e-9:
         raise PerturbationError("posterior confidence exceeds the frequency bound")
 
 
@@ -137,6 +135,14 @@ def posterior(model: PerturbationModel) -> np.ndarray:
     p = model.dist.freqs()
     joint = model.matrix * p[None, :]          # [v, i] = p_i * Pr(i -> v)
     return (joint / joint.sum(axis=1, keepdims=True)).T
+
+
+def posterior_margin(model: PerturbationModel) -> float:
+    """Min over values i of frequency_bound(p_i, beta) minus the largest posterior
+    in i: a float on the bound by construction, so compare it with a tolerance."""
+    caps = np.asarray([frequency_bound(pi, model.beta) for pi in model.dist.freqs()])
+    # Negated excess: a posterior exactly on its cap gives -0.0, printed as -0.000000.
+    return -float((posterior(model).max(axis=1) - caps).max())
 
 
 def reconstruct(observed, model: PerturbationModel) -> np.ndarray:
@@ -203,7 +209,7 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     if not isinstance(obj, dict) or obj.get("kind") != "perturbed-release":
         raise DataError(f"{dist_path}: not a perturbed-release distribution")
     dist = distribution_from_obj(obj, dist_path)
-    beta = json_field(obj, "beta", (int, float), dist_path)
+    beta = json_beta(obj, dist_path)
     matrix_path = outdir / _MATRIX_FILE
     try:
         matrix = np.loadtxt(matrix_path, ndmin=2)

@@ -17,16 +17,11 @@ QI-matching row counts) is read from a prefix-sum cube over the table's
 distinct QI values x SA codes (Ho, Agrawal, Megiddo, Srikant, "Range
 Queries in OLAP Data Cubes", SIGMOD 1997). One pass over the rows builds
 the cube; each query then costs 2^d corner lookups per SA value, all
-queries at once. A predicate [lo, hi] maps to the distinct values v with
-lo <= v <= hi through `searchsorted(values, lo, "left")` and
-`searchsorted(values, hi, "right")`, the same float comparisons a row mask
-makes, so inclusive ends stay exact and the counts equal the row-mask
-counts. The cube is built only when it has at most CUBE_CELLS_PER_ROW cells
-per table row; a table with a high-cardinality QI column (say a zip code)
-is counted with per-query row masks instead, and computes no `qi_codes`.
-`Table.qi_values` and `Table.qi_codes` are computed once per table and
-never invalidated (tables are immutable), so later workloads on the same
-table pay only for the cube.
+queries at once, with predicates mapped to distinct values by
+`Table.value_spans` (inclusive, as a row mask compares). The cube is built
+only when it has at most CUBE_CELLS_PER_ROW cells per table row; a table
+with a high-cardinality QI column (say a zip code) is counted with per-query
+row masks instead. The generalized estimator builds one SA prefix per workload.
 """
 from __future__ import annotations
 
@@ -157,12 +152,7 @@ def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarr
     q_hi = np.full((d, len(workload)), np.inf)
     np.maximum.at(q_lo, at, preds[:, 2])
     np.minimum.at(q_hi, at, preds[:, 3])
-    corners = []
-    for k, values in enumerate(table.qi_values):
-        first = np.searchsorted(values, q_lo[k], "left")
-        end = np.searchsorted(values, q_hi[k], "right")
-        end[np.isnan(q_hi[k])] = 0
-        corners.append((first, np.maximum(end, first)))
+    corners = [table.value_spans(k, q_lo[k], q_hi[k]) for k in range(d)]
     # Inclusion-exclusion over the 2^d corners of each query's box.
     for upper in itertools.product((False, True), repeat=d):
         index = tuple(corners[k][1] if up else corners[k][0] for k, up in enumerate(upper))
@@ -201,28 +191,8 @@ def _sa_span(query: AggregateQuery, m: int) -> slice:
     return slice(first, min(max(query.sa_hi + 1, first), m))
 
 
-class _ReleaseArrays:
-    """Per-release arrays shared by all queries of a workload."""
-
-    def __init__(self, release: Release) -> None:
-        self.counts = np.stack([ec.sa_counts for ec in release.ecs]).astype(float)
-        self.cum = np.concatenate(
-            [np.zeros((len(release.ecs), 1)), np.cumsum(self.counts, axis=1)], axis=1
-        )
-        self.extents = []
-        for k, attr in enumerate(release.schema.qi_attributes):
-            if attr.kind == CATEGORICAL:
-                lo = np.asarray([ec.extents[k].leaf_lo for ec in release.ecs], dtype=float)
-                hi = np.asarray([ec.extents[k].leaf_hi for ec in release.ecs], dtype=float)
-                self.extents.append(("cat", lo, hi))
-            else:
-                lo = np.asarray([ec.extents[k].lo for ec in release.ecs])
-                hi = np.asarray([ec.extents[k].hi for ec in release.ecs])
-                self.extents.append(("num", lo, hi))
-
-
 def _overlap_fractions(kind: str, lo: np.ndarray, hi: np.ndarray, q_lo: float, q_hi: float) -> np.ndarray:
-    if kind == "cat":
+    if kind == CATEGORICAL:
         inter = np.minimum(hi, q_hi) - np.maximum(lo, q_lo) + 1.0
         return np.clip(inter, 0.0, None) / (hi - lo + 1.0)
     width = hi - lo
@@ -233,17 +203,25 @@ def _overlap_fractions(kind: str, lo: np.ndarray, hi: np.ndarray, q_lo: float, q
     return frac
 
 
-def estimate_generalized(release: Release, query: AggregateQuery, _arrays: _ReleaseArrays | None = None) -> float:
+def estimate_generalized(release: Release, query: AggregateQuery) -> float:
     """Uniform-spread estimate: per class, SA-matching count times the
     product of per-axis overlap fractions with the class extent."""
-    arrays = _arrays or _ReleaseArrays(release)
-    span = _sa_span(query, release.dist.m)
-    sa_match = arrays.cum[:, span.stop] - arrays.cum[:, span.start]
-    frac = np.ones(len(release.ecs))
-    for k, q_lo, q_hi in query.qi:
-        kind, lo, hi = arrays.extents[k]
-        frac *= _overlap_fractions(kind, lo, hi, q_lo, q_hi)
-    return float(np.dot(sa_match, frac))
+    return _generalized_estimates(release, [query])[0]
+
+
+def _generalized_estimates(release: Release, workload: Sequence[AggregateQuery]) -> list[float]:
+    """estimate_generalized on every query, from one SA prefix over the classes."""
+    cum = np.cumsum(np.pad(release.class_counts, ((0, 0), (1, 0))), axis=1).astype(float)
+    out = []
+    for query in workload:
+        span = _sa_span(query, release.dist.m)
+        sa_match = cum[:, span.stop] - cum[:, span.start]
+        frac = np.ones(len(cum))
+        for k, q_lo, q_hi in query.qi:
+            frac *= _overlap_fractions(release.schema.qi_attributes[k].kind, *release.class_extents[k],
+                                       q_lo, q_hi)
+        out.append(float(np.dot(sa_match, frac)))
+    return out
 
 
 def estimate_perturbed(
@@ -349,8 +327,8 @@ def save_report(report: WorkloadReport, path) -> None:
 
 
 def workload_report_generalized(table: Table, release: Release, workload) -> WorkloadReport:
-    arrays = _ReleaseArrays(release)
-    return evaluate_workload(table, lambda q: estimate_generalized(release, q, arrays), workload)
+    _, prec = _workload_counts(table, workload)
+    return _report(prec, _generalized_estimates(release, workload))
 
 
 def workload_report_perturbed(table: Table, perturbed: Table, model: PerturbationModel, workload) -> WorkloadReport:

@@ -4,17 +4,23 @@ Each equivalence class carries a generalized QI description (a closed range
 per numeric attribute, the lowest common ancestor per categorical attribute)
 plus its exact SA multiset. The overall SA distribution and the run
 parameters are embedded so a release file is auditable on its own.
+`load_release` rejects a file `generalize` could not have written: an
+extent outside the schema domain or not a hierarchy node, or class counts
+that do not add up to the distribution. A release is immutable, so the
+class arrays the estimators and the audit read are cached, never invalidated.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .data import NUMERIC, DataError, DatasetSchema, Table, distribution_from_obj, json_field
+from .data import NUMERIC, DataError, DatasetSchema, Table, distribution_from_obj, json_beta, json_field
+from .hierarchy import HierarchyError
 from .likeness import Distribution
 
 
@@ -63,6 +69,21 @@ class Release:
     @property
     def n_rows(self) -> int:
         return sum(ec.size for ec in self.ecs)
+
+    @cached_property
+    def class_counts(self) -> np.ndarray:
+        """(classes, m) int64: each class's SA counts."""
+        return np.asarray([ec.sa_counts for ec in self.ecs], dtype=np.int64).reshape(-1, self.dist.m)
+
+    @cached_property
+    def class_extents(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per QI attribute, float (lo, hi) over the classes; categorical: the leaf span."""
+        out = []
+        for k, attr in enumerate(self.schema.qi_attributes):
+            keys = ("lo", "hi") if attr.kind == NUMERIC else ("leaf_lo", "leaf_hi")
+            out.append(tuple(np.asarray([getattr(ec.extents[k], key) for ec in self.ecs], dtype=float)
+                             for key in keys))
+        return tuple(out)
 
 
 def generalize_ec(table: Table, rows: np.ndarray) -> tuple[Extent, ...]:
@@ -139,9 +160,7 @@ def load_release(path, schema: DatasetSchema) -> Release:
     dist = distribution_from_obj(json_field(obj, "sa", dict, path), f"{path}: sa")
     if [a.name for a in schema.qi_attributes] != json_field(obj, "qi", list, path, items=str):
         raise DataError(f"{path}: QI attributes do not match the schema")
-    beta = json_field(obj, "beta", (int, float), path)
-    if not 0 < beta < math.inf:
-        raise DataError(f"{path}: field 'beta' must be a finite number > 0")
+    beta = json_beta(obj, path)
     seed = json_field(obj, "seed", int, path)
     curve_order = json_field(obj, "curve_order", int, path)
     index = {v: i for i, v in enumerate(dist.values)}
@@ -155,19 +174,37 @@ def load_release(path, schema: DatasetSchema) -> Release:
         for attr, ext in zip(schema.qi_attributes, raw_extents):
             at = f"{where}: extent {attr.name}"
             if attr.kind == NUMERIC:
-                lo, hi = (float(json_field(ext, key, (int, float), at)) for key in ("lo", "hi"))
-                extents.append(NumericExtent(lo, hi))
+                lo, hi = (json_field(ext, key, (int, float), at) for key in ("lo", "hi"))
+                # Compared before any float conversion, which a huge JSON integer overflows.
+                if not (attr.lo <= lo <= hi <= attr.hi and math.isfinite(lo) and math.isfinite(hi)):
+                    raise DataError(f"{at}: needs finite {attr.lo:g} <= lo <= hi <= {attr.hi:g}, "
+                                    f"got lo={lo!r}, hi={hi!r}")
+                extents.append(NumericExtent(float(lo), float(hi)))
             else:
                 fields = (("label", str), ("leaf_lo", int), ("leaf_hi", int))
-                extents.append(CategoricalExtent(*(json_field(ext, key, kind, at) for key, kind in fields)))
+                extent = CategoricalExtent(*(json_field(ext, key, kind, at) for key, kind in fields))
+                try:
+                    node = attr.hierarchy.lca(extent.leaf_lo, extent.leaf_hi)
+                except HierarchyError as exc:
+                    raise DataError(f"{at}: {exc}") from None
+                if extent != CategoricalExtent(node.label, node.leaf_lo, node.leaf_hi):
+                    raise DataError(f"{at}: label {extent.label!r} with leaves [{extent.leaf_lo}, "
+                                    f"{extent.leaf_hi}] is not the hierarchy node {node.label!r} "
+                                    f"[{node.leaf_lo}, {node.leaf_hi}] covering them")
+                extents.append(extent)
         counts = np.zeros(dist.m, dtype=np.int64)
         for value, c in json_field(cls, "sa", dict, where).items():
             if value not in index:
                 raise DataError(f"{where}: unknown SA value {value!r}")
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise DataError(f"{where}: count of {value!r} must be a nonnegative integer")
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c <= dist.total:
+                raise DataError(f"{where}: count of {value!r} must be an integer from 0 to {dist.total}")
             counts[index[value]] = c
         if counts.sum() != json_field(cls, "size", int, where):
             raise DataError(f"{where}: class size does not match its SA counts")
         ecs.append(EquivalenceClass(tuple(extents), counts, None))
-    return Release(schema, dist, beta, seed, curve_order, tuple(ecs))
+    release = Release(schema, dist, beta, seed, curve_order, tuple(ecs))
+    for value, total, expected in zip(dist.values, release.class_counts.sum(axis=0), dist.counts):
+        if total != expected:
+            raise DataError(f"{path}: field 'classes': counts of {value!r} sum to {total}, "
+                            f"but 'sa' field 'counts' gives {expected}")
+    return release

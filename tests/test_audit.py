@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import betalike as bl
-from betalike.release import EquivalenceClass, NumericExtent, Release
+from betalike.data import CATEGORICAL, NUMERIC, QI, Attribute
+from betalike.likeness import Bound
+from betalike.release import CategoricalExtent, EquivalenceClass, NumericExtent, Release
 
 from conftest import table1
 
@@ -145,3 +149,118 @@ def test_audits_agree_with_the_exact_class_check():
     report = bl.nb_bound_audit(rel, t)
     assert report.violations == 1
     assert report.worst[:3] == ("x", 1.0, "a")
+
+
+def brute_force_nb_audit(release, table):
+    """nb_bound_audit's fields from a per (distinct value, class) check of
+    lo <= v <= hi, a per-pair exact bound check and a per-row prediction."""
+    dist, m = release.dist, release.dist.m
+    p = dist.freqs()
+    n_i = np.asarray(dist.counts, dtype=float)
+    bound = Bound(dist, release.beta)
+    bounds = bound.caps() / p
+    worst, worst_bound = ("", 0.0, "", 0.0), float(bounds[0])
+    max_ratio = np.zeros(m)
+    violations = pairs = 0
+    log_scores = np.tile(np.log(p), (table.n_rows, 1))
+    for k, attr in enumerate(table.schema.qi_attributes):
+        col = table.qi_columns[k].tolist()
+        values = sorted(set(col))
+        hits = np.zeros((len(values), m), dtype=np.int64)
+        for vi, v in enumerate(values):
+            for ec in release.ecs:
+                ext = ec.extents[k]
+                lo, hi = (ext.lo, ext.hi) if attr.kind == NUMERIC else (ext.leaf_lo, ext.leaf_hi)
+                if lo <= v <= hi:
+                    hits[vi] += ec.sa_counts
+        covered = hits.sum(axis=1)
+        cond = hits / n_i[None, :]
+        ratio = cond / (covered / dist.total)[:, None]
+        for vi, v in enumerate(values):
+            for si in range(m):
+                pairs += 1
+                violations += not bound.at([si]).admits([int(hits[vi, si])], int(covered[vi]))
+                max_ratio[si] = max(max_ratio[si], ratio[vi, si])
+                if ratio[vi, si] > worst[3]:
+                    shown = attr.hierarchy.leaves[int(v)] if attr.kind == CATEGORICAL else float(v)
+                    worst = (attr.name, shown, dist.values[si], float(ratio[vi, si]))
+                    worst_bound = float(bounds[si])
+        with np.errstate(divide="ignore"):
+            log_scores += np.log(cond)[[values.index(v) for v in col]]
+    # Ties go to the more frequent value, the higher code.
+    predictions = [max(range(m), key=lambda s: (row[s], s)) for row in log_scores.tolist()]
+    accuracy = sum(int(a == b) for a, b in zip(predictions, table.sa_codes)) / table.n_rows
+    return {"bounds": bounds, "max_ratio": max_ratio, "worst": worst, "worst_bound": worst_bound,
+            "violations": violations, "pairs": pairs, "accuracy": accuracy}
+
+
+def _qi_attribute(k, kind):
+    """A numeric axis on a coarse integer grid, or a categorical one."""
+    if kind == NUMERIC:
+        return Attribute(f"n{k}", QI, NUMERIC, lo=0, hi=6)
+    leaves = [f"c{k}.{i}" for i in range(5)]
+    return Attribute(f"c{k}", QI, CATEGORICAL, hierarchy=bl.Hierarchy.balanced(leaves, fanout=2))
+
+
+def _random_partition_release(table, beta, data):
+    """Classes from a random row partition through build_ec. Optionally class
+    0 covers each whole domain and other classes get numeric extents that
+    fall between grid points, so they cover no value of that axis."""
+    n = table.n_rows
+    perm = np.asarray(data.draw(st.permutations(range(n))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=min(6, n - 1))))
+    ecs = [bl.build_ec(table, np.sort(rows)) for rows in np.split(perm, cuts)]
+    if data.draw(st.booleans()):
+        whole = []
+        for attr in table.schema.qi_attributes:
+            if attr.kind == NUMERIC:
+                whole.append(NumericExtent(attr.lo, attr.hi))
+            else:
+                root = attr.hierarchy.root
+                whole.append(CategoricalExtent(root.label, root.leaf_lo, root.leaf_hi))
+        ecs[0] = EquivalenceClass(tuple(whole), ecs[0].sa_counts)
+        numeric = [k for k, a in enumerate(table.schema.qi_attributes) if a.kind == NUMERIC]
+        for i in range(1, len(ecs)):
+            if numeric and data.draw(st.booleans()):
+                k = data.draw(st.sampled_from(numeric))
+                g = data.draw(st.integers(0, 5))
+                extents = list(ecs[i].extents)
+                extents[k] = NumericExtent(g + 0.25, g + 0.5)
+                ecs[i] = EquivalenceClass(tuple(extents), ecs[i].sa_counts)
+    return Release(table.schema, bl.sa_distribution(table), beta, 0, 16, tuple(ecs))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_nb_audit_matches_brute_force(data):
+    kinds = data.draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]), min_size=1, max_size=3))
+    m = data.draw(st.integers(2, 5))
+    n = data.draw(st.integers(max(m, 2), 60))
+    spec = tuple(_qi_attribute(k, kind) for k, kind in enumerate(kinds))
+    table = bl.generate_synthetic(n, m, qi_spec=spec, skew=data.draw(st.sampled_from([0.0, 0.7, 1.5])),
+                                  seed=data.draw(st.integers(0, 2**16)))
+    beta = data.draw(st.sampled_from([0.3, 1.0, 2.0, 4.0]))
+    if data.draw(st.booleans()):
+        release = bl.generalize(table, beta, seed=data.draw(st.integers(0, 100)))
+    else:
+        release = _random_partition_release(table, beta, data)
+    report = bl.nb_bound_audit(release, table)
+    expected = brute_force_nb_audit(release, table)
+    assert np.array_equal(report.bounds, expected.pop("bounds"))
+    assert np.array_equal(report.max_ratio, expected.pop("max_ratio"))
+    assert {key: getattr(report, key) for key in expected} == expected
+
+
+def test_nb_audit_memory_stays_with_distinct_values_and_classes():
+    # 20k rows over about 15.7k distinct zips and 1.4k classes: a
+    # values x classes coverage matrix and its products need about 200 MB.
+    spec = (Attribute("zip", QI, NUMERIC, lo=0, hi=99999), Attribute("age", QI, NUMERIC, lo=16, hi=94))
+    table = bl.generate_synthetic(20_000, 10, qi_spec=spec, skew=0.5, seed=1)
+    release = bl.generalize(table, 4.0, seed=1)
+    tracemalloc.start()
+    try:
+        bl.nb_bound_audit(release, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20

@@ -155,10 +155,13 @@ def test_audit_reports_unbounded_on_leaky_release(example_files, tmp_path, capsy
     ]) == 0
     out = capsys.readouterr().out
     assert "achieved_beta=unbounded" not in out  # counts above are compliant
-    # Now break one class outright: a single-value class at q = 1.
-    release["classes"][0]["sa"] = {"headache": 2, "epilepsy": 7}
-    release["classes"][0]["size"] = 9
-    release["classes"][1]["sa"] = {"brain tumors": 3, "anemia": 3, "angina": 4}
+    # Now break one class outright: a single-value class at q = 1, with the
+    # counts still adding up to the published distribution.
+    release["classes"][0]["sa"] = {"headache": 2}
+    release["classes"][0]["size"] = 2
+    release["classes"][1]["sa"] = {"epilepsy": 3, "brain tumors": 3, "anemia": 3,
+                                   "angina": 4, "heart murmur": 4}
+    release["classes"][1]["size"] = 17
     path.write_text(json.dumps(release), encoding="utf-8")
     assert run([
         "audit", "--release", str(path), "--input", str(csv), "--schema", str(schema),
@@ -175,10 +178,18 @@ def test_audit_exits_three_on_tampered_release(example_files, tmp_path, capsys):
                 "--beta", "2", "--seed", "7", "--out", str(path)]) == 0
     audit = ["audit", "--release", str(path), "--input", str(csv), "--schema", str(schema)]
     assert run(audit) == 0
-    # Move every SA count of class 0 onto the rarest value.
+    # Move the rarest value's counts from the other classes into class 0 and
+    # as many of class 0's other counts out to them: sizes and per-value
+    # sums still match, and class 0 (size 4) now holds both rarest rows.
     release = json.loads(path.read_text(encoding="utf-8"))
-    cls = release["classes"][0]
-    cls["sa"] = {release["sa"]["values"][0]: cls["size"]}
+    rarest = release["sa"]["values"][0]
+    target = release["classes"][0]["sa"]
+    for cls in release["classes"][1:]:
+        for _ in range(cls["sa"].pop(rarest, 0)):
+            other = next(v for v, c in target.items() if v != rarest and c > 0)
+            target[other] -= 1
+            target[rarest] = target.get(rarest, 0) + 1
+            cls["sa"][other] = cls["sa"].get(other, 0) + 1
     path.write_text(json.dumps(release), encoding="utf-8")
     capsys.readouterr()
     assert run(audit) == EXIT_VIOLATION == 3
@@ -195,6 +206,57 @@ def test_malformed_release_names_field(example_files, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "release.json" in err and "'sa'" in err
+
+
+def _set_extent(k, **fields):
+    def tamper(release):
+        release["classes"][0]["extents"][k].update(fields)
+    return tamper
+
+
+def _move_one_count(release):
+    """Class 0 swaps one row of its most common value for another value: the
+    class size holds, the per-value sums over the classes do not."""
+    sa = release["classes"][0]["sa"]
+    top = max(sa, key=sa.get)
+    other = next(v for v in release["sa"]["values"] if v != top)
+    sa[top] -= 1
+    sa[other] = sa.get(other, 0) + 1
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (_set_extent(0, lo=float("nan")), "extent age"),
+    (_set_extent(0, hi=float("inf")), "extent age"),
+    (_set_extent(0, lo=60, hi=50), "extent age"),
+    (_set_extent(2, lo=0), "extent education"),
+    (_set_extent(1, label="male", leaf_lo=0, leaf_hi=1), "extent sex"),
+    (_set_extent(1, label="person", leaf_lo=0, leaf_hi=0), "extent sex"),
+    (_set_extent(1, label="person", leaf_lo=0, leaf_hi=2), "extent sex"),
+    (_set_extent(0, lo=10**400), "extent age"),
+    (_move_one_count, "'classes'"),
+    (lambda release: release["classes"][0]["sa"].update({release["sa"]["values"][0]: 10**30}),
+     "count of"),
+], ids=["nan-extent", "infinite-extent", "inverted-extent", "outside-domain", "wrong-label",
+        "not-the-node-span", "leaf-out-of-range", "huge-extent", "counts-off-distribution",
+        "huge-count"])
+def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
+    prefix = tmp_path / "synth"
+    csv, schema = prefix.with_suffix(".csv"), prefix.with_suffix(".schema.json")
+    path = tmp_path / "release.json"
+    assert run(["gen-data", "--rows", "300", "--sa-size", "5", "--skew", "0.3",
+                "--seed", "2", "--out", str(prefix)]) == 0
+    assert run(["generalize", "--input", str(csv), "--schema", str(schema),
+                "--beta", "4", "--seed", "1", "--out", str(path)]) == 0
+    release = json.loads(path.read_text(encoding="utf-8"))
+    tamper(release)
+    path.write_text(json.dumps(release), encoding="utf-8")
+    capsys.readouterr()
+    code = run(["audit", "--release", str(path), "--input", str(csv), "--schema", str(schema)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "release.json" in err and named in err
+    assert "classes[0]" in err or named == "'classes'"
 
 
 @pytest.mark.parametrize("doc, named", [
@@ -214,6 +276,28 @@ def test_malformed_distribution_names_field(example_files, tmp_path, capsys, doc
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "distribution.json" in err and named in err
+
+
+@pytest.mark.parametrize("artifact", ["release", "perturbation"])
+def test_beta_too_large_for_a_float_exits_one(example_files, tmp_path, capsys, artifact):
+    csv, schema = example_files
+    if artifact == "release":
+        path = doc = tmp_path / "release.json"
+        args = ["generalize", "--out", str(path)]
+    else:
+        path, doc = tmp_path / "pert", tmp_path / "pert" / "distribution.json"
+        args = ["perturb", "--out", str(path)]
+    assert run([*args, "--input", str(csv), "--schema", str(schema), "--beta", "2"]) == 0
+    obj = json.loads(doc.read_text(encoding="utf-8"))
+    obj["beta"] = 10**400
+    doc.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
+                "--artifact", str(path), "--lambda", "1", "--queries", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert doc.name in err and "'beta'" in err
 
 
 def test_perturb_byte_identical_reruns(example_files, tmp_path):
@@ -240,6 +324,28 @@ def test_internal_audit_breach_exits_two(example_files, tmp_path, capsys, monkey
     ])
     assert code == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_perturb_posterior_breach_exits_two(example_files, tmp_path, capsys, monkeypatch):
+    csv, schema = example_files
+    import betalike.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "posterior_margin", lambda model: -1e-6)
+    code = run(["perturb", "--input", str(csv), "--schema", str(schema),
+                "--beta", "2", "--seed", "1", "--out", str(tmp_path / "pert")])
+    assert code == 2
+    assert "posterior bound exceeded by 1e-06" in capsys.readouterr().err
+    assert not (tmp_path / "pert").exists()
+
+
+def test_perturb_prints_margin_on_the_cap(tmp_path, capsys):
+    # A uniform SA puts every largest posterior exactly on its cap.
+    prefix = tmp_path / "uniform"
+    assert run(["gen-data", "--rows", "100", "--sa-size", "5", "--skew", "0",
+                "--seed", "1", "--out", str(prefix)]) == 0
+    assert run(["perturb", "--input", str(prefix.with_suffix(".csv")),
+                "--schema", str(prefix.with_suffix(".schema.json")),
+                "--beta", "2", "--seed", "1", "--out", str(tmp_path / "pert")]) == 0
+    assert "\nposterior_margin=-0.000000\n" in capsys.readouterr().out
 
 
 def test_nonpositive_beta_exits_one(example_files, tmp_path, capsys):

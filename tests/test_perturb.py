@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import betalike as bl
 from betalike.likeness import Distribution
-from betalike.perturb import PerturbationModel
+from betalike.perturb import PerturbationModel, _check_model, posterior_margin
 
 
 def uniform_dist(m, count=100):
@@ -96,6 +98,25 @@ def test_posterior_identity_limit_violates_bound():
     post = bl.posterior(model)
     caps = np.asarray([bl.frequency_bound(p, 1.0) for p in dist.freqs()])
     assert (post.max(axis=1) > caps).any()
+
+
+def test_posterior_margin_is_the_smallest_gap_to_the_bound():
+    dist, _ = census_model()
+    for beta in (1.0, 4.0):
+        model = bl.build_model(dist, beta)
+        caps = np.asarray([bl.frequency_bound(p, beta) for p in dist.freqs()])
+        gaps = caps - bl.posterior(model).max(axis=1)
+        assert posterior_margin(model) == gaps.min() >= -1e-9
+    # The identity limit breaks the bound, and build_model's check says so.
+    dist = uniform_dist(4)
+    alpha = np.full(4, 0.999999)
+    off = (1 - alpha) / 4
+    matrix = np.tile(off, (4, 1))
+    matrix[np.diag_indices(4)] = alpha + off
+    model = PerturbationModel(dist, 1.0, np.full(4, 2.0), 0.1, alpha, matrix, 1.0)
+    assert posterior_margin(model) < -1e-9
+    with pytest.raises(bl.PerturbationError, match="posterior"):
+        _check_model(replace(model, ratio_bounds=np.full(4, np.inf)))
 
 
 def test_posterior_uniform_symmetry():
