@@ -5,8 +5,9 @@ with a positive gain, the needed budget is the relative gain itself, unless
 the gain exceeds the logarithmic cap that no finite budget relaxes. The
 classifier-bound audit measures, per (QI value, SA value), how far apart the
 conditional and unconditional value probabilities are in the published
-classes, and runs the naive-Bayes predictor those conditionals support. A
-class counts toward the QI values in its extent's span, as in the query cube.
+classes, and runs the naive-Bayes predictor those conditionals support,
+scored once per distinct QI tuple (`Table.qi_tuples`). A class counts
+toward the QI values in its extent's span, as in the query cube.
 """
 from __future__ import annotations
 
@@ -96,7 +97,8 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     A class "contains" a QI value when its generalized extent covers it. The
     naive-Bayes predictor built from those conditionals is evaluated over the
     original rows; under the model's bound its accuracy should sit near the
-    top value's global frequency.
+    top value's global frequency. It predicts once per distinct QI tuple, so
+    its memory is O(distinct tuples x m) plus O(rows), never rows x m.
     """
     dist = release.dist
     if dist.total != table.n_rows:
@@ -112,7 +114,10 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     worst_bound = float(bounds[0])
     violations = 0
     pairs = 0
-    log_scores = np.tile(np.log(p), (table.n_rows, 1))
+    # Rows with the same QI values get the same scores: score each distinct
+    # tuple once, (T, m), and compare its prediction with each of its rows.
+    tuples, inverse = table.qi_tuples
+    log_scores = np.tile(np.log(p), (len(tuples), 1))
     for k, (attr, values) in enumerate(zip(table.schema.qi_attributes, table.qi_values)):
         # +counts at each class span's first value, -counts past its last.
         first, end = table.value_spans(k, *release.class_extents[k])
@@ -137,11 +142,11 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
             worst_bound = float(bounds[si])
         max_ratio = np.maximum(max_ratio, ratio.max(axis=0))
         with np.errstate(divide="ignore"):
-            log_scores += np.log(cond)[table.qi_codes[k]]
+            log_scores += np.log(cond)[tuples[:, k]]
 
     # Among ties prefer the more frequent value (highest code).
     predictions = m - 1 - np.argmax(log_scores[:, ::-1], axis=1)
-    accuracy = float(np.mean(predictions == table.sa_codes))
+    accuracy = float(np.mean(predictions[inverse] == table.sa_codes))
     return NbAuditReport(
         beta=release.beta,
         bounds=bounds,

@@ -130,9 +130,10 @@ class Table:
     categorical). SA values are interned to dense codes 0..m-1 in ascending
     frequency order, ties broken by first appearance in row order; every
     downstream module relies on that ordering. The derived arrays
-    `qi_values` and `qi_codes` are computed on first use and never
-    invalidated, which is sound only because a table is never modified
-    after it is built.
+    `qi_values`, `qi_codes` and `qi_tuples` are computed on first use and
+    never invalidated, which is sound only because a table is never
+    modified after it is built. Curve keys and the naive-Bayes audit work
+    once per distinct QI tuple and gather by `qi_tuples`' row index.
     """
 
     schema: DatasetSchema
@@ -161,9 +162,30 @@ class Table:
         """Per QI column, each row's index into `qi_values`, in the narrowest
         unsigned dtype that holds it."""
         return tuple(
-            np.searchsorted(values, col).astype(np.min_scalar_type(max(len(values) - 1, 0)))
+            np.unique(col, return_inverse=True)[1].astype(np.min_scalar_type(max(len(values) - 1, 0)))
             for values, col in zip(self.qi_values, self.qi_columns)
         )
+
+    @cached_property
+    def qi_tuples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tuples, inverse): the distinct rows of `qi_codes` in lexicographic
+        order, shaped (T, d), and each row's index into them in the narrowest
+        unsigned dtype that holds it."""
+        key = np.zeros(self.n_rows, dtype=np.int64)
+        radix = 1
+        for codes, size in zip(self.qi_codes, map(len, self.qi_values)):
+            # Mixed-radix keys keep lexicographic order; before the radix
+            # product leaves int64, re-densify the key to its distinct ranks.
+            if radix * size > np.iinfo(np.int64).max:
+                distinct, key = np.unique(key, return_inverse=True)
+                radix = len(distinct)
+            key = key * size + codes
+            radix *= size
+        distinct, inverse = np.unique(key, return_inverse=True)
+        tuples = np.empty((len(distinct), len(self.qi_codes)), dtype=np.result_type(*self.qi_codes))
+        for k, codes in enumerate(self.qi_codes):
+            tuples[inverse, k] = codes
+        return tuples, inverse.astype(np.min_scalar_type(max(len(distinct) - 1, 0)))
 
     def value_spans(self, k: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per interval, the span [first, end) of `qi_values[k]` holding the

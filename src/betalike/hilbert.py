@@ -3,7 +3,9 @@
 Rows are quantized to a grid of 2**order cells per dimension and mapped to
 one integer along a Hilbert curve, so rows close in QI space tend to get
 nearby keys. The encoding is the classic bit-transposition algorithm,
-vectorized over rows; in one dimension it degenerates to the identity.
+vectorized over points; in one dimension it degenerates to the identity.
+Rows with the same QI values get the same key, so `table_keys` quantizes
+and encodes each distinct QI tuple once and gathers the keys by row.
 """
 from __future__ import annotations
 
@@ -68,11 +70,14 @@ def hilbert_indices(cells: np.ndarray, order: int):
 
 
 def quantize_table(table: Table, order: int) -> np.ndarray:
-    """Grid coordinates of every row: numeric values scaled into the grid,
-    categorical values placed by pre-order leaf rank."""
+    """Grid coordinates of each distinct QI tuple (`table.qi_tuples`):
+    numeric values scaled into the grid, categorical values placed by
+    pre-order leaf rank."""
+    tuples, _ = table.qi_tuples
     top = (1 << order) - 1
     cols = []
-    for attr, col in zip(table.schema.qi_attributes, table.qi_columns):
+    for k, attr in enumerate(table.schema.qi_attributes):
+        col = table.qi_values[k][tuples[:, k]]
         if attr.kind == CATEGORICAL:
             span = attr.hierarchy.n_leaves - 1
             scaled = col.astype(float) / span * top if span > 0 else np.zeros(len(col))
@@ -83,4 +88,6 @@ def quantize_table(table: Table, order: int) -> np.ndarray:
 
 
 def table_keys(table: Table, order: int):
-    return hilbert_indices(quantize_table(table, order), order)
+    """Curve key of every row: each distinct QI tuple is encoded once."""
+    _, inverse = table.qi_tuples
+    return hilbert_indices(quantize_table(table, order), order)[inverse]

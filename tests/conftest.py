@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import betalike as bl
 
@@ -76,3 +77,26 @@ def census_table():
 @pytest.fixture(scope="session")
 def census_release_b4(census_table):
     return bl.generalize(census_table, 4.0, seed=1)
+
+
+@st.composite
+def mixed_qi_tables(draw, n_qi=None):
+    """Tables over numeric and categorical QI axes whose rows repeat a few
+    distinct QI tuples; numeric values include negative, zero and
+    fractional ones. `n_qi` fixes the number of QI axes (1 to 4 if None)."""
+    n_qi = n_qi or draw(st.integers(1, 4))
+    attrs, values = [], []
+    for k in range(n_qi):
+        if draw(st.booleans()):
+            attrs.append(bl.Attribute(f"n{k}", "qi", "numeric", lo=-4, hi=9))
+            values.append(st.sampled_from([-4, -1.5, 0, 0.25, 3, 9]))
+        else:
+            leaves = [f"c{k}.{i}" for i in range(draw(st.integers(2, 6)))]
+            attrs.append(bl.Attribute(f"c{k}", "qi", hierarchy=bl.Hierarchy.balanced(leaves, fanout=2)))
+            values.append(st.sampled_from(leaves))
+    schema = bl.DatasetSchema((*attrs, bl.Attribute("s", "sa")))
+    distinct = draw(st.lists(st.tuples(*values), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    return bl.table_from_rows(
+        schema, [{**{a.name: v for a, v in zip(attrs, row)}, "s": "x"} for row in rows]
+    )

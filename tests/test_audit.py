@@ -264,3 +264,15 @@ def test_nb_audit_memory_stays_with_distinct_values_and_classes():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_nb_audit_memory_stays_with_distinct_tuples(census_table, census_release_b4):
+    # 100k rows over at most 79 x 2 x 17 distinct QI tuples, m = 50: scores
+    # per row (rows x m float64) would need about 80 MB.
+    tracemalloc.start()
+    try:
+        bl.nb_bound_audit(census_release_b4, census_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

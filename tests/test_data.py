@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import betalike as bl
 
-from conftest import patient_schema, table1
+from conftest import mixed_qi_tables, patient_schema, table1
 
 
 def _write_csv(path, rows, header="weight,age,disease"):
@@ -195,3 +196,31 @@ def test_schema_validation():
 def test_qi_weights_default():
     schema = patient_schema()
     assert schema.qi_weights().tolist() == [0.5, 0.5]
+
+
+def _assert_qi_tuples_match_unique(table):
+    tuples, inverse = table.qi_tuples
+    expected, expected_inverse = np.unique(np.column_stack(table.qi_codes), axis=0, return_inverse=True)
+    assert np.array_equal(tuples, expected)
+    assert inverse.dtype.kind == "u" and np.array_equal(inverse, expected_inverse.ravel())
+
+
+@given(mixed_qi_tables())
+@settings(max_examples=80, deadline=None)
+def test_qi_tuples_are_the_distinct_code_rows(table):
+    _assert_qi_tuples_match_unique(table)
+
+
+def test_qi_tuples_past_int64_radix():
+    # 6 QI with 1,990 distinct values each: the radix product is about
+    # 6.2e19, past 2**63, so the combined key must be re-densified.
+    rng = np.random.default_rng(5)
+    d, n = 6, 2_000
+    distinct = np.column_stack([rng.permutation(n - 10) for _ in range(d)]).astype(float)
+    rows = np.concatenate([distinct, distinct[rng.integers(0, n - 10, 10)]])
+    schema = bl.DatasetSchema(tuple(bl.Attribute(f"q{k}", "qi", "numeric", lo=0, hi=n) for k in range(d))
+                              + (bl.Attribute("s", "sa"),))
+    table = bl.Table(schema, tuple(rows.T.copy()), np.zeros(n, dtype=np.int64), ("x",))
+    assert np.prod([len(v) for v in table.qi_values], dtype=float) > 2.0**63
+    _assert_qi_tuples_match_unique(table)
+    assert len(table.qi_tuples[0]) == n - 10

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import betalike as bl
 from betalike.hilbert import quantize_table
 
-from conftest import patient_schema, table1
+from conftest import mixed_qi_tables, patient_schema, table1
 
 
 def curve_2d(order: int) -> list[tuple[int, int]]:
@@ -81,9 +82,16 @@ def test_cell_range_validation():
         bl.hilbert_indices(np.array([[-1, 0]]), 2)
 
 
+def row_cells(table, order: int):
+    """Grid coordinates of every row, gathered from the per-tuple cells by
+    the row index of `qi_tuples`."""
+    _, inverse = table.qi_tuples
+    return quantize_table(table, order)[inverse]
+
+
 def test_quantization_endpoints():
     t = table1()
-    cells = quantize_table(t, 8)
+    cells = row_cells(t, 8)
     top = (1 << 8) - 1
     # weight domain [40, 90]: row 4 holds 80 -> (80-40)/50 * 255 rounded
     assert cells[4, 0] == round((80 - 40) / 50 * top)
@@ -105,5 +113,26 @@ def test_categorical_axis_uses_leaf_rank():
         bl.Attribute("s", "sa"),
     ))
     t = bl.table_from_rows(schema, [{"cat": v, "s": "x"} for v in ("a", "b", "c")])
-    cells = quantize_table(t, 4)
+    cells = row_cells(t, 4)
     assert cells[:, 0].tolist() == [0, round(15 / 2), 15]
+
+
+@pytest.mark.parametrize("n_qi, order", [(2, 31), (3, 16), (3, 22), (5, 16)])
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_keys_are_per_row_curve_keys(n_qi, order, data):
+    # (2, 31) and (3, 16) fit uint64 keys; (3, 22) and (5, 16) need more
+    # than 64 bits and take the object path.
+    t = data.draw(mixed_qi_tables(n_qi))
+    top = (1 << order) - 1
+    cells = []
+    for attr, col in zip(t.schema.qi_attributes, t.qi_columns):
+        if attr.kind == "categorical":
+            scaled = col.astype(float) / (attr.hierarchy.n_leaves - 1) * top
+        else:
+            scaled = (col - attr.lo) / (attr.hi - attr.lo) * top
+        cells.append(np.clip(np.floor(scaled + 0.5), 0, top).astype(np.uint64))
+    expected = bl.hilbert_indices(np.column_stack(cells), order)
+    keys = bl.table_keys(t, order)
+    assert keys.dtype == expected.dtype == (np.uint64 if n_qi * order <= 64 else object)
+    assert keys.tolist() == expected.tolist()
