@@ -20,6 +20,9 @@ from .data import CATEGORICAL, DataError, Table
 from .likeness import Bound, Distribution, required_beta
 from .release import Release
 
+# Distinct QI tuples whose naive-Bayes scores are updated at once.
+SCORE_CHUNK = 4096
+
 
 def achieved_beta(release: Release, dist: Distribution | None = None) -> float:
     """Smallest budget under which every class passes the enhanced check.
@@ -98,7 +101,8 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     naive-Bayes predictor built from those conditionals is evaluated over the
     original rows; under the model's bound its accuracy should sit near the
     top value's global frequency. It predicts once per distinct QI tuple, so
-    its memory is O(distinct tuples x m) plus O(rows), never rows x m.
+    its memory is O(distinct tuples x m) plus O(rows), never rows x m, and
+    per QI attribute it holds two (distinct values x m) arrays at a time.
     """
     dist = release.dist
     if dist.total != table.n_rows:
@@ -119,16 +123,17 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     tuples, inverse = table.qi_tuples
     log_scores = np.tile(np.log(p), (len(tuples), 1))
     for k, (attr, values) in enumerate(zip(table.schema.qi_attributes, table.qi_values)):
-        # +counts at each class span's first value, -counts past its last.
+        # +counts at each class span's first value, -counts past its last,
+        # summed down the values in place.
         first, end = table.value_spans(k, *release.class_extents[k])
-        steps = np.zeros((len(values) + 1, m), dtype=np.int64)
-        np.add.at(steps, first, release.class_counts)
-        np.subtract.at(steps, end, release.class_counts)
-        hits = np.cumsum(steps[:-1], axis=0)                       # (V, m)
+        hits = np.zeros((len(values) + 1, m), dtype=np.int64)
+        np.add.at(hits, first, release.class_counts)
+        np.subtract.at(hits, end, release.class_counts)
+        hits = np.cumsum(hits, axis=0, out=hits)[:-1]             # (V, m)
         covered = hits.sum(axis=1)
-        cond = hits / n_i[None, :]                                 # Pr[t | v_i]
         marginal = covered / dist.total                            # Pr[t]
-        ratio = cond / marginal[:, None]
+        ratio = np.divide(hits, n_i[None, :])                      # Pr[t | v_i]
+        ratio /= marginal[:, None]
         pairs += ratio.size
         # ratio > bounds is hits / covered > f(p). A pair below 1 - 1e-9 of
         # its float bound cannot break it; the bound decides the rest exactly.
@@ -141,8 +146,16 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
             worst = (attr.name, shown, dist.values[si], float(ratio[vi, si]))
             worst_bound = float(bounds[si])
         max_ratio = np.maximum(max_ratio, ratio.max(axis=0))
+        # The ratios are spent: their buffer takes log Pr[t | v_i], which is
+        # added to the tuples' scores a chunk of tuples at a time.
+        log_cond = np.divide(hits, n_i[None, :], out=ratio)
+        del hits
         with np.errstate(divide="ignore"):
-            log_scores += np.log(cond)[tuples[:, k]]
+            np.log(log_cond, out=log_cond)
+        for lo in range(0, len(tuples), SCORE_CHUNK):
+            log_scores[lo : lo + SCORE_CHUNK] += log_cond[tuples[lo : lo + SCORE_CHUNK, k]]
+        # Free the buffer before the next axis allocates its own.
+        del ratio, log_cond
 
     # Among ties prefer the more frequent value (highest code).
     predictions = m - 1 - np.argmax(log_scores[:, ::-1], axis=1)

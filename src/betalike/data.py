@@ -153,18 +153,25 @@ class Table:
         return np.bincount(self.sa_codes, minlength=self.m)
 
     @cached_property
+    def _qi_distinct(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per QI column, (sorted distinct values, each row's index into
+        them) from one `np.unique`."""
+        out = []
+        for col in self.qi_columns:
+            values, codes = np.unique(col, return_inverse=True)
+            out.append((values, codes.astype(np.min_scalar_type(max(len(values) - 1, 0)))))
+        return tuple(out)
+
+    @cached_property
     def qi_values(self) -> tuple[np.ndarray, ...]:
         """Sorted distinct values of each QI column."""
-        return tuple(np.unique(col) for col in self.qi_columns)
+        return tuple(values for values, _ in self._qi_distinct)
 
     @cached_property
     def qi_codes(self) -> tuple[np.ndarray, ...]:
         """Per QI column, each row's index into `qi_values`, in the narrowest
         unsigned dtype that holds it."""
-        return tuple(
-            np.unique(col, return_inverse=True)[1].astype(np.min_scalar_type(max(len(values) - 1, 0)))
-            for values, col in zip(self.qi_values, self.qi_columns)
-        )
+        return tuple(codes for _, codes in self._qi_distinct)
 
     @cached_property
     def qi_tuples(self) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +188,18 @@ class Table:
                 radix = len(distinct)
             key = key * size + codes
             radix *= size
-        distinct, inverse = np.unique(key, return_inverse=True)
-        tuples = np.empty((len(distinct), len(self.qi_codes)), dtype=np.result_type(*self.qi_codes))
+        if radix <= self.n_rows:
+            # A presence table over the radix ranks the keys without a sort.
+            present = np.zeros(radix, dtype=bool)
+            present[key] = True
+            n_distinct, inverse = np.count_nonzero(present), (np.cumsum(present) - 1)[key]
+        else:
+            distinct, inverse = np.unique(key, return_inverse=True)
+            n_distinct = len(distinct)
+        tuples = np.empty((n_distinct, len(self.qi_codes)), dtype=np.result_type(*self.qi_codes))
         for k, codes in enumerate(self.qi_codes):
             tuples[inverse, k] = codes
-        return tuples, inverse.astype(np.min_scalar_type(max(len(distinct) - 1, 0)))
+        return tuples, inverse.astype(np.min_scalar_type(max(n_distinct - 1, 0)))
 
     def value_spans(self, k: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per interval, the span [first, end) of `qi_values[k]` holding the

@@ -5,6 +5,10 @@ bucket with the largest demand, then greedily pulls each bucket's quota of
 records whose curve keys are nearest the anchor's. Buckets are consumed
 destructively in leaf order; the allocation tree's conservation property
 guarantees retrieval never starves.
+
+A bucket is stored as runs of equal curve keys, so a nearest draw costs
+Python work per run it touches, not per record; only the buckets that
+supply anchors ever rebuild a per-record order (see `SortedBucket`).
 """
 from __future__ import annotations
 
@@ -20,100 +24,165 @@ from .release import Release, build_ec
 
 
 class SortedBucket:
-    """Bucket contents sorted by curve key, with removal.
+    """Bucket contents sorted by (curve key, row), with removal.
 
-    Supports nearest-key draws (binary search for the anchor's insertion
-    point, then two-sided expansion taking the nearer side, ties to the lower
-    key) and uniform random draws. Equal keys keep original row order.
+    Rows are grouped into runs of equal keys. A nearest draw finds the
+    anchor's insertion point among the runs and expands on both sides,
+    taking the nearer side and breaking ties toward the lower key. It takes
+    keys below the anchor from the top of a run (highest row first) and keys
+    at or above it from the bottom (lowest row first), so each run's live
+    rows stay one slice `[lo, hi)` of the sorted row array, and the
+    nearer-side choice holds for a whole run: a step takes as many of the
+    run's rows as the draw still needs. A linked list over the non-empty
+    runs and "first live run >= i" pointers skip the empty ones.
+
+    `peek_random` indexes the live records in the order that swap-removing
+    each taken record from a list of all of them leaves behind. Draws only
+    log what they took, one range of slots (positions in the sorted row
+    array) per run step; a bucket builds that order and replays its log
+    when it is peeked or drawn at random, so buckets that never supply an
+    anchor pay nothing for it. A random draw takes one record at a time
+    through the same log.
+
+    A bucket serves one retrieval mode: a random draw breaks the run
+    slices, so `draw_nearest` after `draw_random` raises `DataError`.
     """
 
     def __init__(self, keys: np.ndarray, rows: np.ndarray) -> None:
         rows = np.asarray(rows, dtype=np.int64)
         n = len(rows)
         order = np.lexsort((rows, keys))
-        self._keys = keys[order].tolist()
-        self._rows = rows[order].tolist()
-        self._n = n
-        self._head = n
-        self._tail = n + 1
-        # Doubly linked list over live slots, with head/tail sentinels.
-        self._prv = [i - 1 for i in range(n)] + [self._head, n - 1]
-        if n > 0:
-            self._prv[0] = self._head
-        self._nxt = [i + 1 for i in range(n)] + [0 if n > 0 else self._tail, self._tail]
-        if n > 0:
-            self._nxt[n - 1] = self._tail
-        # "First live slot >= i" pointers with path compression; n means none.
-        self._ceil = list(range(n + 1))
-        self._alive = list(range(n))
-        self._slot = list(range(n))
+        keys = keys[order]
+        # A memoryview reads and slices rows faster than the array does.
+        self._rows = memoryview(rows[order])
+        change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        starts = [0, *change.tolist()] if n else []
+        n_runs = len(starts)
+        self._size = n
+        self._run_keys = keys[starts].tolist()
+        self._starts = starts
+        self._lo = list(starts)
+        self._hi = starts[1:] + [n]
+        # Doubly linked list over the non-empty runs. Its tail sentinel is
+        # run index n_runs (also "none" for the ceil pointers); its head
+        # sentinel is -1, which indexes the last entry of both lists.
+        self._prv = list(range(-1, n_runs + 1))
+        self._nxt = list(range(1, n_runs + 3))
+        self._nxt[-1] = 0
+        # "First live run >= i" pointers with path compression.
+        self._ceil = list(range(n_runs + 1))
+        # Slots taken since the live order was last brought up to date, as
+        # (first, last) pairs of an ascending or descending slot range.
+        self._log: list[int] = []
+        self._alive: list[int] | None = None
+        self._slot: list[int] | None = None
+        self._random = False
 
     def __len__(self) -> int:
-        return len(self._alive)
+        return self._size
 
     def _find_ceil(self, i: int) -> int:
+        ceil = self._ceil
         root = i
-        while self._ceil[root] != root:
-            root = self._ceil[root]
-        while self._ceil[i] != root:
-            self._ceil[i], i = root, self._ceil[i]
+        while ceil[root] != root:
+            root = ceil[root]
+        while ceil[i] != root:
+            ceil[i], i = root, ceil[i]
         return root
 
-    def _take(self, i: int) -> int:
-        p, nx = self._prv[i], self._nxt[i]
-        self._nxt[p] = nx
-        self._prv[nx] = p
-        self._ceil[i] = i + 1
-        j = self._slot[i]
-        last = self._alive[-1]
-        self._alive[j] = last
-        self._slot[last] = j
-        self._alive.pop()
-        return self._rows[i]
+    def _live_order(self) -> list[int]:
+        """The live slots in swap-remove order, after replaying the log."""
+        if self._alive is None:
+            self._alive = list(range(len(self._rows)))
+            self._slot = list(range(len(self._rows)))
+        alive, slot, log = self._alive, self._slot, self._log
+        pairs = iter(log)
+        for first, last in zip(pairs, pairs):
+            step = 1 if first <= last else -1
+            i = first
+            while True:
+                j = slot[i]
+                moved = alive.pop()
+                if moved != i:
+                    alive[j] = moved
+                    slot[moved] = j
+                if i == last:
+                    break
+                i += step
+        del log[:]
+        return alive
 
     def peek_random(self, rng: np.random.Generator) -> tuple[int, int]:
         """(row, key) of a uniformly random live record; nothing is removed."""
-        i = self._alive[int(rng.integers(len(self._alive)))]
-        return self._rows[i], self._keys[i]
+        alive = self._live_order()
+        i = alive[int(rng.integers(len(alive)))]
+        return self._rows[i], self._run_keys[bisect.bisect_right(self._starts, i) - 1]
 
     def draw_nearest(self, anchor_key: int, count: int) -> np.ndarray:
         """Remove and return the `count` rows with keys nearest the anchor's."""
-        if count > len(self._alive):
-            raise DataError(f"cannot draw {count} of {len(self._alive)} remaining records")
+        if self._random:
+            raise DataError("cannot draw nearest rows from a bucket already drawn at random")
+        if count > self._size:
+            raise DataError(f"cannot draw {count} of {self._size} remaining records")
         out = np.empty(count, dtype=np.int64)
         if count == 0:
             return out
+        self._size -= count
         anchor_key = int(anchor_key)
-        pos = bisect.bisect_left(self._keys, anchor_key)
-        c = self._find_ceil(pos) if pos < self._n else self._n
-        if c < self._n:
-            right = c
-            left = self._prv[c]
-        else:
-            right = self._tail
-            left = self._prv[self._tail]
-        for k in range(count):
-            have_left = left != self._head
-            have_right = right != self._tail
-            if have_left and (
-                not have_right or anchor_key - self._keys[left] <= self._keys[right] - anchor_key
-            ):
-                step = self._prv[left]
-                out[k] = self._take(left)
-                left = step
+        taken = memoryview(out)
+        keys, rows, lo, hi, log = self._run_keys, self._rows, self._lo, self._hi, self._log
+        prv, nxt, ceil = self._prv, self._nxt, self._ceil
+        tail = len(keys)
+        right = self._find_ceil(bisect.bisect_left(keys, anchor_key))
+        left = prv[right]
+        pos = 0
+        while pos < count:
+            if left != -1 and (right == tail or anchor_key - keys[left] <= keys[right] - anchor_key):
+                # Take from the top of the run below the anchor.
+                a, b = lo[left], hi[left]
+                if b - a > count - pos:
+                    a = hi[left] = b - (count - pos)
+                else:
+                    p, nx = prv[left], nxt[left]
+                    nxt[p], prv[nx], ceil[left] = nx, p, left + 1
+                    left = p
+                if b - a == 1:
+                    taken[pos] = rows[a]
+                else:
+                    taken[pos : pos + b - a] = rows[a:b][::-1]
+                log.append(b - 1)
+                log.append(a)
             else:
-                step = self._nxt[right]
-                out[k] = self._take(right)
-                right = step
+                # Take from the bottom of the run at or above it.
+                a, b = lo[right], hi[right]
+                if b - a > count - pos:
+                    b = lo[right] = a + (count - pos)
+                else:
+                    p, nx = prv[right], nxt[right]
+                    nxt[p], prv[nx], ceil[right] = nx, p, right + 1
+                    right = nx
+                if b - a == 1:
+                    taken[pos] = rows[a]
+                else:
+                    taken[pos : pos + b - a] = rows[a:b]
+                log.append(a)
+                log.append(b - 1)
+            pos += b - a
         return out
 
     def draw_random(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if count > len(self._alive):
-            raise DataError(f"cannot draw {count} of {len(self._alive)} remaining records")
+        """Remove and return `count` uniformly random rows, each drawn
+        from the live order that `peek_random` indexes."""
+        if count > self._size:
+            raise DataError(f"cannot draw {count} of {self._size} remaining records")
+        self._random = True
         out = np.empty(count, dtype=np.int64)
         for k in range(count):
-            i = self._alive[int(rng.integers(len(self._alive)))]
-            out[k] = self._take(i)
+            alive = self._live_order()
+            i = alive[int(rng.integers(len(alive)))]
+            out[k] = self._rows[i]
+            self._log += (i, i)
+        self._size -= count
         return out
 
 

@@ -276,3 +276,21 @@ def test_nb_audit_memory_stays_with_distinct_tuples(census_table, census_release
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_nb_audit_memory_on_a_zip_table():
+    # Default QI plus a zip code: 20k rows over about 18k distinct zips and
+    # nearly as many distinct tuples, m = 50. Holding steps, hits,
+    # conditionals, ratios and their log of the zip axis at once peaked at
+    # 50.3 MB; the audit keeps two (values x m) arrays and the scores.
+    spec = bl.default_qi_spec() + (Attribute("zip", QI, NUMERIC, lo=0, hi=99999),)
+    table = bl.generate_synthetic(20_000, 50, qi_spec=spec, seed=1, sa_freqs=bl.census_like_profile(50))
+    release = bl.generalize(table, 4.0, seed=1)
+    table.qi_tuples
+    tracemalloc.start()
+    try:
+        bl.nb_bound_audit(release, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20

@@ -1,16 +1,115 @@
 from __future__ import annotations
 
+import bisect
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betalike as bl
+from betalike.data import NUMERIC, QI, Attribute
 from betalike.release import release_to_obj
 
-def make_bucket(keys, rows=None):
+
+class ReferenceBucket:
+    """The per-record store that `SortedBucket` replaced, kept as its oracle.
+
+    One linked-list node, "first live slot >= i" pointer and swap-remove
+    position per record; every take updates them all.
+    """
+
+    def __init__(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        rows = np.asarray(rows, dtype=np.int64)
+        n = len(rows)
+        order = np.lexsort((rows, keys))
+        self._keys = keys[order].tolist()
+        self._rows = rows[order].tolist()
+        self._n = n
+        self._head = n
+        self._tail = n + 1
+        self._prv = [i - 1 for i in range(n)] + [self._head, n - 1]
+        if n > 0:
+            self._prv[0] = self._head
+        self._nxt = [i + 1 for i in range(n)] + [0 if n > 0 else self._tail, self._tail]
+        if n > 0:
+            self._nxt[n - 1] = self._tail
+        self._ceil = list(range(n + 1))
+        self._alive = list(range(n))
+        self._slot = list(range(n))
+
+    def __len__(self) -> int:
+        return len(self._alive)
+
+    def _find_ceil(self, i: int) -> int:
+        root = i
+        while self._ceil[root] != root:
+            root = self._ceil[root]
+        while self._ceil[i] != root:
+            self._ceil[i], i = root, self._ceil[i]
+        return root
+
+    def _take(self, i: int) -> int:
+        p, nx = self._prv[i], self._nxt[i]
+        self._nxt[p] = nx
+        self._prv[nx] = p
+        self._ceil[i] = i + 1
+        j = self._slot[i]
+        last = self._alive[-1]
+        self._alive[j] = last
+        self._slot[last] = j
+        self._alive.pop()
+        return self._rows[i]
+
+    def peek_random(self, rng: np.random.Generator) -> tuple[int, int]:
+        i = self._alive[int(rng.integers(len(self._alive)))]
+        return self._rows[i], self._keys[i]
+
+    def draw_nearest(self, anchor_key: int, count: int) -> np.ndarray:
+        if count > len(self._alive):
+            raise bl.DataError(f"cannot draw {count} of {len(self._alive)} remaining records")
+        out = np.empty(count, dtype=np.int64)
+        if count == 0:
+            return out
+        anchor_key = int(anchor_key)
+        pos = bisect.bisect_left(self._keys, anchor_key)
+        c = self._find_ceil(pos) if pos < self._n else self._n
+        if c < self._n:
+            right = c
+            left = self._prv[c]
+        else:
+            right = self._tail
+            left = self._prv[self._tail]
+        for k in range(count):
+            have_left = left != self._head
+            have_right = right != self._tail
+            if have_left and (
+                not have_right or anchor_key - self._keys[left] <= self._keys[right] - anchor_key
+            ):
+                step = self._prv[left]
+                out[k] = self._take(left)
+                left = step
+            else:
+                step = self._nxt[right]
+                out[k] = self._take(right)
+                right = step
+        return out
+
+    def draw_random(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        if count > len(self._alive):
+            raise bl.DataError(f"cannot draw {count} of {len(self._alive)} remaining records")
+        out = np.empty(count, dtype=np.int64)
+        for k in range(count):
+            i = self._alive[int(rng.integers(len(self._alive)))]
+            out[k] = self._take(i)
+        return out
+
+
+def make_bucket(keys, rows=None, cls=bl.SortedBucket):
     rows = np.arange(len(keys)) if rows is None else np.asarray(rows)
-    return bl.SortedBucket(np.asarray(keys, dtype=np.int64), rows)
+    return cls(np.asarray(keys, dtype=np.int64), rows)
 
 
 def test_draw_nearest_two_sided():
@@ -123,18 +222,117 @@ def test_curve_locality_beats_random_on_average():
 
 
 def test_draw_nearest_matches_brute_force():
-    rng = np.random.default_rng(99)
-    for _ in range(100):
-        n = int(rng.integers(1, 40))
-        keys = rng.integers(0, 200, size=n).astype(np.int64)
-        bucket = make_bucket(keys)
-        anchor = int(rng.integers(-20, 220))
-        count = int(rng.integers(1, n + 1))
-        got = np.sort(keys[bucket.draw_nearest(anchor, count)])
-        want = np.sort(np.asarray(
-            sorted(keys.tolist(), key=lambda k: (abs(k - anchor), k))[:count]
-        ))
-        assert got.tolist() == want.tolist()
+    for cls in (bl.SortedBucket, ReferenceBucket):
+        rng = np.random.default_rng(99)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            keys = rng.integers(0, 200, size=n).astype(np.int64)
+            bucket = make_bucket(keys, cls=cls)
+            anchor = int(rng.integers(-20, 220))
+            count = int(rng.integers(1, n + 1))
+            got = np.sort(keys[bucket.draw_nearest(anchor, count)])
+            want = np.sort(np.asarray(
+                sorted(keys.tolist(), key=lambda k: (abs(k - anchor), k))[:count]
+            ))
+            assert got.tolist() == want.tolist()
+
+
+@st.composite
+def bucket_scripts(draw):
+    """Keys with long equal-key runs (uint64, or Python ints past 64 bits),
+    distinct rows in random order, and a seeded script of peeks and
+    nearest draws, optionally finished by random draws."""
+    n = draw(st.integers(0, 60))
+    base = draw(st.sampled_from([0, 2**40, 2**70]))
+    pool = sorted(draw(st.sets(st.integers(0, 50), min_size=1, max_size=6)))
+    keys = [base + draw(st.sampled_from(pool)) for _ in range(n)]
+    keys = np.asarray(keys, dtype=object if base >= 2**64 else np.uint64)
+    rows = np.asarray(draw(st.permutations(range(100, 100 + n))), dtype=np.int64)
+    anchors = st.one_of(
+        st.sampled_from([base + k + d for k in pool for d in (-1, 0, 1)]),  # on and beside run boundaries
+        st.just(base - 5),                                                  # below the first key
+        st.just(base + 60),                                                 # above the last key
+        st.just("peeked"),                                                  # the last peeked key
+    )
+    script = draw(st.lists(st.one_of(
+        st.tuples(st.just("peek")),
+        st.tuples(st.just("nearest"), anchors, st.floats(0, 1)),
+    ), max_size=20))
+    script += draw(st.lists(st.tuples(st.just("random"), st.floats(0, 1)), max_size=3))
+    return keys, rows, script, draw(st.integers(0, 2**16))
+
+
+@given(bucket_scripts())
+@settings(max_examples=300, deadline=None)
+def test_run_buckets_match_the_per_record_reference(case):
+    keys, rows, script, seed = case
+    new, ref = bl.SortedBucket(keys, rows), ReferenceBucket(keys, rows)
+    new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    peeked = int(keys[0]) if len(keys) else 0
+    for op in script:
+        assert len(new) == len(ref)
+        if op[0] == "peek":
+            if len(ref) == 0:
+                continue
+            got = new.peek_random(new_rng)
+            assert got == ref.peek_random(ref_rng)
+            peeked = got[1]
+        elif op[0] == "nearest":
+            anchor = peeked if op[1] == "peeked" else op[1]
+            count = int(op[2] * len(ref))
+            assert new.draw_nearest(anchor, count).tolist() == ref.draw_nearest(anchor, count).tolist()
+        else:
+            count = int(op[1] * len(ref))
+            assert new.draw_random(new_rng, count).tolist() == ref.draw_random(ref_rng, count).tolist()
+    assert len(new) == len(ref)
+
+
+def test_nearest_draw_after_random_draw_errors():
+    b = make_bucket([10, 20, 30, 40])
+    b.draw_nearest(25, 1)
+    b.draw_random(np.random.default_rng(0), 1)
+    with pytest.raises(bl.DataError, match="drawn at random"):
+        b.draw_nearest(25, 1)
+
+
+def _golden_tables():
+    census = bl.generate_synthetic(20_000, 50, seed=11, sa_freqs=bl.census_like_profile(50))
+    zip_spec = bl.default_qi_spec() + (Attribute("zip", QI, NUMERIC, lo=0, hi=99999),)
+    zips = bl.generate_synthetic(5_000, 50, seed=12, sa_freqs=bl.census_like_profile(50), qi_spec=zip_spec)
+    return {"census": census, "zip": zips}
+
+
+# sha256 of the `save_release` bytes and of the classes' row order (int64,
+# little-endian, class after class) for beta 4 and seeds 1-3. The census
+# table's 20k rows share about 2.7k curve keys, so retrieval takes long
+# equal-key runs; the zip table's keys are all distinct.
+GOLDEN_RELEASES = {
+    ("census", 1): ("3228b5f7159a4f9ed5a5966b5b178936f098b426014421b76b5290a0e0383ea9",
+                    "2d30eb12228cbcbd346c28c4de77d2bc24a51d25ee00bdc1334edd880fb3ce74"),
+    ("census", 2): ("9a396d3241f39036982c0a01e4d2a8fce0674d1752430179feb0aa465c1c2df5",
+                    "b7dfbc1207daae698307e04d96627b15413d9ad67a3deeed11966eff5846a1ae"),
+    ("census", 3): ("47d75327405d66f3f93b33e795e37a3932ca5466b2e5605c8a7c8f754cd91071",
+                    "bcdd033e2d7e36e997b599adcc1746078c902c9b1837653bbc1b9b068d061686"),
+    ("zip", 1): ("5adfb9fa4449b5256984624506f5744770149ee0469519a432f28b5e697dff7a",
+                 "2e2075182039976a5d837dda5cd5d0b8dec09eb20e651c57ee2376108af8bfe7"),
+    ("zip", 2): ("6e0854749a18ddb0a47c88c157d781178f9b5856fdae42b55347a01187ff8076",
+                 "3255b1a1490c0a84a017162eddfe0b991ef4768350f36429fa42c0e6f01300d8"),
+    ("zip", 3): ("592c84c9472e45ee652565e03a550bae0cd0253bcd43514fc15a521033aadbe9",
+                 "da7cec8c025c4f540d352837d0e2e08e2e6d802dc4f8d2e91d5bcbc06d79fa7b"),
+}
+
+
+def test_golden_releases(tmp_path):
+    tables = _golden_tables()
+    got = {}
+    for name, seed in GOLDEN_RELEASES:
+        release = bl.generalize(tables[name], 4.0, seed=seed)
+        path = tmp_path / f"{name}-{seed}.json"
+        bl.save_release(release, path)
+        rows = np.concatenate([ec.rows for ec in release.ecs]).astype("<i8")
+        got[name, seed] = (hashlib.sha256(path.read_bytes()).hexdigest(),
+                           hashlib.sha256(rows.tobytes()).hexdigest())
+    assert got == GOLDEN_RELEASES
 
 
 def test_single_sa_value_degenerates_to_singletons():
