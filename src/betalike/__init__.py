@@ -72,6 +72,7 @@ from .queries import (
     exact_count,
     gen_workload,
     load_workload,
+    perturbation_reports,
     save_report,
     save_workload,
     workload_report_baseline,
@@ -149,6 +150,7 @@ __all__ = [
     "parse_schema",
     "partition_spans",
     "perturb",
+    "perturbation_reports",
     "posterior",
     "ratio_bound",
     "reconstruct",

@@ -17,11 +17,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, DataError, Table
-from .likeness import Bound, Distribution, required_beta
+from .likeness import Bound, Distribution, LikenessError
 from .release import Release
 
 # Distinct QI tuples whose naive-Bayes scores are updated at once.
 SCORE_CHUNK = 4096
+
+
+def _class_freqs(release: Release, dist: Distribution) -> np.ndarray:
+    """(classes, m): each class's SA frequencies, its counts checked as
+    `likeness.required_beta` checks them."""
+    counts = release.class_counts
+    if counts.shape[1] != dist.m:
+        raise LikenessError(f"class counts must align with the {dist.m} SA values")
+    sizes = counts.sum(axis=1, keepdims=True)
+    if not sizes.all():
+        raise LikenessError("class is empty")
+    return counts / sizes
+
+
+def _required_betas(release: Release, dist: Distribution) -> np.ndarray:
+    """`likeness.required_beta` of every class at once: math.inf where some
+    frequency passes its p * (1 - ln p) cap, else the largest relative gain
+    (q - p) / p over the values with q > p, or 0.0 if there is none."""
+    p = dist.freqs()
+    q = _class_freqs(release, dist)
+    # The caps with every value on the logarithmic branch; beta is unused.
+    unbounded = (q > Bound(dist, 1.0, cut=0.0).caps()).any(axis=1)
+    need = np.where(q > p, (q - p) / p, 0.0).max(axis=1)
+    need[unbounded] = math.inf
+    return need
 
 
 def achieved_beta(release: Release, dist: Distribution | None = None) -> float:
@@ -30,15 +55,9 @@ def achieved_beta(release: Release, dist: Distribution | None = None) -> float:
     Returns math.inf ("unbounded") when some class frequency exceeds the
     p * (1 - ln p) cap.
     """
-    dist = dist or release.dist
     if not release.ecs:
         raise DataError("release has no classes")
-    worst = 0.0
-    for ec in release.ecs:
-        worst = max(worst, required_beta(dist, ec.sa_counts))
-        if math.isinf(worst):
-            return math.inf
-    return worst
+    return float(_required_betas(release, dist or release.dist).max())
 
 
 def failing_classes(release: Release, dist: Distribution | None = None) -> list[int]:
@@ -52,17 +71,16 @@ def ec_audit_lines(release: Release, dist: Distribution | None = None) -> list[s
     dist = dist or release.dist
     failing = set(failing_classes(release, dist))
     p = dist.freqs()
+    gains = np.where(release.class_counts > 0, (_class_freqs(release, dist) - p) / p, -np.inf)
+    worst = np.argmax(gains, axis=1).tolist()
+    needs = _required_betas(release, dist).tolist()
     lines = []
-    for k, ec in enumerate(release.ecs):
-        q = ec.sa_counts / ec.size
-        gains = np.where(ec.sa_counts > 0, (q - p) / p, -np.inf)
-        worst = int(np.argmax(gains))
-        need = required_beta(dist, ec.sa_counts)
+    for k, (ec, w, need) in enumerate(zip(release.ecs, worst, needs)):
         status = "FAIL" if k in failing else "PASS"
         need_txt = "unbounded" if math.isinf(need) else f"{need:.6f}"
         lines.append(
-            f"ec={k} size={ec.size} worst_value={dist.values[worst]} "
-            f"worst_gain={gains[worst]:.6f} required_beta={need_txt} {status}"
+            f"ec={k} size={ec.size} worst_value={dist.values[w]} "
+            f"worst_gain={gains[k, w]:.6f} required_beta={need_txt} {status}"
         )
     return lines
 

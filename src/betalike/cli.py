@@ -46,10 +46,9 @@ from .perturb import (
 )
 from .queries import (
     gen_workload,
+    perturbation_reports,
     save_report,
-    workload_report_baseline,
     workload_report_generalized,
-    workload_report_perturbed,
 )
 from .release import load_release, save_release
 
@@ -195,10 +194,7 @@ def _cmd_queryeval(args) -> int:
     artifact = Path(args.artifact)
     if artifact.is_dir():
         perturbed, model = load_perturbation(artifact, schema)
-        reports = {
-            "perturbed": workload_report_perturbed(table, perturbed, model, workload),
-            "baseline": workload_report_baseline(table, model.dist, workload),
-        }
+        reports = perturbation_reports(table, perturbed, model, workload)
     else:
         release = load_release(artifact, schema)
         reports = {"generalized": workload_report_generalized(table, release, workload)}

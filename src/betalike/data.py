@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -229,81 +231,150 @@ def _intern_sa(raw_codes: np.ndarray, raw_values: list[str]) -> tuple[np.ndarray
     return new_of_old[raw_codes], tuple(raw_values[i] for i in order)
 
 
-def table_from_rows(schema: DatasetSchema, rows: list[dict]) -> Table:
-    """Validate raw rows (attribute name -> value) and build a Table."""
-    if not rows:
-        raise DataError("no rows")
-    qi = schema.qi_attributes
-    cols: list[list] = [[] for _ in qi]
-    sa_raw: list[int] = []
-    sa_seen: dict[str, int] = {}
-    declared = schema.sa_attribute.hierarchy
-    for r, row in enumerate(rows, start=1):
-        for k, attr in enumerate(qi):
-            try:
-                value = row[attr.name]
-            except KeyError:
-                raise DataError(f"row {r}: missing column {attr.name!r}") from None
-            if attr.kind == NUMERIC:
-                try:
-                    x = float(value)
-                except (TypeError, ValueError):
-                    raise DataError(f"row {r}: cannot parse {attr.name}={value!r} as a number") from None
-                if not attr.lo <= x <= attr.hi:
-                    raise DataError(
-                        f"row {r}: {attr.name}={x:g} outside domain [{attr.lo:g}, {attr.hi:g}]"
-                    )
-                cols[k].append(x)
-            else:
-                try:
-                    cols[k].append(attr.hierarchy.leaf_index(str(value)))
-                except HierarchyError:
-                    raise DataError(f"row {r}: unknown {attr.name} value {value!r}") from None
-        try:
-            sv = str(row[schema.sa_attribute.name])
-        except KeyError:
-            raise DataError(f"row {r}: missing column {schema.sa_attribute.name!r}") from None
-        if declared is not None:
-            try:
-                declared.leaf_index(sv)
-            except HierarchyError:
-                raise DataError(f"row {r}: unknown {schema.sa_attribute.name} value {sv!r}") from None
-        sa_raw.append(sa_seen.setdefault(sv, len(sa_seen)))
+# A field that a short record or a row dict lacks; it fails as a missing column.
+_MISSING = object()
 
-    raw_values = [v for v, _ in sorted(sa_seen.items(), key=lambda kv: kv[1])]
-    codes, values = _intern_sa(np.asarray(sa_raw, dtype=np.int64), raw_values)
-    qi_columns = tuple(
-        np.asarray(c, dtype=float) if a.kind == NUMERIC else np.asarray(c, dtype=np.int64)
-        for a, c in zip(qi, cols)
-    )
-    return Table(schema, qi_columns, codes, values)
+
+def _distinct(col: list) -> tuple[list, np.ndarray]:
+    """The distinct values of a column in first-appearance order, and each
+    row's index into them."""
+    index = {value: i for i, value in enumerate(dict.fromkeys(col))}
+    return list(index), np.fromiter(map(index.__getitem__, col), dtype=np.int64, count=len(col))
+
+
+def _as_number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _checked(attr: Attribute, distinct: list) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct raw value parsed once: (its float, or its leaf index, or
+    -1 for an SA without a declared hierarchy), and a mask of the values
+    that fail the attribute's checks."""
+    if attr.kind == NUMERIC:
+        values = np.fromiter(map(_as_number, distinct), dtype=float, count=len(distinct))
+        return values, ~((attr.lo <= values) & (values <= attr.hi))
+    codes = np.full(len(distinct), -1, dtype=np.int64)
+    bad = np.zeros(len(distinct), dtype=bool)
+    for i, value in enumerate(distinct):
+        if value is _MISSING:
+            bad[i] = True
+        elif attr.hierarchy is not None:
+            try:
+                codes[i] = attr.hierarchy.leaf_index(value)
+            except HierarchyError:
+                bad[i] = True
+    return codes, bad
+
+
+def _field_error(attr: Attribute, value) -> str:
+    """Why one raw value fails its attribute's checks."""
+    if value is _MISSING:
+        return f"missing column {attr.name!r}"
+    if attr.kind == CATEGORICAL:
+        return f"unknown {attr.name} value {value!r}"
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        return f"cannot parse {attr.name}={value!r} as a number"
+    return f"{attr.name}={x:g} outside domain [{attr.lo:g}, {attr.hi:g}]"
+
+
+def _table_from_columns(schema: DatasetSchema, columns: dict[str, list],
+                        row_error: tuple[int, str] | None = None) -> Table:
+    """Validate raw columns (attribute name -> one value per row, each taken
+    out of `columns` when it is used) and build a Table.
+
+    Each distinct value is parsed and checked once and the results are
+    gathered by row. An error names the first row holding a failing value
+    and, within it, the first failing attribute in check order: the QI
+    attributes in schema order, then the SA. `row_error` is (row index,
+    reason) for a fault of a whole row, which ranks before that row's values.
+    """
+    checked = (*schema.qi_attributes, schema.sa_attribute)
+    n_rows = len(columns[checked[0].name])
+    faults = [] if row_error is None else [(row_error[0], -1, row_error[1])]
+    parsed = []
+    for pos, attr in enumerate(checked):
+        distinct, inverse = _distinct(columns.pop(attr.name))
+        values, bad = _checked(attr, distinct)
+        if bad.any():
+            row = int(np.argmax(bad[inverse]))
+            faults.append((row, pos, _field_error(attr, distinct[inverse[row]])))
+        parsed.append((values, distinct, inverse))
+    if faults:
+        row, _, reason = min(faults)
+        raise DataError(f"row {row + 1}: {reason}")
+    if not n_rows:
+        raise DataError("no rows")
+    *qi, (_, sa_distinct, sa_inverse) = parsed
+    codes, sa_values = _intern_sa(sa_inverse, sa_distinct)
+    return Table(schema, tuple(values[inverse] for values, _, inverse in qi), codes, sa_values)
+
+
+def table_from_rows(schema: DatasetSchema, rows: list[dict]) -> Table:
+    """Validate raw rows (attribute name -> value) and build a Table.
+    Categorical and SA values are read as their `str`."""
+    columns = {}
+    for attr in schema.attributes:
+        col = [row.get(attr.name, _MISSING) for row in rows]
+        if attr.kind == CATEGORICAL:
+            col = [value if value is _MISSING else str(value) for value in col]
+        columns[attr.name] = col
+    return _table_from_columns(schema, columns)
 
 
 def load_table(path, schema: DatasetSchema, sa_order: tuple[str, ...] | None = None) -> Table:
     """Read a comma-separated file with a header row matching the schema.
+
+    Blank lines are skipped; rows are numbered from 1 over the others. A
+    row with fewer fields than the header lacks its last columns; one with
+    more is an error.
 
     `sa_order` pins an explicit SA code order instead of interning by
     frequency; it is how published perturbed tables are read back so their
     codes stay aligned with the published transition matrix.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        expected = {a.name for a in schema.attributes}
-        missing = expected - set(header)
-        if missing:
-            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-        extra = set(header) - expected
-        if extra:
-            raise DataError(f"{path}: unexpected column(s) {sorted(extra)}")
-        rows = [dict(zip(header, rec)) for rec in reader if rec]
-    if not rows:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            records = [rec for rec in reader if rec]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    expected = {a.name for a in schema.attributes}
+    missing = expected - set(header)
+    if missing:
+        raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+    extra = set(header) - expected
+    if extra:
+        raise DataError(f"{path}: unexpected column(s) {sorted(extra)}")
+    if len(header) != len(expected):
+        raise DataError(f"{path}: duplicate column(s) {sorted({n for n in header if header.count(n) > 1})}")
+    if not records:
         raise DataError(f"{path}: no rows")
-    table = table_from_rows(schema, rows)
+    width = len(header)
+    row_error = None
+    if set(map(len, records)) != {width}:
+        # Every row from the first of another width on is dropped: a short
+        # row is padded with missing fields, a long one is the error itself.
+        bad = next(r for r, rec in enumerate(records) if len(rec) != width)
+        rec = records[bad]
+        if len(rec) > width:
+            row_error = (bad, f"expected {width} fields, got {len(rec)}")
+            del records[bad:]
+        else:
+            records[bad:] = [rec + [_MISSING] * (width - len(rec))]
+    flat = list(chain.from_iterable(records))
+    del records
+    columns = {name: flat[j::width] for j, name in enumerate(header)}
+    del flat
+    table = _table_from_columns(schema, columns, row_error)
     if sa_order is None:
         return table
     # Values may be a subset of the declared order (randomization can drive a
@@ -320,23 +391,28 @@ def _format_number(x: float) -> str:
 
 
 def save_table(table: Table, path) -> None:
+    """Write the table as CSV, columns in schema order. Each distinct value
+    of a QI column (`Table.qi_values`) is formatted once and gathered by
+    `Table.qi_codes`."""
     path = Path(path)
     qi_idx = {a.name: k for k, a in enumerate(table.schema.qi_attributes)}
+    columns = []
+    for attr in table.schema.attributes:
+        if attr.role == SA:
+            labels, codes = table.sa_values, table.sa_codes
+        else:
+            k = qi_idx[attr.name]
+            values = table.qi_values[k].tolist()
+            if attr.kind == NUMERIC:
+                labels = [_format_number(x) for x in values]
+            else:
+                labels = [attr.hierarchy.leaves[v] for v in values]
+            codes = table.qi_codes[k]
+        columns.append(np.asarray(labels, dtype=object)[codes])
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([a.name for a in table.schema.attributes])
-        for i in range(table.n_rows):
-            rec = []
-            for attr in table.schema.attributes:
-                if attr.role == SA:
-                    rec.append(table.sa_values[int(table.sa_codes[i])])
-                else:
-                    col = table.qi_columns[qi_idx[attr.name]]
-                    if attr.kind == NUMERIC:
-                        rec.append(_format_number(col[i]))
-                    else:
-                        rec.append(attr.hierarchy.leaves[int(col[i])])
-            writer.writerow(rec)
+        writer.writerows(zip(*columns))
 
 
 def sa_distribution(table: Table) -> Distribution:

@@ -335,13 +335,33 @@ def workload_report_perturbed(table: Table, perturbed: Table, model: Perturbatio
     """estimate_perturbed on every query, from one histogram pass over the
     perturbed table."""
     _, prec = _workload_counts(table, workload)
+    return _report(prec, _perturbed_estimates(perturbed, model, workload))
+
+
+def _perturbed_estimates(perturbed: Table, model: PerturbationModel, workload) -> list[float]:
     observed = _qi_histograms(perturbed, workload)
-    return _report(prec, [_reconstructed_range(o, model, q) for o, q in zip(observed, workload)])
+    return [_reconstructed_range(o, model, q) for o, q in zip(observed, workload)]
 
 
 def workload_report_baseline(table: Table, dist: Distribution, workload) -> WorkloadReport:
     """baseline_estimate on every query, from the same counts as the
     precise ones."""
     rows, prec = _workload_counts(table, workload)
+    return _report(prec, _baseline_estimates(rows, dist, workload))
+
+
+def _baseline_estimates(rows: np.ndarray, dist: Distribution, workload) -> list[float]:
     freqs = dist.freqs()
-    return _report(prec, [_baseline_value(r, freqs, q) for r, q in zip(rows, workload)])
+    return [_baseline_value(r, freqs, q) for r, q in zip(rows, workload)]
+
+
+def perturbation_reports(table: Table, perturbed: Table, model: PerturbationModel,
+                         workload) -> dict[str, WorkloadReport]:
+    """The "perturbed" and "baseline" reports of a perturbation artifact,
+    equal to `workload_report_perturbed` and `workload_report_baseline` (with
+    the model's distribution), from one count of the workload on `table`."""
+    rows, prec = _workload_counts(table, workload)
+    return {
+        "perturbed": _report(prec, _perturbed_estimates(perturbed, model, workload)),
+        "baseline": _report(prec, _baseline_estimates(rows, model.dist, workload)),
+    }

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import betalike as bl
+from betalike import audit
 from betalike.data import CATEGORICAL, NUMERIC, QI, Attribute
 from betalike.likeness import Bound
 from betalike.release import CategoricalExtent, EquivalenceClass, NumericExtent, Release
@@ -89,6 +91,55 @@ def test_audit_lines_flag_violations():
     rel = release_from_counts(dist, [[3, 0]], beta=1.0)
     lines = bl.ec_audit_lines(rel)
     assert "FAIL" in lines[0] and "unbounded" in lines[0]
+
+
+@st.composite
+def dists_and_class_counts(draw):
+    """A distribution and class counts; some classes put one value exactly
+    on its p * (1 - ln p) cap (the nearest fraction with a denominator up to
+    1e12, which divides to the cap's float), others one count past it."""
+    m = draw(st.integers(1, 5))
+    counts = sorted(draw(st.lists(st.integers(1, 40), min_size=m, max_size=m)))
+    dist = bl.Distribution(tuple(f"v{i}" for i in range(m)), tuple(counts), sum(counts))
+    caps = Bound(dist, 1.0, cut=0.0).caps()
+    classes = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["free", "on-cap", "past-cap"]))
+        if kind == "free" or m == 1:
+            classes.append(draw(st.lists(st.integers(0, 30), min_size=m, max_size=m).filter(any)))
+            continue
+        i, j = draw(st.permutations(range(m)))[:2]
+        cap = Fraction(float(caps[i])).limit_denominator(10**12)
+        c, g = cap.numerator + (kind == "past-cap"), cap.denominator
+        row = [0] * m
+        row[i], row[j] = c, g - c
+        classes.append(row)
+    return dist, classes
+
+
+@given(dists_and_class_counts())
+@settings(max_examples=200, deadline=None)
+def test_required_betas_match_the_per_class_oracle(case):
+    dist, classes = case
+    rel = release_from_counts(dist, classes)
+    want = np.asarray([bl.required_beta(dist, counts) for counts in classes])
+    got = audit._required_betas(rel, dist)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert bl.achieved_beta(rel) == max(want.tolist())
+    shown = [line.split("required_beta=")[1].split()[0] for line in bl.ec_audit_lines(rel)]
+    assert shown == ["unbounded" if math.isinf(b) else f"{b:.6f}" for b in want.tolist()]
+
+
+# At p = 14/37 numpy's log gives a cap one step below math.log's.
+@pytest.mark.parametrize("counts", [(25, 75), (14, 23)])
+def test_a_class_exactly_on_the_log_cap_is_finite(counts):
+    dist = bl.Distribution(("a", "b"), counts, sum(counts))
+    p = dist.freq(0)
+    cap = Fraction(p * (1 - math.log(p))).limit_denominator(10**12)
+    c, g = cap.numerator, cap.denominator
+    assert c / g == p * (1 - math.log(p))
+    assert bl.achieved_beta(release_from_counts(dist, [[c, g - c]])) == (c / g - p) / p
+    assert math.isinf(bl.achieved_beta(release_from_counts(dist, [[c + 1, g - c - 1]])))
 
 
 def nb_release(table, groups, beta=1.0):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 import betalike as bl
+from betalike import queries
 from betalike.cli import EXIT_BROKEN_PIPE, EXIT_VIOLATION, run
 
 from conftest import disease_table, patient_schema
@@ -97,6 +99,37 @@ def test_perturb_and_queryeval(example_files, tmp_path, capsys):
     assert "estimator=perturbed" in out
     assert "estimator=baseline" in out
     assert "median_relative_error=" in out
+
+
+# sha256 of the perturbed and baseline report files each workload_report_*
+# function wrote on its own, computing the precise counts twice.
+QUERYEVAL_REPORTS = {
+    "cube": ("2e8a6b6364704d92c45644e7b78ef6d0c0043f20ef4f62ba8e28a705cbc690de",
+             "b6a6106d9cc1c3d9c650304d7b97171367edf3722b582f0bb6ebc0ba012c7576"),
+    "row-masks": ("740ff7f2c581f34f41da952a73fea040971aea022f8afef5ab77d1cef68a7a30",
+                  "ac970c5b31f8927c6c0982277ba9a6f1ab22893cebb498195c9228f24e1d83a6"),
+}
+
+
+@pytest.mark.parametrize("counting", QUERYEVAL_REPORTS)
+def test_queryeval_on_a_perturbation_counts_once(tmp_path, monkeypatch, capsys, counting):
+    # A zip code puts the table past the cube's cell budget: row masks count it.
+    zip_qi = (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),) if counting == "row-masks" else ()
+    table = bl.generate_synthetic(3000, 20, qi_spec=bl.default_qi_spec() + zip_qi, seed=5, skew=0.5)
+    csv, schema = tmp_path / "t.csv", tmp_path / "t.schema.json"
+    bl.save_table(table, csv)
+    bl.save_schema(table.schema, schema)
+    common = ["--input", str(csv), "--schema", str(schema)]
+    assert run(["perturb", *common, "--beta", "4", "--seed", "2", "--out", str(tmp_path / "p")]) == 0
+    calls = []
+    counts = queries._workload_counts
+    monkeypatch.setattr(queries, "_workload_counts", lambda *a: calls.append(1) or counts(*a))
+    assert run(["queryeval", *common, "--artifact", str(tmp_path / "p"), "--queries", "60",
+                "--seed", "3", "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == 1
+    digests = tuple(hashlib.sha256((tmp_path / f"r.{name}.csv").read_bytes()).hexdigest()
+                    for name in ("perturbed", "baseline"))
+    assert digests == QUERYEVAL_REPORTS[counting]
 
 
 def test_queryeval_on_release(example_files, tmp_path, capsys):
@@ -367,6 +400,20 @@ def test_missing_input_exits_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("weight,weight,age,disease\n50,50,30,flu\n", "duplicate column(s) ['weight']"),
+    ("weight,age,disease\n50,30,flu\n51,31,flu,extra\n", "row 2: expected 3 fields, got 4"),
+], ids=["duplicate-column", "long-row"])
+def test_malformed_row_shape_exits_one(tmp_path, capsys, text, message):
+    csv, schema = tmp_path / "t.csv", tmp_path / "s.json"
+    csv.write_text(text, encoding="utf-8")
+    bl.save_schema(patient_schema(), schema)
+    code = run(["generalize", "--input", str(csv), "--schema", str(schema), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(message) and err.count("\n") == 1
 
 
 def test_bad_schema_exits_one(tmp_path, capsys):

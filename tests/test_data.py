@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betalike as bl
 
@@ -224,3 +228,160 @@ def test_qi_tuples_past_int64_radix():
     assert np.prod([len(v) for v in table.qi_values], dtype=float) > 2.0**63
     _assert_qi_tuples_match_unique(table)
     assert len(table.qi_tuples[0]) == n - 10
+
+
+def _colored_schema(sa_hierarchy=None):
+    return bl.DatasetSchema((
+        bl.Attribute("age", "qi", "numeric", lo=0, hi=99),
+        bl.Attribute("color", "qi", hierarchy=bl.Hierarchy({"name": "c", "children": ["red", "blue"]})),
+        bl.Attribute("kind", "sa", hierarchy=sa_hierarchy),
+    ))
+
+
+_KINDS = bl.Hierarchy({"name": "k", "children": ["a", "b"]})
+
+# (schema, file text, the exact error line the row-by-row loader gave).
+LOAD_ERRORS = {
+    "short-row": (patient_schema, "weight,age,disease\n70,40,flu\n60,50\n",
+                  "row 2: missing column 'disease'"),
+    "short-row-bad-value-first": (patient_schema, "weight,age,disease\n70,40,flu\nseventy\n",
+                                  "row 2: cannot parse weight='seventy' as a number"),
+    "blank-lines-not-counted": (patient_schema, "weight,age,disease\n\n70,40,flu\n\n\n60,200,cold\n",
+                                "row 2: age=200 outside domain [20, 80]"),
+    "earlier-row-wins": (patient_schema, "weight,age,disease\n70,40,flu\n60,99,cold\n999,50,flu\n",
+                         "row 2: age=99 outside domain [20, 80]"),
+    "check-order-in-row": (patient_schema, "disease,age,weight\nflu,40,70\ncold,99,x\n",
+                           "row 2: cannot parse weight='x' as a number"),
+    "unknown-sa-leaf": (lambda: _colored_schema(_KINDS), "age,color,kind\n1,red,a\n2,blue,flu\n",
+                        "row 2: unknown kind value 'flu'"),
+    "brace-leaf": (_colored_schema, "age,color,kind\n1,red,a\n2,{0},b\n",
+                   "row 2: unknown color value '{0}'"),
+    "nan": (patient_schema, "weight,age,disease\nnan,40,flu\n",
+            "row 1: weight=nan outside domain [40, 90]"),
+    "empty-numeric": (patient_schema, "weight,age,disease\n70,40,flu\n70,,flu\n",
+                      "row 2: cannot parse age='' as a number"),
+    "no-rows": (patient_schema, "weight,age,disease\n", "{path}: no rows"),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_ERRORS)
+def test_load_error_lines(tmp_path, case):
+    schema, text, message = LOAD_ERRORS[case]
+    f = tmp_path / "bad.csv"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(bl.DataError) as err:
+        bl.load_table(f, schema())
+    assert str(err.value) == message.replace("{path}", str(f))
+
+
+def test_load_quoted_fields(tmp_path):
+    f = tmp_path / "quoted.csv"
+    f.write_text('weight,age,disease\n" 45 ",70,"x{y}"\n"50","2e1","a, ""b"""\n', encoding="utf-8")
+    t = bl.load_table(f, patient_schema())
+    assert [c.tolist() for c in t.qi_columns] == [[45.0, 50.0], [70.0, 20.0]]
+    assert t.sa_values == ("x{y}", 'a, "b"') and t.sa_codes.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("age,age,color,kind\n1,2,red,a\n", "{path}: duplicate column(s) ['age']"),
+    ("age,color,kind\n1,red,a\n2,blue,b,extra\n", "row 2: expected 3 fields, got 4"),
+    ("age,color,kind\n1,red,a,extra\n", "row 1: expected 3 fields, got 4"),
+    ("age,color,kind\n1,red,a\n999,red,a\n2,blue,b,extra\n", "row 2: age=999 outside domain [0, 99]"),
+], ids=["duplicate-column", "long-row", "long-first-row", "earlier-bad-value-wins"])
+def test_load_rejects_malformed_row_shapes(tmp_path, text, message):
+    f = tmp_path / "bad.csv"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(bl.DataError) as err:
+        bl.load_table(f, _colored_schema())
+    assert str(err.value) == message.replace("{path}", str(f))
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"weight,age,disease\n70,40,\xff\n", "can't decode byte 0xff"),
+    (b'weight,age,disease\n70,40,"' + b"x" * 200_000 + b'"\n', "field larger than field limit"),
+], ids=["not-utf-8", "oversized-field"])
+def test_unreadable_file_is_a_data_error(tmp_path, data, message):
+    f = tmp_path / "bad.csv"
+    f.write_bytes(data)
+    with pytest.raises(bl.DataError, match=f"^{re.escape(str(f))}: .*{message}"):
+        bl.load_table(f, patient_schema())
+
+
+def test_rows_take_the_file_validation_path():
+    rows = [{"weight": 50, "age": 30, "disease": "x"}, {"weight": "bad", "disease": "x"}]
+    with pytest.raises(bl.DataError, match=r"^row 2: cannot parse weight='bad' as a number$"):
+        bl.table_from_rows(patient_schema(), rows)
+    with pytest.raises(bl.DataError, match=r"^row 2: missing column 'age'$"):
+        bl.table_from_rows(patient_schema(), rows[:1] + [{"weight": 50, "disease": "x"}])
+    with pytest.raises(bl.DataError, match="^no rows$"):
+        bl.table_from_rows(patient_schema(), [])
+    # Categorical and SA values are read as their str: 1 and True stay apart.
+    t = bl.table_from_rows(patient_schema(), [{"weight": 50, "age": 30, "disease": v} for v in (1, True, 1)])
+    assert t.sa_values == ("True", "1")
+
+
+_ROUND_TRIP_FLOATS = st.one_of(
+    st.sampled_from([0.1 + 0.2, 5e-324, -5e-324, 2.0**53, 2.0**53 + 2, -0.0, 0.0, 1e15 + 0.5, -1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+_LABELS = st.text(st.sampled_from('ab ,"{}0\''), min_size=1, max_size=5)
+
+
+@st.composite
+def _printable_tables(draw):
+    n = draw(st.integers(1, 30))
+    leaves = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+    schema = bl.DatasetSchema((
+        bl.Attribute("x", "qi", "numeric", lo=-1e300, hi=1e300),
+        bl.Attribute("c", "qi", hierarchy=bl.Hierarchy({"name": "root", "children": leaves})),
+        bl.Attribute("s", "sa"),
+    ))
+    xs = draw(st.lists(_ROUND_TRIP_FLOATS, min_size=n, max_size=n))
+    cs = draw(st.lists(st.integers(0, len(leaves) - 1), min_size=n, max_size=n))
+    sa = draw(st.lists(_LABELS, min_size=n, max_size=n))
+    return bl.table_from_rows(schema, [{"x": x, "c": leaves[c], "s": s} for x, c, s in zip(xs, cs, sa)])
+
+
+@given(_printable_tables())
+@settings(max_examples=100, deadline=None)
+def test_save_load_round_trip_is_exact(tmp_path_factory, table):
+    f = tmp_path_factory.mktemp("rt") / "t.csv"
+    bl.save_table(table, f)
+    again = bl.load_table(f, table.schema)
+    assert again.sa_values == table.sa_values
+    assert again.sa_codes.dtype == table.sa_codes.dtype and np.array_equal(again.sa_codes, table.sa_codes)
+    for a, b in zip(again.qi_columns, table.qi_columns):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _fractional_table():
+    rng = np.random.default_rng(5)
+    schema = bl.DatasetSchema((
+        bl.Attribute("x", "qi", "numeric", lo=-1e6, hi=1e6),
+        bl.Attribute("c", "qi", hierarchy=bl.Hierarchy({"name": "r", "children": ["p, q", 'say "hi"', "plain"]})),
+        bl.Attribute("s", "sa"),
+    ))
+    xs = np.concatenate([rng.normal(0, 1000, 300), [0.1 + 0.2, 5e-324, 2.0**53, -0.0, 1e-7, 123456.5]])
+    xs = xs[rng.permutation(len(xs))]
+    codes = rng.integers(0, 3, len(xs))
+    sa = rng.integers(0, 4, len(xs))
+    return bl.Table(schema, (xs, codes), sa, ("w,1", "x y", '"z"', "plain"))
+
+
+def _zip_table():
+    spec = bl.default_qi_spec() + (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),)
+    return bl.generate_synthetic(2000, 50, qi_spec=spec, seed=4, sa_freqs=bl.census_like_profile(50))
+
+
+# sha256 of the bytes save_table wrote for these tables when it formatted
+# row by row.
+@pytest.mark.parametrize("make, digest", [
+    (lambda: bl.generate_synthetic(2000, 50, seed=3, sa_freqs=bl.census_like_profile(50)),
+     "f36bcecafcfea29976142311398fcf8c22e0174b965cab3ebda4870da1c4b6fd"),
+    (_zip_table, "e47dd05d28ee19f316738846233f1a3929b571e73033a8760a0c0878ac395c14"),
+    (_fractional_table, "dbe43eda0e2e9ff03db01743ddf5c97937b4a978dc6db798cb2f65aef69b25ba"),
+], ids=["census", "zip", "fractional"])
+def test_saved_bytes_golden(tmp_path, make, digest):
+    f = tmp_path / "t.csv"
+    bl.save_table(make(), f)
+    assert hashlib.sha256(f.read_bytes()).hexdigest() == digest
