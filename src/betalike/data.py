@@ -132,9 +132,9 @@ class Table:
     categorical). SA values are interned to dense codes 0..m-1 in ascending
     frequency order, ties broken by first appearance in row order; every
     downstream module relies on that ordering. The derived arrays
-    `qi_values`, `qi_codes` and `qi_tuples` are computed on first use and
-    never invalidated, which is sound only because a table is never
-    modified after it is built. Curve keys and the naive-Bayes audit work
+    `qi_values`, `qi_codes`, `qi_tuples` and `prefix_cube` are computed on
+    first use and never invalidated, which is sound only because a table is
+    never modified after it is built. Curve keys and the naive-Bayes audit work
     once per distinct QI tuple and gather by `qi_tuples`' row index.
     """
 
@@ -202,6 +202,22 @@ class Table:
         for k, codes in enumerate(self.qi_codes):
             tuples[inverse, k] = codes
         return tuples, inverse.astype(np.min_scalar_type(max(n_distinct - 1, 0)))
+
+    @cached_property
+    def prefix_cube(self) -> np.ndarray:
+        """Zero-padded prefix sums over distinct QI values x SA codes, int64:
+        cube[i_1, ..., i_d, s] counts the rows with SA code s whose value on
+        every QI axis k is among its first i_k `qi_values`. Its size is the
+        product of the distinct counts, so the query module reads it only
+        for tables within its cell budget."""
+        shape = (*map(len, self.qi_values), self.m)
+        counts = np.bincount(np.ravel_multi_index((*self.qi_codes, self.sa_codes), shape),
+                             minlength=math.prod(shape))
+        cube = np.zeros(tuple(n + 1 for n in shape[:-1]) + (self.m,), dtype=np.int64)
+        cube[(slice(1, None),) * (len(shape) - 1)] = counts.reshape(shape)
+        for axis in range(len(shape) - 1):
+            np.cumsum(cube, axis=axis, out=cube)
+        return cube
 
     def value_spans(self, k: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per interval, the span [first, end) of `qi_values[k]` holding the

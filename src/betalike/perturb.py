@@ -6,8 +6,11 @@ original value again). Retention probabilities are the largest ones for which
 the ratio of any two transition probabilities into the same published value
 stays within each value's bound, so the adversary's posterior confidence in
 value i never exceeds frequency_bound(p_i, beta). The column-stochastic
-transition matrix is published with the data; true counts are recovered by a
-dense pivoted solve against observed counts.
+transition matrix is published with the data. It is diag(retention) plus a
+rank-one term (every row is the vector off = (1 - retention) / m), so true
+counts are recovered from observed ones in closed form (Sherman-Morrison),
+for one histogram or a whole batch at once; FRAPP's gamma-diagonal matrices
+have the same form (Agrawal & Haritsa, ICDE 2005).
 """
 from __future__ import annotations
 
@@ -148,26 +151,32 @@ def posterior_margin(model: PerturbationModel) -> float:
 def reconstruct(observed, model: PerturbationModel) -> np.ndarray:
     """Estimate true counts from observed ones by inverting the transitions.
 
-    The result is real-valued and may have negative components; see
-    reconstruct_nonnegative for the clamped variant used in estimation.
+    `observed` is shaped (..., m), one histogram per row. The matrix is
+    diag(r) + 1 offᵀ, so x = (y - s) / r with s = Σ(y·w) / (1 + Σw) and
+    w = off / r. Each row is reduced on its own, so its result does not
+    depend on the rest of the batch. The result is real-valued and may have
+    negative components; see reconstruct_nonnegative for the clamped variant
+    used in estimation.
     """
     obs = np.asarray(observed, dtype=float)
-    if obs.shape != (model.m,) or (obs < 0).any():
-        raise PerturbationError(f"observed counts must be {model.m} nonnegative values")
+    if obs.ndim == 0 or obs.shape[-1] != model.m or (obs < 0).any():
+        raise PerturbationError(f"observed counts must be nonnegative, shaped (..., {model.m})")
     if model.cond > COND_LIMIT:
         raise PerturbationError(f"transition matrix is numerically singular (cond={model.cond:.3g})")
-    return np.linalg.solve(model.matrix, obs)
+    retention = model.retention
+    w = (1.0 - retention) / model.m / retention
+    shift = (obs * w).sum(axis=-1, keepdims=True) / (1.0 + w.sum())
+    return (obs - shift) / retention
 
 
 def reconstruct_nonnegative(observed, model: PerturbationModel) -> np.ndarray:
-    """Clamp negative reconstructed counts to zero, preserving the total."""
+    """Clamp negative reconstructed counts to zero, preserving each row's total."""
     raw = reconstruct(observed, model)
     clamped = np.clip(raw, 0.0, None)
-    total = clamped.sum()
-    target = float(np.asarray(observed, dtype=float).sum())
-    if total <= 0.0:
-        return np.zeros_like(raw)
-    return clamped * (target / total)
+    total = clamped.sum(axis=-1, keepdims=True)
+    target = np.asarray(observed, dtype=float).sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(total > 0.0, clamped * (target / total), 0.0)
 
 
 # ---------------------------------------------------------------------------

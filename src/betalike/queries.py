@@ -16,12 +16,19 @@ counts, the perturbed table's per-query SA histograms, the baseline's
 QI-matching row counts) is read from a prefix-sum cube over the table's
 distinct QI values x SA codes (Ho, Agrawal, Megiddo, Srikant, "Range
 Queries in OLAP Data Cubes", SIGMOD 1997). One pass over the rows builds
-the cube; each query then costs 2^d corner lookups per SA value, all
-queries at once, with predicates mapped to distinct values by
-`Table.value_spans` (inclusive, as a row mask compares). The cube is built
+the cube (`Table.prefix_cube`) on a table's first workload, and the table
+keeps it for its lifetime; each query then costs 2^d corner lookups per SA
+value, all queries at once, with predicates mapped to distinct values by
+`Table.value_spans` (inclusive, as a row mask compares). The cube is read
 only when it has at most CUBE_CELLS_PER_ROW cells per table row; a table
-with a high-cardinality QI column (say a zip code) is counted with per-query
-row masks instead. The generalized estimator builds one SA prefix per workload.
+with a high-cardinality QI column (say a zip code) is counted with
+per-query row masks instead, and never builds one.
+
+The generalized estimator works once per distinct class extent: each
+predicate's overlap fractions are computed over the distinct (lo, hi) pairs
+of its axis (`Release.distinct_extents`) and gathered by class, a chunk of
+queries at a time. The perturbed estimator reconstructs every query's
+observed SA histogram in one closed-form call (`perturb.reconstruct`).
 """
 from __future__ import annotations
 
@@ -62,6 +69,8 @@ def gen_workload(table: Table, lam: int, theta: float, n: int, seed: int = 0) ->
         raise DataError(f"lam must be in [1, {d}], got {lam}")
     if not 0.0 < theta < 1.0:
         raise DataError(f"theta must be in (0, 1), got {theta}")
+    if n < 0:
+        raise DataError(f"workload size must be >= 0, got {n}")
     frac = theta ** (1.0 / (lam + 1))
     rng = np.random.default_rng(seed)
     m = table.m
@@ -110,6 +119,10 @@ def exact_count(table: Table, query: AggregateQuery) -> int:
 # more than row masks.
 CUBE_CELLS_PER_ROW = 8
 
+# Queries whose (queries x classes) overlap fractions the generalized
+# estimator holds at once.
+_QUERY_CHUNK = 32
+
 
 def _cube_shape(table: Table) -> tuple[int, ...] | None:
     """(distinct values per QI column..., m) when that cube fits the cell
@@ -118,31 +131,16 @@ def _cube_shape(table: Table) -> tuple[int, ...] | None:
     return shape if math.prod(shape) <= CUBE_CELLS_PER_ROW * table.n_rows else None
 
 
-def _prefix_cube(table: Table, shape: tuple[int, ...]) -> np.ndarray:
-    """Zero-padded prefix sums: cube[i_1, ..., i_d, s] counts the rows with
-    SA code s whose value on every QI axis k is among its first i_k
-    distinct values."""
-    *sizes, m = shape
-    counts = np.bincount(np.ravel_multi_index((*table.qi_codes, table.sa_codes), shape),
-                         minlength=math.prod(shape))
-    cube = np.zeros(tuple(n + 1 for n in sizes) + (m,), dtype=np.int64)
-    cube[(slice(1, None),) * len(sizes)] = counts.reshape(shape)
-    for axis in range(len(sizes)):
-        np.cumsum(cube, axis=axis, out=cube)
-    return cube
-
-
 def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarray:
     """(queries, m) int64: per query, the SA histogram of the rows matching
     its QI predicates (the SA range is not applied)."""
     out = np.zeros((len(workload), table.m), dtype=np.int64)
-    shape = _cube_shape(table)
-    if shape is None:
+    if _cube_shape(table) is None:
         for i, q in enumerate(workload):
             out[i] = np.bincount(table.sa_codes[_qi_mask(table, q)], minlength=table.m)
         return out
-    cube = _prefix_cube(table, shape)
-    d = len(shape) - 1
+    cube = table.prefix_cube
+    d = cube.ndim - 1
     # Per axis, the intersection of the query's predicates on it; an
     # unconstrained axis keeps (-inf, inf), and a NaN bound matches no row.
     preds = np.asarray([(k, i, lo, hi) for i, q in enumerate(workload) for k, lo, hi in q.qi],
@@ -178,49 +176,73 @@ def _workload_counts(table: Table, workload: Sequence[AggregateQuery]) -> tuple[
     hist = _qi_histograms(table, workload)
     cum = np.zeros((len(workload), table.m + 1), dtype=np.int64)
     np.cumsum(hist, axis=1, out=cum[:, 1:])
-    spans = [_sa_span(q, table.m) for q in workload]
-    first, end = np.asarray([(s.start, s.stop) for s in spans], dtype=np.intp).reshape(-1, 2).T
+    first, end = _sa_spans(workload, table.m)
     picked = np.arange(len(workload))
     return cum[:, -1], cum[picked, end] - cum[picked, first]
 
 
-def _sa_span(query: AggregateQuery, m: int) -> slice:
-    """The SA codes c in 0..m-1 with sa_lo <= c <= sa_hi, as a slice: the
-    same codes the SA compare of `exact_count` selects, for any range."""
-    first = min(max(query.sa_lo, 0), m)
-    return slice(first, min(max(query.sa_hi + 1, first), m))
+def _sa_spans(workload: Sequence[AggregateQuery], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, the span [first, end) of the SA codes c in 0..m-1 with
+    sa_lo <= c <= sa_hi: the same codes the SA compare of `exact_count`
+    selects, for any range."""
+    lo, hi = np.asarray([(q.sa_lo, q.sa_hi) for q in workload], dtype=np.int64).reshape(-1, 2).T
+    first = np.clip(lo, 0, m)
+    return first, np.clip(hi + 1, first, m)
 
 
-def _overlap_fractions(kind: str, lo: np.ndarray, hi: np.ndarray, q_lo: float, q_hi: float) -> np.ndarray:
+def _overlap_fractions(kind: str, lo: np.ndarray, hi: np.ndarray,
+                       q_lo: np.ndarray, q_hi: np.ndarray) -> np.ndarray:
+    """(queries, extents): the share of each extent [lo, hi] inside each
+    query interval [q_lo, q_hi]; a point extent counts 1 inside, 0 outside."""
+    q_lo, q_hi = q_lo[:, None], q_hi[:, None]
+    inter = np.minimum(hi, q_hi)
+    inter -= np.maximum(lo, q_lo)
     if kind == CATEGORICAL:
-        inter = np.minimum(hi, q_hi) - np.maximum(lo, q_lo) + 1.0
-        return np.clip(inter, 0.0, None) / (hi - lo + 1.0)
+        inter += 1.0
+        np.clip(inter, 0.0, None, out=inter)
+        return np.divide(inter, hi - lo + 1.0, out=inter)
+    np.clip(inter, 0.0, None, out=inter)
     width = hi - lo
-    point = width == 0.0
-    inter = np.clip(np.minimum(hi, q_hi) - np.maximum(lo, q_lo), 0.0, None)
     with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(point, ((lo >= q_lo) & (lo <= q_hi)).astype(float), inter / width)
+        frac = np.divide(inter, width, out=inter)
+    point = width == 0.0
+    frac[:, point] = (lo[point] >= q_lo) & (lo[point] <= q_hi)
     return frac
 
 
 def estimate_generalized(release: Release, query: AggregateQuery) -> float:
     """Uniform-spread estimate: per class, SA-matching count times the
     product of per-axis overlap fractions with the class extent."""
-    return _generalized_estimates(release, [query])[0]
+    return float(_generalized_estimates(release, [query])[0])
 
 
-def _generalized_estimates(release: Release, workload: Sequence[AggregateQuery]) -> list[float]:
-    """estimate_generalized on every query, from one SA prefix over the classes."""
-    cum = np.cumsum(np.pad(release.class_counts, ((0, 0), (1, 0))), axis=1).astype(float)
-    out = []
-    for query in workload:
-        span = _sa_span(query, release.dist.m)
-        sa_match = cum[:, span.stop] - cum[:, span.start]
-        frac = np.ones(len(cum))
-        for k, q_lo, q_hi in query.qi:
-            frac *= _overlap_fractions(release.schema.qi_attributes[k].kind, *release.class_extents[k],
-                                       q_lo, q_hi)
-        out.append(float(np.dot(sa_match, frac)))
+def _generalized_estimates(release: Release, workload: Sequence[AggregateQuery]) -> np.ndarray:
+    """estimate_generalized on every query, as float64. Queries that
+    constrain the same axes in the same order are taken together, a chunk at
+    a time: per predicate, the overlap fractions are computed over the
+    distinct extents of its axis and gathered by class, and each query's
+    factors multiply in its own predicate order. The SA match comes from one
+    (m + 1, classes) prefix, and each query ends in one dot product."""
+    counts = release.class_counts
+    cum = np.zeros((release.dist.m + 1, len(counts)))
+    cum[1:] = np.cumsum(counts, axis=1).T
+    kinds = [attr.kind for attr in release.schema.qi_attributes]
+    first, end = (span.tolist() for span in _sa_spans(workload, release.dist.m))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, query in enumerate(workload):
+        groups.setdefault(tuple(k for k, _, _ in query.qi), []).append(i)
+    out = np.empty(len(workload))
+    for axes, members in groups.items():
+        for start in range(0, len(members), _QUERY_CHUNK):
+            chunk = members[start : start + _QUERY_CHUNK]
+            frac = np.ones((len(chunk), len(counts)))
+            for j, k in enumerate(axes):
+                q_lo, q_hi = np.asarray([workload[i].qi[j][1:] for i in chunk], dtype=float).T
+                lo, hi, index = release.distinct_extents[k]
+                fracs = _overlap_fractions(kinds[k], lo, hi, q_lo, q_hi)
+                frac *= np.take(fracs, index, axis=1)
+            for i, row in zip(chunk, frac):
+                out[i] = np.dot(cum[end[i]] - cum[first[i]], row)
     return out
 
 
@@ -229,23 +251,12 @@ def estimate_perturbed(
 ) -> float:
     """Filter on exact QI values, reconstruct the subset's SA counts, and sum
     the queried range of the clamped reconstruction."""
-    mask = _qi_mask(perturbed, query)
-    observed = np.bincount(perturbed.sa_codes[mask], minlength=model.m)
-    return _reconstructed_range(observed, model, query)
-
-
-def _reconstructed_range(observed: np.ndarray, model: PerturbationModel, query: AggregateQuery) -> float:
-    estimate = reconstruct_nonnegative(observed, model)
-    return float(estimate[_sa_span(query, model.m)].sum())
+    return _perturbed_estimates(perturbed, model, [query])[0]
 
 
 def baseline_estimate(table: Table, dist: Distribution, query: AggregateQuery) -> float:
     """Anatomy-style baseline: exact QI plus only the global SA distribution."""
-    return _baseline_value(_qi_mask(table, query).sum(), dist.freqs(), query)
-
-
-def _baseline_value(rows, freqs: np.ndarray, query: AggregateQuery) -> float:
-    return float(rows * freqs[_sa_span(query, len(freqs))].sum())
+    return _baseline_estimates([_qi_mask(table, query).sum()], dist, [query])[0]
 
 
 @dataclass(frozen=True)
@@ -339,8 +350,11 @@ def workload_report_perturbed(table: Table, perturbed: Table, model: Perturbatio
 
 
 def _perturbed_estimates(perturbed: Table, model: PerturbationModel, workload) -> list[float]:
-    observed = _qi_histograms(perturbed, workload)
-    return [_reconstructed_range(o, model, q) for o, q in zip(observed, workload)]
+    """estimate_perturbed on every query: one reconstruction of all the
+    queries' observed SA histograms, each summed over its SA range."""
+    estimates = reconstruct_nonnegative(_qi_histograms(perturbed, workload), model)
+    first, end = _sa_spans(workload, model.m)
+    return [float(row[a:b].sum()) for row, a, b in zip(estimates, first.tolist(), end.tolist())]
 
 
 def workload_report_baseline(table: Table, dist: Distribution, workload) -> WorkloadReport:
@@ -352,7 +366,8 @@ def workload_report_baseline(table: Table, dist: Distribution, workload) -> Work
 
 def _baseline_estimates(rows: np.ndarray, dist: Distribution, workload) -> list[float]:
     freqs = dist.freqs()
-    return [_baseline_value(r, freqs, q) for r, q in zip(rows, workload)]
+    first, end = _sa_spans(workload, dist.m)
+    return [float(r * freqs[a:b].sum()) for r, a, b in zip(rows, first.tolist(), end.tolist())]
 
 
 def perturbation_reports(table: Table, perturbed: Table, model: PerturbationModel,

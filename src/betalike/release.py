@@ -7,7 +7,9 @@ parameters are embedded so a release file is auditable on its own.
 `load_release` rejects a file `generalize` could not have written: an
 extent outside the schema domain or not a hierarchy node, or class counts
 that do not add up to the distribution. A release is immutable, so the
-class arrays the estimators and the audit read are cached, never invalidated.
+class arrays the estimators and the audit read (`class_counts`,
+`class_extents` and their distinct pairs, `distinct_extents`) are cached,
+never invalidated.
 """
 from __future__ import annotations
 
@@ -83,6 +85,19 @@ class Release:
             keys = ("lo", "hi") if attr.kind == NUMERIC else ("leaf_lo", "leaf_hi")
             out.append(tuple(np.asarray([getattr(ec.extents[k], key) for ec in self.ecs], dtype=float)
                              for key in keys))
+        return tuple(out)
+
+    @cached_property
+    def distinct_extents(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per QI attribute, (lo, hi, index): the distinct (lo, hi) pairs of
+        `class_extents` and each class's index into them. Pairs compare by
+        bit pattern, so gathering by `index` gives back each class's floats."""
+        out = []
+        for lo, hi in self.class_extents:
+            bits = np.stack([lo, hi], axis=1).view(np.int64)
+            pairs, index = np.unique(bits, axis=0, return_inverse=True)
+            distinct_lo, distinct_hi = pairs.view(float).T.copy()
+            out.append((distinct_lo, distinct_hi, index.reshape(-1)))
         return tuple(out)
 
 

@@ -101,12 +101,15 @@ def test_perturb_and_queryeval(example_files, tmp_path, capsys):
     assert "median_relative_error=" in out
 
 
-# sha256 of the perturbed and baseline report files each workload_report_*
-# function wrote on its own, computing the precise counts twice.
+# sha256 of the perturbed and baseline report files. The baseline digests
+# are those each workload_report_* function wrote on its own, computing the
+# precise counts twice; the perturbed ones come from the closed-form
+# reconstruction, whose estimates differ from a dense LU solve's by at most
+# 6.5e-16 relative on these workloads.
 QUERYEVAL_REPORTS = {
-    "cube": ("2e8a6b6364704d92c45644e7b78ef6d0c0043f20ef4f62ba8e28a705cbc690de",
+    "cube": ("2b4edc0cc58b38ac41f6cac0814a8779101510bee9b6df034e5fff9a4802700e",
              "b6a6106d9cc1c3d9c650304d7b97171367edf3722b582f0bb6ebc0ba012c7576"),
-    "row-masks": ("740ff7f2c581f34f41da952a73fea040971aea022f8afef5ab77d1cef68a7a30",
+    "row-masks": ("16da8d64d2de028756749b29804775fd0dd78be6df5ee69e1a95c0837da002e4",
                   "ac970c5b31f8927c6c0982277ba9a6f1ab22893cebb498195c9228f24e1d83a6"),
 }
 
@@ -228,6 +231,97 @@ def test_audit_exits_three_on_tampered_release(example_files, tmp_path, capsys):
     assert run(audit) == EXIT_VIOLATION == 3
     out = capsys.readouterr().out
     assert "ec=0 " in out and "required_beta=unbounded FAIL" in out
+
+
+LEAKY_AUDIT = """\
+achieved_beta=unbounded declared_beta=2.0
+ec=0 size=2 worst_value=headache worst_gain=8.500000 required_beta=unbounded FAIL
+ec=1 size=17 worst_value=epilepsy worst_gain=0.117647 required_beta=0.117647 PASS
+pairs=192 violations=0
+worst_ratio=1.000000 at (weight=41.0, headache) bound=3.000000
+classifier_accuracy=0.210526 top_value_frequency=0.210526
+"""
+
+PASSING_AUDIT = """\
+achieved_beta=0.900000 declared_beta=2.0
+ec=0 size=4 worst_value=epilepsy worst_gain=0.583333 required_beta=0.583333 PASS
+ec=1 size=5 worst_value=headache worst_gain=0.900000 required_beta=0.900000 PASS
+ec=2 size=10 worst_value=heart murmur worst_gain=0.425000 required_beta=0.425000 PASS
+pairs=192 violations=0
+worst_ratio=1.583333 at (weight=84.0, epilepsy) bound=2.845827
+classifier_accuracy=0.157895 top_value_frequency=0.210526
+"""
+
+
+def test_audit_checks_the_classes_once(example_files, tmp_path, capsys, monkeypatch):
+    csv, schema = example_files
+    ok = tmp_path / "ok.json"
+    assert run(["generalize", "--input", str(csv), "--schema", str(schema),
+                "--beta", "2", "--seed", "7", "--out", str(ok)]) == 0
+    # One class holds only the rarest value: the exact check fails it, while
+    # the naive-Bayes audit finds no violation, so exit 3 comes from it alone.
+    leaky = tmp_path / "leaky.json"
+    extents = [{"lo": 40, "hi": 90}, {"lo": 20, "hi": 80}]
+    leaky.write_text(json.dumps({
+        "kind": "generalized-release", "beta": 2.0, "seed": 0, "curve_order": 16,
+        "qi": ["weight", "age"],
+        "sa": {"attribute": "disease",
+               "values": ["headache", "epilepsy", "brain tumors", "anemia", "angina", "heart murmur"],
+               "counts": [2, 3, 3, 3, 4, 4], "total": 19},
+        "classes": [
+            {"size": 2, "extents": extents, "sa": {"headache": 2}},
+            {"size": 17, "extents": extents,
+             "sa": {"epilepsy": 3, "brain tumors": 3, "anemia": 3, "angina": 4, "heart murmur": 4}},
+        ],
+    }), encoding="utf-8")
+    import betalike.audit as audit_mod
+    import betalike.cli as cli_mod
+    calls = []
+    original = audit_mod.failing_classes
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(audit_mod, "failing_classes", counted)
+    monkeypatch.setattr(cli_mod, "failing_classes", counted)
+    capsys.readouterr()
+    # Expected output and exit codes as captured before the check ran once.
+    for release, code, expected in ((leaky, EXIT_VIOLATION, LEAKY_AUDIT), (ok, 0, PASSING_AUDIT)):
+        calls.clear()
+        assert run(["audit", "--release", str(release), "--input", str(csv),
+                    "--schema", str(schema)]) == code
+        assert capsys.readouterr().out == expected
+        assert len(calls) == 1
+
+
+def test_queryeval_rejects_a_negative_workload_size(example_files, tmp_path, capsys):
+    csv, schema = example_files
+    release = tmp_path / "release.json"
+    assert run(["generalize", "--input", str(csv), "--schema", str(schema),
+                "--beta", "2", "--seed", "7", "--out", str(release)]) == 0
+    capsys.readouterr()
+    assert run(["queryeval", "--input", str(csv), "--schema", str(schema), "--artifact", str(release),
+                "--lambda", "2", "--queries", "-3", "--out", str(tmp_path / "r")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: workload size must be >= 0, got -3\n"
+    assert captured.out == "" and not list(tmp_path.glob("r.*"))
+
+
+def test_queryeval_empty_workload(example_files, tmp_path, capsys):
+    csv, schema = example_files
+    common = ["--input", str(csv), "--schema", str(schema)]
+    assert run(["generalize", *common, "--beta", "2", "--seed", "7", "--out", str(tmp_path / "g.json")]) == 0
+    assert run(["perturb", *common, "--beta", "2", "--seed", "1", "--out", str(tmp_path / "p")]) == 0
+    capsys.readouterr()
+    for artifact, names in (("g.json", ("generalized",)), ("p", ("perturbed", "baseline"))):
+        assert run(["queryeval", *common, "--artifact", str(tmp_path / artifact), "--lambda", "2",
+                    "--queries", "0", "--out", str(tmp_path / "r")]) == 0
+        out = capsys.readouterr().out
+        for name in names:
+            assert f"estimator={name} queries=0 dropped=0 median_relative_error=undefined\n" in out
+            assert (tmp_path / f"r.{name}.csv").read_text(encoding="utf-8") == (
+                "query,prec,est,relative_error\n# median_relative_error=undefined dropped=0\n")
 
 
 def test_malformed_release_names_field(example_files, tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import betalike as bl
@@ -242,6 +243,56 @@ def test_reconstruct_validates_input():
         bl.reconstruct([1.0, -2.0, 0.0], model)
     with pytest.raises(bl.PerturbationError):
         bl.reconstruct([1.0, 2.0], model)
+
+
+@st.composite
+def models_and_counts(draw):
+    """A model `build_model` accepts, and a batch of observed histograms
+    (zero rows and zero entries included)."""
+    m = draw(st.integers(2, 60))
+    counts = tuple(sorted(draw(st.lists(st.integers(1, 10**6), min_size=m, max_size=m))))
+    beta = draw(st.floats(0.05, 50.0))
+    try:
+        model = bl.build_model(Distribution(tuple(f"v{i}" for i in range(m)), counts, sum(counts)), beta)
+    except bl.PerturbationError:
+        assume(False)
+    rows = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 10**7), min_size=rows * m, max_size=rows * m))
+    return model, np.asarray(cells, dtype=float).reshape(rows, m)
+
+
+@given(models_and_counts())
+@settings(max_examples=200, deadline=None)
+def test_reconstruct_agrees_with_a_dense_solve(case):
+    model, observed = case
+    batch = bl.reconstruct(observed, model)
+    assert batch.shape == observed.shape
+    for y, x in zip(observed, batch):
+        expected = np.linalg.solve(model.matrix, y)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+        # Each row of a batch is exactly its own one-row reconstruction.
+        assert np.array_equal(x, bl.reconstruct(y, model))
+    clamped = bl.reconstruct_nonnegative(observed, model)
+    for y, x in zip(observed, clamped):
+        assert np.array_equal(x, bl.reconstruct_nonnegative(y, model))
+        assert (x >= 0).all() and x.sum() == pytest.approx(y.sum(), rel=1e-12)
+    assert np.array_equal(bl.reconstruct(observed[None], model)[0], batch)
+
+
+def test_reconstruct_rejects_negative_rows_and_wrong_shapes():
+    model = bl.build_model(uniform_dist(3), 2.0)
+    good = np.ones((4, 3))
+    for row in range(4):
+        bad = good.copy()
+        bad[row, 2] = -1e-9
+        with pytest.raises(bl.PerturbationError, match="nonnegative"):
+            bl.reconstruct(bad, model)
+        with pytest.raises(bl.PerturbationError, match="nonnegative"):
+            bl.reconstruct_nonnegative(bad, model)
+    for shape in ((), (4,), (4, 2), (3, 4), (2, 3, 2)):
+        with pytest.raises(bl.PerturbationError, match=r"shaped \(\.\.\., 3\)"):
+            bl.reconstruct(np.ones(shape), model)
+    assert bl.reconstruct(np.ones((2, 5, 3)), model).shape == (2, 5, 3)
 
 
 def test_reconstruct_rejects_singular():

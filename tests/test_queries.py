@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,30 @@ def test_workload_validation(example2):
         bl.gen_workload(example2, 3, 0.1, 5)
     with pytest.raises(bl.DataError, match="theta"):
         bl.gen_workload(example2, 1, 1.0, 5)
+    with pytest.raises(bl.DataError, match=r"workload size must be >= 0, got -3"):
+        bl.gen_workload(example2, 2, 0.1, -3)
+    assert bl.gen_workload(example2, 2, 0.1, 0) == []
+
+
+@pytest.mark.parametrize("cells_per_row", [0, 8])
+def test_every_report_handles_an_empty_workload(example2, cells_per_row):
+    release = bl.generalize(example2, 2.0, seed=1)
+    dist = bl.sa_distribution(example2)
+    model = bl.build_model(dist, 2.0)
+    noisy = bl.perturb(example2, model, seed=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries, "CUBE_CELLS_PER_ROW", cells_per_row)
+        reports = [
+            bl.workload_report_generalized(example2, release, []),
+            bl.workload_report_perturbed(example2, noisy, model, []),
+            bl.workload_report_baseline(example2, dist, []),
+            bl.evaluate_workload(example2, lambda q: 1.0, []),
+            *bl.perturbation_reports(example2, noisy, model, []).values(),
+        ]
+    for report in reports:
+        assert report.n_queries == 0 and report.dropped == 0
+        assert len(report.est) == len(report.errors) == 0
+        assert report.median_error is None
 
 
 def test_exact_count_full_and_empty(example2):
@@ -74,6 +100,33 @@ def one_ec_release(extent, counts, values=("a", "b")):
     dist = bl.Distribution(values, tuple(sorted(counts)), total)
     ec = EquivalenceClass((extent,), np.asarray(counts, dtype=np.int64))
     return Release(schema, dist, 1.0, 0, 16, (ec,))
+
+
+def reference_overlap(kind, lo, hi, q_lo, q_hi):
+    """Per class, the share of its extent inside [q_lo, q_hi], as the
+    per-query estimator computed it."""
+    if kind == "categorical":
+        inter = np.minimum(hi, q_hi) - np.maximum(lo, q_lo) + 1.0
+        return np.clip(inter, 0.0, None) / (hi - lo + 1.0)
+    width = hi - lo
+    point = width == 0.0
+    inter = np.clip(np.minimum(hi, q_hi) - np.maximum(lo, q_lo), 0.0, None)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(point, ((lo >= q_lo) & (lo <= q_hi)).astype(float), inter / width)
+
+
+def reference_generalized(release, query):
+    """The per-query generalized estimate, one query at a time: per class,
+    the SA match from a (classes, m + 1) prefix times the product of the
+    overlap fractions, in predicate order."""
+    cum = np.cumsum(np.pad(release.class_counts, ((0, 0), (1, 0))), axis=1).astype(float)
+    m = release.dist.m
+    first = min(max(query.sa_lo, 0), m)
+    end = min(max(query.sa_hi + 1, first), m)
+    frac = np.ones(len(cum))
+    for k, q_lo, q_hi in query.qi:
+        frac *= reference_overlap(release.schema.qi_attributes[k].kind, *release.class_extents[k], q_lo, q_hi)
+    return float(np.dot(cum[:, end] - cum[:, first], frac))
 
 
 def test_estimate_generalized_contained_is_exact():
@@ -340,7 +393,7 @@ def test_workload_reports_match_per_query_estimators(cells_per_row, case):
             "baseline": bl.workload_report_baseline(table, dist, workload),
         }
     estimators = {
-        "generalized": lambda q: bl.estimate_generalized(release, q),
+        "generalized": lambda q: reference_generalized(release, q),
         "perturbed": lambda q: bl.estimate_perturbed(perturbed, model, q),
         "baseline": lambda q: bl.baseline_estimate(table, dist, q),
     }
@@ -354,6 +407,9 @@ def test_workload_reports_match_per_query_estimators(cells_per_row, case):
         # A NaN bound gives the generalized estimator a NaN estimate.
         expected = np.asarray([estimate(q) for q in workload], dtype=float)
         assert np.array_equal(report.est, expected, equal_nan=True), name
+        if name == "generalized":
+            single = [bl.estimate_generalized(release, q) for q in workload]
+            assert np.array_equal(report.est, single, equal_nan=True)
         clipped = np.asarray([estimate(q) for _, q in inside], dtype=float)
         assert np.array_equal(report.est[[i for i, _ in inside]], clipped, equal_nan=True), name
 
@@ -366,3 +422,57 @@ def test_cube_budget_follows_distinct_values():
     assert queries._cube_shape(small) is None
     assert queries._cube_shape(large) == (79, 2, 17, 50)
     assert [c.dtype for c in large.qi_codes] == [np.uint8] * 3
+
+
+@pytest.mark.parametrize("qi_spec", ["census", "zip"])
+def test_generalized_estimates_match_the_reference_across_chunks(qi_spec):
+    # Queries constraining the same axes in the same order are estimated
+    # together: lam = d puts n queries in one group, several chunks long,
+    # and lam < d gives several groups.
+    zip_qi = (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),) if qi_spec == "zip" else ()
+    table = bl.generate_synthetic(20_000, 50, qi_spec=bl.default_qi_spec() + zip_qi, seed=4,
+                                  sa_freqs=bl.census_like_profile(50))
+    release = bl.generalize(table, 4.0, seed=2)
+    n = 3 * queries._QUERY_CHUNK + 5
+    d = len(table.schema.qi_attributes)
+    workload = [q for lam in range(1, d + 1) for q in bl.gen_workload(table, lam, 0.1, n, seed=lam)]
+    # Predicates out of axis order, on one axis twice, and none at all.
+    workload += [AggregateQuery(q.qi[::-1] + q.qi[:1], q.sa_lo, q.sa_hi) for q in workload[:n]]
+    workload.append(AggregateQuery((), 0, table.m - 1))
+    report = bl.workload_report_generalized(table, release, workload)
+    expected = [reference_generalized(release, q) for q in workload]
+    assert np.array_equal(report.est, expected)
+    assert report.est[-1] == table.n_rows
+
+
+def test_distinct_extents_gather_back_the_class_extents(census_release_b4):
+    release = census_release_b4
+    for (lo, hi), (d_lo, d_hi, index) in zip(release.class_extents, release.distinct_extents):
+        assert len(d_lo) == len(set(zip(lo.tolist(), hi.tolist()))) < len(lo)
+        assert np.array_equal(d_lo[index], lo) and np.array_equal(d_hi[index], hi)
+
+
+def test_the_cube_is_built_once_per_table():
+    table = bl.generate_synthetic(20_000, 20, seed=6, skew=0.5)
+    release = bl.generalize(table, 4.0, seed=1)
+    dist = bl.sa_distribution(table)
+    model = bl.build_model(dist, 4.0)
+    assert queries._cube_shape(table) is not None
+    built = []
+    original = bl.Table.prefix_cube.func
+    counted = cached_property(lambda t: built.append(t) or original(t))
+    counted.__set_name__(bl.Table, "prefix_cube")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bl.Table, "prefix_cube", counted)
+        workload = bl.gen_workload(table, 2, 0.1, 40, seed=1)
+        bl.workload_report_generalized(table, release, workload)
+        # Perturbed after the table has its cube: `perturb` builds the new
+        # table with dataclasses.replace, which must not carry the cube over.
+        perturbed = bl.perturb(table, model, seed=2)
+        for _ in range(2):
+            bl.workload_report_generalized(table, release, workload)
+            bl.workload_report_perturbed(table, perturbed, model, workload)
+            bl.workload_report_baseline(table, dist, workload)
+    assert [t is table for t in built] == [True, False] and built[1] is perturbed
+    expected = [reference_histogram(perturbed, q) for q in workload]
+    assert np.array_equal(queries._qi_histograms(perturbed, workload), expected)
