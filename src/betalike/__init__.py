@@ -65,16 +65,11 @@ from .perturb import (
 from .queries import (
     AggregateQuery,
     WorkloadReport,
-    baseline_estimate,
-    estimate_generalized,
     estimate_perturbed,
-    evaluate_workload,
     exact_count,
     gen_workload,
-    load_workload,
     perturbation_reports,
     save_report,
-    save_workload,
     workload_report_baseline,
     workload_report_generalized,
     workload_report_perturbed,
@@ -115,7 +110,6 @@ __all__ = [
     "WorkloadReport",
     "achieved_beta",
     "ail",
-    "baseline_estimate",
     "bi_split",
     "build_ec",
     "build_model",
@@ -128,9 +122,7 @@ __all__ = [
     "dp_partition",
     "ec_audit_lines",
     "eligible",
-    "estimate_generalized",
     "estimate_perturbed",
-    "evaluate_workload",
     "exact_count",
     "frequency_bound",
     "gen_workload",
@@ -145,7 +137,6 @@ __all__ = [
     "load_release",
     "load_schema",
     "load_table",
-    "load_workload",
     "nb_bound_audit",
     "parse_schema",
     "partition_spans",
@@ -163,7 +154,6 @@ __all__ = [
     "save_report",
     "save_schema",
     "save_table",
-    "save_workload",
     "table_from_rows",
     "table_keys",
     "workload_report_baseline",

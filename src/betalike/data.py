@@ -227,13 +227,6 @@ class Table:
         end[np.isnan(hi)] = 0
         return first, np.maximum(end, first)
 
-    def qi_row(self, i: int) -> tuple:
-        """Original QI values of one row (numbers and leaf labels)."""
-        out = []
-        for attr, col in zip(self.schema.qi_attributes, self.qi_columns):
-            out.append(float(col[i]) if attr.kind == NUMERIC else attr.hierarchy.leaves[int(col[i])])
-        return tuple(out)
-
 
 def _intern_sa(raw_codes: np.ndarray, raw_values: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Remap arbitrary value codes to the canonical ascending-frequency order."""
@@ -447,25 +440,25 @@ def sa_distribution(table: Table) -> Distribution:
 
 
 def parse_schema(obj: dict) -> DatasetSchema:
-    try:
-        specs = obj["attributes"]
-    except (KeyError, TypeError):
-        raise DataError("schema document needs an 'attributes' list") from None
+    if not isinstance(obj, dict):
+        raise DataError("schema: the document must be a JSON object")
     attrs = []
-    for spec in specs:
-        kind = spec.get("kind", CATEGORICAL)
+    for i, spec in enumerate(json_field(obj, "attributes", list, "schema", items=dict)):
+        where = f"schema: attribute {i}"
+        def optional(key, kind, default=None):
+            return json_field(spec, key, kind, where) if key in spec else default
         hierarchy = None
         if "hierarchy" in spec:
             hierarchy = Hierarchy(spec["hierarchy"])
         attrs.append(
             Attribute(
-                name=spec["name"],
-                role=spec["role"],
-                kind=kind,
-                lo=spec.get("min"),
-                hi=spec.get("max"),
+                name=json_field(spec, "name", str, where),
+                role=json_field(spec, "role", str, where),
+                kind=optional("kind", str, CATEGORICAL),
+                lo=optional("min", (int, float)),
+                hi=optional("max", (int, float)),
                 hierarchy=hierarchy,
-                weight=spec.get("weight"),
+                weight=optional("weight", (int, float)),
             )
         )
     return DatasetSchema(tuple(attrs))

@@ -40,12 +40,8 @@ class SortedBucket:
     each taken record from a list of all of them leaves behind. Draws only
     log what they took, one range of slots (positions in the sorted row
     array) per run step; a bucket builds that order and replays its log
-    when it is peeked or drawn at random, so buckets that never supply an
-    anchor pay nothing for it. A random draw takes one record at a time
-    through the same log.
-
-    A bucket serves one retrieval mode: a random draw breaks the run
-    slices, so `draw_nearest` after `draw_random` raises `DataError`.
+    when it is peeked, so buckets that never supply an anchor pay nothing
+    for it.
     """
 
     def __init__(self, keys: np.ndarray, rows: np.ndarray) -> None:
@@ -76,7 +72,6 @@ class SortedBucket:
         self._log: list[int] = []
         self._alive: list[int] | None = None
         self._slot: list[int] | None = None
-        self._random = False
 
     def __len__(self) -> int:
         return self._size
@@ -120,8 +115,6 @@ class SortedBucket:
 
     def draw_nearest(self, anchor_key: int, count: int) -> np.ndarray:
         """Remove and return the `count` rows with keys nearest the anchor's."""
-        if self._random:
-            raise DataError("cannot draw nearest rows from a bucket already drawn at random")
         if count > self._size:
             raise DataError(f"cannot draw {count} of {self._size} remaining records")
         out = np.empty(count, dtype=np.int64)
@@ -170,37 +163,12 @@ class SortedBucket:
             pos += b - a
         return out
 
-    def draw_random(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Remove and return `count` uniformly random rows, each drawn
-        from the live order that `peek_random` indexes."""
-        if count > self._size:
-            raise DataError(f"cannot draw {count} of {self._size} remaining records")
-        self._random = True
-        out = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            alive = self._live_order()
-            i = alive[int(rng.integers(len(alive)))]
-            out[k] = self._rows[i]
-            self._log += (i, i)
-        self._size -= count
-        return out
 
-
-def generalize(
-    table: Table,
-    beta: float,
-    seed: int = 0,
-    curve_order: int = 16,
-    retrieval: str = "hilbert",
-) -> Release:
+def generalize(table: Table, beta: float, seed: int = 0, curve_order: int = 16) -> Release:
     """Publish the table as equivalence classes honoring the beta budget.
 
-    Deterministic for a fixed (table, beta, seed, curve_order). The `random`
-    retrieval mode ignores curve locality and exists to measure how much the
-    curve ordering buys in information quality.
+    Deterministic for a fixed (table, beta, seed, curve_order).
     """
-    if retrieval not in ("hilbert", "random"):
-        raise DataError(f"unknown retrieval mode {retrieval!r}")
     dist = sa_distribution(table)
     partition = dp_partition(table, beta)
     leaves = bi_split(partition)
@@ -210,16 +178,11 @@ def generalize(
     ecs = []
     for alloc in leaves:
         member_chunks = []
-        if retrieval == "hilbert":
-            anchor_bucket = int(np.argmax(alloc))
-            _, anchor_key = stores[anchor_bucket].peek_random(rng)
-            for j, a in enumerate(alloc):
-                if a > 0:
-                    member_chunks.append(stores[j].draw_nearest(anchor_key, int(a)))
-        else:
-            for j, a in enumerate(alloc):
-                if a > 0:
-                    member_chunks.append(stores[j].draw_random(rng, int(a)))
+        anchor_bucket = int(np.argmax(alloc))
+        _, anchor_key = stores[anchor_bucket].peek_random(rng)
+        for j, a in enumerate(alloc):
+            if a > 0:
+                member_chunks.append(stores[j].draw_nearest(anchor_key, int(a)))
         rows = np.concatenate(member_chunks)
         ecs.append(build_ec(table, rows))
     assert all(len(s) == 0 for s in stores)

@@ -62,8 +62,8 @@ class Hierarchy:
                 label, children = spec["name"], spec["children"]
             except KeyError as exc:
                 raise HierarchyError(f"hierarchy node missing key {exc}") from exc
-            if not isinstance(label, str) or not children:
-                raise HierarchyError("internal node needs a name and non-empty children")
+            if not isinstance(label, str) or not isinstance(children, list) or not children:
+                raise HierarchyError("internal node needs a name and a non-empty list of children")
             kids = tuple(Hierarchy._build(c, counter) for c in children)
             return Node(label, kids[0].leaf_lo, kids[-1].leaf_hi, kids)
         raise HierarchyError(f"bad hierarchy node: {spec!r}")

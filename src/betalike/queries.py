@@ -1,7 +1,6 @@
 """Aggregate COUNT workloads and estimators over published artifacts.
 
-Workloads and per-query reports serialize as delimited text, so a workload
-can be fixed once and replayed against several artifacts.
+Per-query reports serialize as delimited text.
 
 A query constrains a random subset of QI attributes plus the SA with
 intervals sized so the expected selectivity matches a target under a
@@ -36,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -210,19 +209,15 @@ def _overlap_fractions(kind: str, lo: np.ndarray, hi: np.ndarray,
     return frac
 
 
-def estimate_generalized(release: Release, query: AggregateQuery) -> float:
-    """Uniform-spread estimate: per class, SA-matching count times the
-    product of per-axis overlap fractions with the class extent."""
-    return float(_generalized_estimates(release, [query])[0])
-
-
 def _generalized_estimates(release: Release, workload: Sequence[AggregateQuery]) -> np.ndarray:
-    """estimate_generalized on every query, as float64. Queries that
-    constrain the same axes in the same order are taken together, a chunk at
-    a time: per predicate, the overlap fractions are computed over the
-    distinct extents of its axis and gathered by class, and each query's
-    factors multiply in its own predicate order. The SA match comes from one
-    (m + 1, classes) prefix, and each query ends in one dot product."""
+    """Uniform-spread estimate of every query, as float64: per class, the
+    SA-matching count times the product of per-axis overlap fractions with
+    the class extent. Queries that constrain the same axes in the same
+    order are taken together, a chunk at a time: per predicate, the
+    overlap fractions are computed over the distinct extents of its axis and
+    gathered by class, and each query's factors multiply in its own
+    predicate order. The SA match comes from one (m + 1, classes) prefix,
+    and each query ends in one dot product."""
     counts = release.class_counts
     cum = np.zeros((release.dist.m + 1, len(counts)))
     cum[1:] = np.cumsum(counts, axis=1).T
@@ -254,11 +249,6 @@ def estimate_perturbed(
     return _perturbed_estimates(perturbed, model, [query])[0]
 
 
-def baseline_estimate(table: Table, dist: Distribution, query: AggregateQuery) -> float:
-    """Anatomy-style baseline: exact QI plus only the global SA distribution."""
-    return _baseline_estimates([_qi_mask(table, query).sum()], dist, [query])[0]
-
-
 @dataclass(frozen=True)
 class WorkloadReport:
     """Per-query precision/estimate pairs and the workload's median error."""
@@ -277,50 +267,12 @@ class WorkloadReport:
         return len(self.prec)
 
 
-def evaluate_workload(
-    table: Table,
-    estimator: Callable[[AggregateQuery], float],
-    workload: Sequence[AggregateQuery],
-) -> WorkloadReport:
-    """Relative error per query against the original table; zero-precision
-    queries are dropped and the median is over the rest."""
-    _, prec = _workload_counts(table, workload)
-    return _report(prec, [estimator(q) for q in workload])
-
-
 def _report(prec, est) -> WorkloadReport:
     prec = np.asarray(prec, dtype=float)
     est = np.asarray(est, dtype=float)
     kept = prec > 0
     errors = np.abs(est[kept] - prec[kept]) / prec[kept]
     return WorkloadReport(prec, est, errors, int((~kept).sum()))
-
-
-def save_workload(workload: Sequence[AggregateQuery], path) -> None:
-    """One query per line: `k:lo:hi` QI predicates separated by semicolons,
-    then the SA code range."""
-    lines = ["qi_predicates,sa_lo,sa_hi"]
-    for q in workload:
-        preds = ";".join(f"{k}:{lo!r}:{hi!r}" for k, lo, hi in q.qi)
-        lines.append(f"{preds},{q.sa_lo},{q.sa_hi}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_workload(path) -> list[AggregateQuery]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "qi_predicates,sa_lo,sa_hi":
-        raise DataError(f"{path}: not a workload file")
-    out = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        preds_txt, sa_lo, sa_hi = line.rsplit(",", 2)
-        preds = []
-        for item in preds_txt.split(";"):
-            k, lo, hi = item.split(":")
-            preds.append((int(k), float(lo), float(hi)))
-        out.append(AggregateQuery(tuple(preds), int(sa_lo), int(sa_hi)))
-    return out
 
 
 def save_report(report: WorkloadReport, path) -> None:
@@ -330,7 +282,7 @@ def save_report(report: WorkloadReport, path) -> None:
     kept = iter(report.errors)
     for i, (prec, est) in enumerate(zip(report.prec, report.est)):
         err = "" if prec == 0 else repr(float(next(kept)))
-        lines.append(f"{i},{prec:g},{est!r},{err}")
+        lines.append(f"{i},{prec:g},{float(est)!r},{err}")
     med = report.median_error
     lines.append(f"# median_relative_error={'undefined' if med is None else repr(med)} "
                  f"dropped={report.dropped}")
@@ -358,13 +310,13 @@ def _perturbed_estimates(perturbed: Table, model: PerturbationModel, workload) -
 
 
 def workload_report_baseline(table: Table, dist: Distribution, workload) -> WorkloadReport:
-    """baseline_estimate on every query, from the same counts as the
-    precise ones."""
+    """Anatomy-style baseline on every query: exact QI plus only the global
+    SA distribution, from the same counts as the precise ones."""
     rows, prec = _workload_counts(table, workload)
-    return _report(prec, _baseline_estimates(rows, dist, workload))
+    return _report(prec, _baseline_from_rows(rows, dist, workload))
 
 
-def _baseline_estimates(rows: np.ndarray, dist: Distribution, workload) -> list[float]:
+def _baseline_from_rows(rows: np.ndarray, dist: Distribution, workload) -> list[float]:
     freqs = dist.freqs()
     first, end = _sa_spans(workload, dist.m)
     return [float(r * freqs[a:b].sum()) for r, a, b in zip(rows, first.tolist(), end.tolist())]
@@ -378,5 +330,5 @@ def perturbation_reports(table: Table, perturbed: Table, model: PerturbationMode
     rows, prec = _workload_counts(table, workload)
     return {
         "perturbed": _report(prec, _perturbed_estimates(perturbed, model, workload)),
-        "baseline": _report(prec, _baseline_estimates(rows, model.dist, workload)),
+        "baseline": _report(prec, _baseline_from_rows(rows, model.dist, workload)),
     }

@@ -107,10 +107,10 @@ def test_perturb_and_queryeval(example_files, tmp_path, capsys):
 # reconstruction, whose estimates differ from a dense LU solve's by at most
 # 6.5e-16 relative on these workloads.
 QUERYEVAL_REPORTS = {
-    "cube": ("2b4edc0cc58b38ac41f6cac0814a8779101510bee9b6df034e5fff9a4802700e",
-             "b6a6106d9cc1c3d9c650304d7b97171367edf3722b582f0bb6ebc0ba012c7576"),
-    "row-masks": ("16da8d64d2de028756749b29804775fd0dd78be6df5ee69e1a95c0837da002e4",
-                  "ac970c5b31f8927c6c0982277ba9a6f1ab22893cebb498195c9228f24e1d83a6"),
+    "cube": ("0ba7be4b14ef7ee72abb2f399c6bd8210b1df0dc7f7ab1ebacfb5d38cc273ddb",
+             "9bfcb99ddbd97a459bd27218d3c245facc15b46a5db5a035d1ca12ac6e3dfea0"),
+    "row-masks": ("44e251d07ea850493e490d734b65c6132f22232165a8bfe156e0c1b57d6b4ffe",
+                  "39e0449dc5fd7bca359082152e7ed2c3208ac2ca7ddbd1121b0bd05176c816be"),
 }
 
 
@@ -150,6 +150,21 @@ def test_queryeval_on_release(example_files, tmp_path, capsys):
     assert "estimator=generalized" in out
     report = (tmp_path / "rep.generalized.csv").read_text()
     assert report.startswith("query,prec,est,relative_error")
+
+
+def test_queryeval_report_estimates_are_numbers(example_files, tmp_path):
+    csv, schema = example_files
+    common = ["--input", str(csv), "--schema", str(schema)]
+    assert run(["generalize", *common, "--beta", "2", "--seed", "7", "--out", str(tmp_path / "g.json")]) == 0
+    assert run(["perturb", *common, "--beta", "2", "--seed", "1", "--out", str(tmp_path / "p")]) == 0
+    for artifact in ("g.json", "p"):
+        assert run(["queryeval", *common, "--artifact", str(tmp_path / artifact), "--lambda", "2",
+                    "--queries", "20", "--out", str(tmp_path / "r")]) == 0
+    for name in ("generalized", "perturbed", "baseline"):
+        lines = (tmp_path / f"r.{name}.csv").read_text(encoding="utf-8").splitlines()[1:-1]
+        assert len(lines) == 20
+        for line in lines:
+            float(line.split(",")[2])
 
 
 def test_generalize_bucket_dump(example_files, tmp_path, capsys):
@@ -322,6 +337,37 @@ def test_queryeval_empty_workload(example_files, tmp_path, capsys):
             assert f"estimator={name} queries=0 dropped=0 median_relative_error=undefined\n" in out
             assert (tmp_path / f"r.{name}.csv").read_text(encoding="utf-8") == (
                 "query,prec,est,relative_error\n# median_relative_error=undefined dropped=0\n")
+
+
+def _numeric_qi(**fields):
+    return {"attributes": [{"name": "x", "role": "qi", "kind": "numeric", "min": 0, "max": 9, **fields},
+                           {"name": "s", "role": "sa"}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"attributes": [{"role": "qi"}]}, "schema: attribute 0: missing field 'name'"),
+    ({"attributes": 5}, "schema: field 'attributes' must be a JSON list of objects"),
+    ({"attributes": ["x"]}, "schema: field 'attributes' must be a JSON list of objects"),
+    ({}, "schema: missing field 'attributes'"),
+    ([], "schema: the document must be a JSON object"),
+    ({"attributes": [{"name": 5, "role": "qi"}]}, "schema: attribute 0: field 'name' must be a JSON string"),
+    ({"attributes": [{"name": "x", "role": ["qi"]}]}, "schema: attribute 0: field 'role' must be a JSON string"),
+    (_numeric_qi(kind=1), "schema: attribute 0: field 'kind' must be a JSON string"),
+    (_numeric_qi(min="a"), "schema: attribute 0: field 'min' must be a JSON number"),
+    (_numeric_qi(max=None), "schema: attribute 0: field 'max' must be a JSON number"),
+    (_numeric_qi(weight=True), "schema: attribute 0: field 'weight' must be a JSON number"),
+    ({"attributes": [{"name": "c", "role": "qi", "hierarchy": {"name": "r", "children": "ab"}},
+                     {"name": "s", "role": "sa"}]},
+     "internal node needs a name and a non-empty list of children"),
+])
+def test_malformed_schema_is_one_error_line(tmp_path, capsys, doc, message):
+    schema = tmp_path / "bad.schema.json"
+    schema.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["generalize", "--input", str(tmp_path / "t.csv"), "--schema", str(schema),
+                "--out", str(tmp_path / "r.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_malformed_release_names_field(example_files, tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_load_table_mirrors_patient_records(tmp_path):
     t = bl.load_table(f, patient_schema())
     assert t.n_rows == 6
     assert t.m == 6
-    assert t.qi_row(0) == (70.0, 40.0)
+    assert [float(col[0]) for col in t.qi_columns] == [70.0, 40.0]
 
 
 def test_load_empty_data_section(tmp_path):

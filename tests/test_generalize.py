@@ -97,15 +97,6 @@ class ReferenceBucket:
                 right = step
         return out
 
-    def draw_random(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if count > len(self._alive):
-            raise bl.DataError(f"cannot draw {count} of {len(self._alive)} remaining records")
-        out = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            i = self._alive[int(rng.integers(len(self._alive)))]
-            out[k] = self._take(i)
-        return out
-
 
 def make_bucket(keys, rows=None, cls=bl.SortedBucket):
     rows = np.arange(len(keys)) if rows is None else np.asarray(rows)
@@ -154,13 +145,6 @@ def test_tie_prefers_lower_key():
     assert b.draw_nearest(20, 1).tolist() == [0]
 
 
-def test_random_draws_deterministic():
-    a = make_bucket(np.arange(50))
-    b = make_bucket(np.arange(50))
-    ra, rb = np.random.default_rng(4), np.random.default_rng(4)
-    assert a.draw_random(ra, 20).tolist() == b.draw_random(rb, 20).tolist()
-
-
 def test_example2_release(example2):
     release = bl.generalize(example2, 2.0, seed=7)
     assert sorted(ec.size for ec in release.ecs) == [4, 5, 10]
@@ -207,20 +191,6 @@ def test_numeric_extents_are_attained(example2):
             assert ec.extents[k].hi == col.max()
 
 
-def test_unknown_retrieval_mode(example2):
-    with pytest.raises(bl.DataError, match="retrieval"):
-        bl.generalize(example2, 2.0, retrieval="nearest")
-
-
-def test_curve_locality_beats_random_on_average():
-    table = bl.generate_synthetic(4000, 50, seed=10, sa_freqs=bl.census_like_profile(50))
-    hilbert, random = [], []
-    for seed in range(20):
-        hilbert.append(bl.ail(bl.generalize(table, 4.0, seed=seed)))
-        random.append(bl.ail(bl.generalize(table, 4.0, seed=seed, retrieval="random")))
-    assert np.mean(hilbert) <= np.mean(random)
-
-
 def test_draw_nearest_matches_brute_force():
     for cls in (bl.SortedBucket, ReferenceBucket):
         rng = np.random.default_rng(99)
@@ -241,7 +211,7 @@ def test_draw_nearest_matches_brute_force():
 def bucket_scripts(draw):
     """Keys with long equal-key runs (uint64, or Python ints past 64 bits),
     distinct rows in random order, and a seeded script of peeks and
-    nearest draws, optionally finished by random draws."""
+    nearest draws."""
     n = draw(st.integers(0, 60))
     base = draw(st.sampled_from([0, 2**40, 2**70]))
     pool = sorted(draw(st.sets(st.integers(0, 50), min_size=1, max_size=6)))
@@ -258,7 +228,6 @@ def bucket_scripts(draw):
         st.tuples(st.just("peek")),
         st.tuples(st.just("nearest"), anchors, st.floats(0, 1)),
     ), max_size=20))
-    script += draw(st.lists(st.tuples(st.just("random"), st.floats(0, 1)), max_size=3))
     return keys, rows, script, draw(st.integers(0, 2**16))
 
 
@@ -277,22 +246,11 @@ def test_run_buckets_match_the_per_record_reference(case):
             got = new.peek_random(new_rng)
             assert got == ref.peek_random(ref_rng)
             peeked = got[1]
-        elif op[0] == "nearest":
+        else:
             anchor = peeked if op[1] == "peeked" else op[1]
             count = int(op[2] * len(ref))
             assert new.draw_nearest(anchor, count).tolist() == ref.draw_nearest(anchor, count).tolist()
-        else:
-            count = int(op[1] * len(ref))
-            assert new.draw_random(new_rng, count).tolist() == ref.draw_random(ref_rng, count).tolist()
     assert len(new) == len(ref)
-
-
-def test_nearest_draw_after_random_draw_errors():
-    b = make_bucket([10, 20, 30, 40])
-    b.draw_nearest(25, 1)
-    b.draw_random(np.random.default_rng(0), 1)
-    with pytest.raises(bl.DataError, match="drawn at random"):
-        b.draw_nearest(25, 1)
 
 
 def _golden_tables():
@@ -379,8 +337,7 @@ def test_randomized_end_to_end(tmp_path):
         table = bl.table_from_rows(schema, rows)
         dist = bl.sa_distribution(table)
         beta = float(rng.uniform(0.3, 5.0))
-        mode = "hilbert" if rng.random() < 0.7 else "random"
-        release = bl.generalize(table, beta, seed=trial, curve_order=int(rng.choice([4, 16])), retrieval=mode)
+        release = bl.generalize(table, beta, seed=trial, curve_order=int(rng.choice([4, 16])))
 
         got = np.sort(np.concatenate([ec.rows for ec in release.ecs]))
         assert (got == np.arange(n)).all()

@@ -65,7 +65,6 @@ def test_every_report_handles_an_empty_workload(example2, cells_per_row):
             bl.workload_report_generalized(example2, release, []),
             bl.workload_report_perturbed(example2, noisy, model, []),
             bl.workload_report_baseline(example2, dist, []),
-            bl.evaluate_workload(example2, lambda q: 1.0, []),
             *bl.perturbation_reports(example2, noisy, model, []).values(),
         ]
     for report in reports:
@@ -102,6 +101,14 @@ def one_ec_release(extent, counts, values=("a", "b")):
     return Release(schema, dist, 1.0, 0, 16, (ec,))
 
 
+def generalized_estimate(release, query, table=None):
+    """The generalized report's estimate of one query; the table only
+    supplies the precise count, so any table of the release's schema does."""
+    if table is None:
+        table = bl.table_from_rows(release.schema, [{"x": 0, "s": "a"}])
+    return bl.workload_report_generalized(table, release, [query]).est[0]
+
+
 def reference_overlap(kind, lo, hi, q_lo, q_hi):
     """Per class, the share of its extent inside [q_lo, q_hi], as the
     per-query estimator computed it."""
@@ -115,14 +122,25 @@ def reference_overlap(kind, lo, hi, q_lo, q_hi):
         return np.where(point, ((lo >= q_lo) & (lo <= q_hi)).astype(float), inter / width)
 
 
+def sa_span(query, m):
+    """The SA codes [first, end) inside 0..m-1 that the query's range selects."""
+    first = min(max(query.sa_lo, 0), m)
+    return first, min(max(query.sa_hi + 1, first), m)
+
+
+def baseline_reference(table, dist, query):
+    """The baseline estimate of one query: the rows matching its QI
+    predicates times the frequency of its SA range."""
+    first, end = sa_span(query, dist.m)
+    return bl.exact_count(table, AggregateQuery(query.qi, 0, dist.m - 1)) * dist.freqs()[first:end].sum()
+
+
 def reference_generalized(release, query):
     """The per-query generalized estimate, one query at a time: per class,
     the SA match from a (classes, m + 1) prefix times the product of the
     overlap fractions, in predicate order."""
     cum = np.cumsum(np.pad(release.class_counts, ((0, 0), (1, 0))), axis=1).astype(float)
-    m = release.dist.m
-    first = min(max(query.sa_lo, 0), m)
-    end = min(max(query.sa_hi + 1, first), m)
+    first, end = sa_span(query, release.dist.m)
     frac = np.ones(len(cum))
     for k, q_lo, q_hi in query.qi:
         frac *= reference_overlap(release.schema.qi_attributes[k].kind, *release.class_extents[k], q_lo, q_hi)
@@ -132,27 +150,27 @@ def reference_generalized(release, query):
 def test_estimate_generalized_contained_is_exact():
     rel = one_ec_release(NumericExtent(2, 4), [4, 6])
     q = AggregateQuery(((0, 0.0, 10.0),), 0, 0)
-    assert bl.estimate_generalized(rel, q) == pytest.approx(4.0)
+    assert generalized_estimate(rel, q) == pytest.approx(4.0)
 
 
 def test_estimate_generalized_disjoint_is_zero():
     rel = one_ec_release(NumericExtent(2, 4), [4, 6])
     q = AggregateQuery(((0, 5.0, 10.0),), 0, 1)
-    assert bl.estimate_generalized(rel, q) == 0.0
+    assert generalized_estimate(rel, q) == 0.0
 
 
 def test_estimate_generalized_half_overlap():
     rel = one_ec_release(NumericExtent(2, 4), [10, 10])
     q = AggregateQuery(((0, 3.0, 10.0),), 0, 0)
-    assert bl.estimate_generalized(rel, q) == pytest.approx(5.0)
+    assert generalized_estimate(rel, q) == pytest.approx(5.0)
 
 
 def test_estimate_generalized_point_extent():
     rel = one_ec_release(NumericExtent(3, 3), [2, 2])
     inside = AggregateQuery(((0, 2.0, 4.0),), 0, 1)
     outside = AggregateQuery(((0, 4.0, 9.0),), 0, 1)
-    assert bl.estimate_generalized(rel, inside) == 4.0
-    assert bl.estimate_generalized(rel, outside) == 0.0
+    assert generalized_estimate(rel, inside) == 4.0
+    assert generalized_estimate(rel, outside) == 0.0
 
 
 def test_estimate_generalized_categorical_span(example2):
@@ -160,7 +178,7 @@ def test_estimate_generalized_categorical_span(example2):
     # Full-domain query over every axis reproduces the SA-filtered count.
     m = example2.m
     q = AggregateQuery(((0, 40.0, 90.0), (1, 20.0, 80.0)), 0, m - 1)
-    assert bl.estimate_generalized(rel, q) == pytest.approx(example2.n_rows)
+    assert generalized_estimate(rel, q, example2) == pytest.approx(example2.n_rows)
 
 
 def identity_model(dist):
@@ -192,14 +210,16 @@ def test_baseline_estimate(example2):
     dist = bl.sa_distribution(example2)
     q = AggregateQuery(((0, 40.0, 90.0), (1, 20.0, 80.0)), 0, 1)
     expected = example2.n_rows * (dist.freq(0) + dist.freq(1))
-    assert bl.baseline_estimate(example2, dist, q) == pytest.approx(expected)
+    assert bl.workload_report_baseline(example2, dist, [q]).est[0] == pytest.approx(expected)
 
 
 def test_evaluate_workload_truth_is_error_free(example2):
+    # Singleton classes have point extents, so their estimates are the
+    # precise counts.
+    classes = tuple(bl.build_ec(example2, np.asarray([i])) for i in range(example2.n_rows))
+    release = Release(example2.schema, bl.sa_distribution(example2), 2.0, 0, 16, classes)
     workload = bl.gen_workload(example2, 2, 0.4, 30, seed=9)
-    report = bl.evaluate_workload(
-        example2, lambda q: float(bl.exact_count(example2, q)), workload
-    )
+    report = bl.workload_report_generalized(example2, release, workload)
     kept = report.n_queries - report.dropped
     assert len(report.errors) == kept
     if kept:
@@ -208,7 +228,7 @@ def test_evaluate_workload_truth_is_error_free(example2):
 
 def test_evaluate_workload_drops_zero_precision(example2):
     q = AggregateQuery(((0, 0.0, 1.0),), 0, 0)      # matches nothing
-    report = bl.evaluate_workload(example2, lambda q: 5.0, [q])
+    report = bl.workload_report_baseline(example2, bl.sa_distribution(example2), [q])
     assert report.dropped == 1
     assert report.median_error is None
 
@@ -224,19 +244,9 @@ def test_point_classes_estimate_exactly():
     t = bl.table_from_rows(schema, rows)
     release = bl.generalize(t, 1.0, seed=0)
     assert all(ec.size == 1 for ec in release.ecs)
-    for q in bl.gen_workload(t, 1, 0.3, 40, seed=2):
-        assert bl.estimate_generalized(release, q) == bl.exact_count(t, q)
-
-
-def test_workload_round_trip(tmp_path, example2):
-    workload = bl.gen_workload(example2, 2, 0.3, 25, seed=6)
-    path = tmp_path / "workload.csv"
-    bl.save_workload(workload, path)
-    assert bl.load_workload(path) == workload
-    bad = tmp_path / "bad.csv"
-    bad.write_text("nope\n", encoding="utf-8")
-    with pytest.raises(bl.DataError, match="not a workload"):
-        bl.load_workload(bad)
+    workload = bl.gen_workload(t, 1, 0.3, 40, seed=2)
+    report = bl.workload_report_generalized(t, release, workload)
+    assert report.est.tolist() == [bl.exact_count(t, q) for q in workload]
 
 
 def test_report_serialization(tmp_path, example2):
@@ -244,7 +254,7 @@ def test_report_serialization(tmp_path, example2):
         AggregateQuery(((0, 40.0, 90.0), (1, 20.0, 80.0)), 0, example2.m - 1),
         AggregateQuery(((0, 0.0, 1.0),), 0, 0),        # prec = 0, dropped
     ]
-    report = bl.evaluate_workload(example2, lambda q: 10.0, workload)
+    report = bl.workload_report_baseline(example2, bl.sa_distribution(example2), workload)
     path = tmp_path / "report.csv"
     bl.save_report(report, path)
     lines = path.read_text().splitlines()
@@ -395,7 +405,7 @@ def test_workload_reports_match_per_query_estimators(cells_per_row, case):
     estimators = {
         "generalized": lambda q: reference_generalized(release, q),
         "perturbed": lambda q: bl.estimate_perturbed(perturbed, model, q),
-        "baseline": lambda q: bl.baseline_estimate(table, dist, q),
+        "baseline": lambda q: baseline_reference(table, dist, q),
     }
     prec = np.asarray([bl.exact_count(table, q) for q in workload], dtype=float)
     # A range past the codes means its part inside 0..m-1, as in exact_count.
@@ -408,7 +418,7 @@ def test_workload_reports_match_per_query_estimators(cells_per_row, case):
         expected = np.asarray([estimate(q) for q in workload], dtype=float)
         assert np.array_equal(report.est, expected, equal_nan=True), name
         if name == "generalized":
-            single = [bl.estimate_generalized(release, q) for q in workload]
+            single = [bl.workload_report_generalized(table, release, [q]).est[0] for q in workload]
             assert np.array_equal(report.est, single, equal_nan=True)
         clipped = np.asarray([estimate(q) for _, q in inside], dtype=float)
         assert np.array_equal(report.est[[i for i, _ in inside]], clipped, equal_nan=True), name
