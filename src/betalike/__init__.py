@@ -39,7 +39,7 @@ from .ectree import bi_split, eligible
 from .generalize import SortedBucket, generalize
 from .hierarchy import Hierarchy, HierarchyError
 from .hilbert import hilbert_indices, table_keys
-from .infoloss import ail, il_categorical, il_ec, il_numeric
+from .infoloss import ail
 from .likeness import (
     Distribution,
     LikenessError,
@@ -130,9 +130,6 @@ __all__ = [
     "generalize_ec",
     "generate_synthetic",
     "hilbert_indices",
-    "il_categorical",
-    "il_ec",
-    "il_numeric",
     "load_perturbation",
     "load_release",
     "load_schema",

@@ -63,7 +63,9 @@ def achieved_beta(release: Release, dist: Distribution | None = None) -> float:
 def failing_classes(release: Release, dist: Distribution | None = None) -> list[int]:
     """Indices of the classes above the release's own beta (the exact check)."""
     bound = Bound(dist or release.dist, release.beta)
-    return [k for k, ec in enumerate(release.ecs) if not bound.admits(ec.sa_counts.tolist(), ec.size)]
+    counts = release.class_counts
+    return [k for k, (row, size) in enumerate(zip(counts.tolist(), counts.sum(axis=1).tolist()))
+            if not bound.admits(row, size)]
 
 
 def ec_audit_lines(release: Release, dist: Distribution | None = None) -> list[str]:
@@ -74,12 +76,13 @@ def ec_audit_lines(release: Release, dist: Distribution | None = None) -> list[s
     gains = np.where(release.class_counts > 0, (_class_freqs(release, dist) - p) / p, -np.inf)
     worst = np.argmax(gains, axis=1).tolist()
     needs = _required_betas(release, dist).tolist()
+    sizes = release.class_counts.sum(axis=1).tolist()
     lines = []
-    for k, (ec, w, need) in enumerate(zip(release.ecs, worst, needs)):
+    for k, (size, w, need) in enumerate(zip(sizes, worst, needs)):
         status = "FAIL" if k in failing else "PASS"
         need_txt = "unbounded" if math.isinf(need) else f"{need:.6f}"
         lines.append(
-            f"ec={k} size={ec.size} worst_value={dist.values[w]} "
+            f"ec={k} size={size} worst_value={dist.values[w]} "
             f"worst_gain={gains[k, w]:.6f} required_beta={need_txt} {status}"
         )
     return lines

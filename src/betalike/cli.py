@@ -14,7 +14,6 @@ writing its output file, may not have happened.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -232,9 +231,6 @@ def run(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input ({exc})", file=sys.stderr)
         return 1
     except InternalAuditError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -25,6 +25,17 @@ class DataError(ValueError):
     pass
 
 
+def read_json(path):
+    """The JSON document in the file at `path`. Bytes that are not UTF-8,
+    text that is not JSON, or nesting too deep to decode is a DataError
+    naming the file."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+
+
 _JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer", (int, float): "number"}
 
 
@@ -81,13 +92,19 @@ class Attribute:
             raise DataError(f"attribute {self.name!r}: kind must be numeric or categorical")
         if self.role == SA and self.kind != CATEGORICAL:
             raise DataError(f"attribute {self.name!r}: the sensitive attribute must be categorical")
+        # Compared before any float conversion, which a huge JSON integer
+        # overflows; NaN and the infinities fail the comparisons. The width
+        # divides the loss metric and the curve quantization.
+        big = sys.float_info.max
         if self.kind == NUMERIC:
-            if self.lo is None or self.hi is None or not self.lo < self.hi:
-                raise DataError(f"attribute {self.name!r}: numeric domain needs lo < hi")
+            if (self.lo is None or self.hi is None
+                    or not (-big <= self.lo < self.hi <= big and self.hi - self.lo <= big)):
+                raise DataError(f"attribute {self.name!r}: numeric domain needs finite lo < hi "
+                                "and a finite width hi - lo")
         elif self.role == QI and self.hierarchy is None:
             raise DataError(f"attribute {self.name!r}: categorical QI needs a hierarchy")
-        if self.weight is not None and self.weight < 0:
-            raise DataError(f"attribute {self.name!r}: weight must be nonnegative")
+        if self.weight is not None and not 0 <= self.weight <= big:
+            raise DataError(f"attribute {self.name!r}: weight must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -395,8 +412,10 @@ def load_table(path, schema: DatasetSchema, sa_order: tuple[str, ...] | None = N
     return replace(table, sa_codes=remap[table.sa_codes], sa_values=tuple(sa_order))
 
 
-def _format_number(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+def _num(x: float) -> int | float:
+    """An integral number as an int, so it is written without a fraction;
+    any other as a float. Tables, schemas and releases write numbers so."""
+    return int(x) if float(x).is_integer() else float(x)
 
 
 def save_table(table: Table, path) -> None:
@@ -413,7 +432,7 @@ def save_table(table: Table, path) -> None:
             k = qi_idx[attr.name]
             values = table.qi_values[k].tolist()
             if attr.kind == NUMERIC:
-                labels = [_format_number(x) for x in values]
+                labels = [str(_num(x)) for x in values]
             else:
                 labels = [attr.hierarchy.leaves[v] for v in values]
             codes = table.qi_codes[k]
@@ -465,12 +484,7 @@ def parse_schema(obj: dict) -> DatasetSchema:
 
 
 def load_schema(path) -> DatasetSchema:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
-    return parse_schema(obj)
+    return parse_schema(read_json(path))
 
 
 def schema_to_obj(schema: DatasetSchema) -> dict:
@@ -478,8 +492,7 @@ def schema_to_obj(schema: DatasetSchema) -> dict:
     for a in schema.attributes:
         spec: dict = {"name": a.name, "role": a.role, "kind": a.kind}
         if a.kind == NUMERIC:
-            spec["min"] = a.lo if not float(a.lo).is_integer() else int(a.lo)
-            spec["max"] = a.hi if not float(a.hi).is_integer() else int(a.hi)
+            spec["min"], spec["max"] = _num(a.lo), _num(a.hi)
         if a.hierarchy is not None:
             spec["hierarchy"] = a.hierarchy.to_spec()
         if a.weight is not None:

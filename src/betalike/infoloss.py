@@ -10,37 +10,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Attribute, DataError, NUMERIC
-from .release import CategoricalExtent, EquivalenceClass, NumericExtent, Release
+from .data import DataError, NUMERIC
+from .release import Release
 
 
-def il_numeric(extent: NumericExtent, attr: Attribute) -> float:
-    if attr.hi == attr.lo:
-        raise DataError(f"attribute {attr.name!r} has a degenerate domain")
-    return (extent.hi - extent.lo) / (attr.hi - attr.lo)
+def ail(release: Release) -> float:
+    """Average information loss: class losses weighted by class size, read
+    from `Release.class_extents` and `class_counts` with the schema's weights.
 
-
-def il_categorical(extent: CategoricalExtent, attr: Attribute) -> float:
-    if extent.leaf_count == 1:
-        return 0.0
-    return extent.leaf_count / attr.hierarchy.n_leaves
-
-
-def il_ec(ec: EquivalenceClass, schema, weights: np.ndarray | None = None) -> float:
-    """Weighted total loss of one class; weights default to the schema's."""
-    qi = schema.qi_attributes
-    if weights is None:
-        weights = schema.qi_weights()
-    total = 0.0
-    for w, attr, extent in zip(weights, qi, ec.extents):
-        part = il_numeric(extent, attr) if attr.kind == NUMERIC else il_categorical(extent, attr)
-        total += w * part
-    return total
-
-
-def ail(release: Release, weights: np.ndarray | None = None) -> float:
-    """Average information loss: class losses weighted by class size."""
+    Weighted parts are added in schema order and class losses in class
+    order (a running sum, not numpy's pairwise one), so the result is bit
+    for bit that of summing class by class.
+    """
     if not release.ecs:
         raise DataError("release has no classes")
-    total = sum(ec.size * il_ec(ec, release.schema, weights) for ec in release.ecs)
-    return total / release.n_rows
+    schema = release.schema
+    loss = np.zeros(len(release.ecs))
+    for w, attr, (lo, hi) in zip(schema.qi_weights(), schema.qi_attributes, release.class_extents):
+        if attr.kind == NUMERIC:
+            # The width in exact arithmetic first: the bounds may be JSON integers.
+            part = (hi - lo) / float(attr.hi - attr.lo)
+        else:
+            leaves = hi - lo + 1
+            part = np.where(leaves == 1, 0.0, leaves / attr.hierarchy.n_leaves)
+        loss += w * part
+    sizes = release.class_counts.sum(axis=1)
+    return float(np.cumsum(sizes * loss)[-1] / release.n_rows)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Table, distribution_from_obj, json_beta, load_table, save_table
+from .data import DataError, Table, distribution_from_obj, json_beta, load_table, read_json, save_table
 from .likeness import Distribution, frequency_bound
 
 
@@ -212,7 +212,7 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     outdir = Path(outdir)
     dist_path = outdir / _DIST_FILE
     try:
-        obj = json.loads(dist_path.read_text(encoding="utf-8"))
+        obj = read_json(dist_path)
     except FileNotFoundError:
         raise DataError(f"{outdir}: not a perturbation artifact (missing {_DIST_FILE})") from None
     if not isinstance(obj, dict) or obj.get("kind") != "perturbed-release":

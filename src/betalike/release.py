@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NUMERIC, DataError, DatasetSchema, Table, distribution_from_obj, json_beta, json_field
+from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, distribution_from_obj, json_beta,
+                   json_field, read_json)
 from .hierarchy import HierarchyError
 from .likeness import Distribution
 
@@ -70,7 +71,7 @@ class Release:
 
     @property
     def n_rows(self) -> int:
-        return sum(ec.size for ec in self.ecs)
+        return int(self.class_counts.sum())
 
     @cached_property
     def class_counts(self) -> np.ndarray:
@@ -124,10 +125,6 @@ def build_ec(table: Table, rows: np.ndarray) -> EquivalenceClass:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _num(x: float):
-    return int(x) if float(x).is_integer() else float(x)
-
-
 def release_to_obj(release: Release) -> dict:
     classes = []
     for ec in release.ecs:
@@ -166,10 +163,7 @@ def save_release(release: Release, path) -> None:
 def load_release(path, schema: DatasetSchema) -> Release:
     """Read a release file back into an auditable object (no member rows)."""
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("kind") != "generalized-release":
         raise DataError(f"{path}: not a generalized release file")
     dist = distribution_from_obj(json_field(obj, "sa", dict, path), f"{path}: sa")

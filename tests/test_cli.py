@@ -344,6 +344,9 @@ def _numeric_qi(**fields):
                            {"name": "s", "role": "sa"}]}
 
 
+DOMAIN = "attribute 'x': numeric domain needs finite lo < hi and a finite width hi - lo"
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"attributes": [{"role": "qi"}]}, "schema: attribute 0: missing field 'name'"),
     ({"attributes": 5}, "schema: field 'attributes' must be a JSON list of objects"),
@@ -359,15 +362,47 @@ def _numeric_qi(**fields):
     ({"attributes": [{"name": "c", "role": "qi", "hierarchy": {"name": "r", "children": "ab"}},
                      {"name": "s", "role": "sa"}]},
      "internal node needs a name and a non-empty list of children"),
+    pytest.param(_numeric_qi(min=float("-inf")), DOMAIN, id="min-minus-infinity"),
+    pytest.param(_numeric_qi(min=-10**400), DOMAIN, id="min-huge-integer"),
+    # `json` reads 1e400 as inf.
+    pytest.param(json.dumps(_numeric_qi(max="MAX")).replace('"MAX"', "1e400"), DOMAIN, id="max-1e400"),
+    pytest.param(_numeric_qi(min=-1e308, max=1e308), DOMAIN, id="width-overflows"),
+    pytest.param(_numeric_qi(weight=float("nan")), "attribute 'x': weight must be a finite number >= 0",
+                 id="nan-weight"),
 ])
 def test_malformed_schema_is_one_error_line(tmp_path, capsys, doc, message):
     schema = tmp_path / "bad.schema.json"
-    schema.write_text(json.dumps(doc), encoding="utf-8")
+    schema.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     assert run(["generalize", "--input", str(tmp_path / "t.csv"), "--schema", str(schema),
                 "--out", str(tmp_path / "r.json")]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+UNREADABLE_JSON = {
+    "non-utf8": lambda data: b"\xff" + data,
+    "truncated": lambda data: data[: len(data) // 2],
+    "too-deep": lambda data: b"[" * 5000 + b"]" * 5000,
+}
+
+
+@pytest.mark.parametrize("corrupt", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+@pytest.mark.parametrize("artifact", ["schema", "release", "distribution"])
+def test_unreadable_json_is_one_error_line(example_files, tmp_path, capsys, artifact, corrupt):
+    csv, schema = example_files
+    release, pert = tmp_path / "release.json", tmp_path / "pert"
+    for command, out in (("generalize", release), ("perturb", pert)):
+        assert run([command, "--input", str(csv), "--schema", str(schema), "--beta", "2",
+                    "--out", str(out)]) == 0
+    path = {"schema": schema, "release": release, "distribution": pert / "distribution.json"}[artifact]
+    path.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()
+    code = run(["queryeval", "--input", str(csv), "--schema", str(schema), "--lambda", "1",
+                "--queries", "5", "--artifact", str(pert if artifact == "distribution" else release)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and path.name in err
 
 
 def test_malformed_release_names_field(example_files, tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,59 +43,103 @@ def test_generalize_ec_min_max_and_lca():
     assert extents[1].leaf_count == 3
 
 
-def test_il_numeric():
-    attr = bl.Attribute("age", "qi", "numeric", lo=40, hi=70)
-    assert bl.il_numeric(NumericExtent(52, 52), attr) == 0.0
-    assert bl.il_numeric(NumericExtent(40, 70), attr) == 1.0
-    assert bl.il_numeric(NumericExtent(40, 60), attr) == pytest.approx(2 / 3)
+def _release(schema, *classes):
+    """A release whose classes, each (extents, size), hold one SA value."""
+    ecs = tuple(EquivalenceClass(tuple(extents), np.array([size])) for extents, size in classes)
+    n = sum(size for _, size in classes)
+    return bl.Release(schema, bl.Distribution(("v",), (n,), n), 1.0, 0, 16, ecs)
 
 
-def test_il_categorical():
-    _, h = cat_schema()
-    attr = bl.Attribute("illness", "qi", "categorical", hierarchy=h)
-    assert bl.il_categorical(CategoricalExtent("headache", 0, 0), attr) == 0.0
-    assert bl.il_categorical(CategoricalExtent("any illness", 0, 5), attr) == 1.0
-    assert bl.il_categorical(CategoricalExtent("nervous", 0, 2), attr) == 0.5
+def _ail_per_class(release):
+    """The per-class formula: each class's weighted parts added in schema
+    order, then the size-weighted class losses in class order."""
+    schema = release.schema
+    total = 0.0
+    for ec in release.ecs:
+        loss = 0.0
+        for w, attr, ext in zip(schema.qi_weights(), schema.qi_attributes, ec.extents):
+            if attr.kind == "numeric":
+                part = (ext.hi - ext.lo) / (attr.hi - attr.lo)
+            else:
+                part = 0.0 if ext.leaf_count == 1 else ext.leaf_count / attr.hierarchy.n_leaves
+            loss += w * part
+        total += ec.size * loss
+    return total / sum(ec.size for ec in release.ecs)
 
 
-def test_il_ec_weighted():
+def _zip_release():
+    qi = bl.default_qi_spec() + (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),)
+    table = bl.generate_synthetic(5_000, 50, qi_spec=qi, seed=3, sa_freqs=bl.census_like_profile(50))
+    return bl.generalize(table, 4.0, seed=1)
+
+
+def _weighted_mixed_release():
+    """Weighted schema, a categorical axis (with a one-leaf internal node,
+    "blood"), and point extents."""
+    h = bl.Hierarchy(DISEASE_HIERARCHY)
     schema = bl.DatasetSchema((
-        bl.Attribute("a", "qi", "numeric", lo=0, hi=1),
-        bl.Attribute("b", "qi", "numeric", lo=0, hi=1),
-        bl.Attribute("c", "qi", "numeric", lo=0, hi=2),
+        bl.Attribute("age", "qi", "numeric", lo=40, hi=70, weight=0.5),
+        bl.Attribute("illness", "qi", "categorical", hierarchy=h, weight=0.3),
+        bl.Attribute("x", "qi", "numeric", lo=0, hi=1, weight=0.2),
         bl.Attribute("s", "sa"),
     ))
-    ec = EquivalenceClass(
-        (NumericExtent(0, 2 / 3), NumericExtent(0.5, 0.5), NumericExtent(0, 1)),
-        np.array([3]),
+    return _release(
+        schema,
+        ((NumericExtent(52, 52), CategoricalExtent("angina", 4, 4), NumericExtent(0.25, 0.25)), 3),
+        ((NumericExtent(40, 61.5), CategoricalExtent("nervous", 0, 2), NumericExtent(0.1, 0.7)), 5),
+        ((NumericExtent(45, 70), CategoricalExtent("blood", 5, 5), NumericExtent(0, 1)), 2),
+        ((NumericExtent(40, 70), CategoricalExtent("any illness", 0, 5), NumericExtent(1 / 3, 0.9)), 7),
     )
-    assert bl.il_ec(ec, schema) == pytest.approx((2 / 3 + 0.0 + 0.5) / 3)
-    flat = EquivalenceClass(
-        (NumericExtent(0, 0), NumericExtent(1, 1), NumericExtent(2, 2)), np.array([1])
-    )
-    assert bl.il_ec(flat, schema) == 0.0
-    two = EquivalenceClass(
-        (NumericExtent(0, 1), NumericExtent(0, 0), NumericExtent(1, 1)), np.array([2])
-    )
-    assert bl.il_ec(two, schema, weights=np.array([0.5, 0.5, 0.0])) == 0.5
 
 
-def test_ail_weighted_mean(example2):
-    dist = bl.sa_distribution(example2)
+@pytest.mark.parametrize("make", [
+    lambda census: census,
+    lambda census: _zip_release(),
+    lambda census: _weighted_mixed_release(),
+], ids=["census", "zip-qi", "weighted-mixed"])
+def test_ail_equals_the_per_class_formula(census_release_b4, make):
+    release = make(census_release_b4)
+    assert bl.ail(release) == _ail_per_class(release)
+
+
+def test_ail_numeric_part():
+    schema = bl.DatasetSchema((bl.Attribute("age", "qi", "numeric", lo=40, hi=70), bl.Attribute("s", "sa")))
+    assert bl.ail(_release(schema, ((NumericExtent(52, 52),), 1))) == 0.0
+    assert bl.ail(_release(schema, ((NumericExtent(40, 70),), 1))) == 1.0
+    assert bl.ail(_release(schema, ((NumericExtent(40, 60),), 1))) == pytest.approx(2 / 3)
+
+
+def test_ail_categorical_part():
+    schema, _ = cat_schema()
+    schema = bl.DatasetSchema(schema.attributes[1:])
+    assert bl.ail(_release(schema, ((CategoricalExtent("headache", 0, 0),), 1))) == 0.0
+    assert bl.ail(_release(schema, ((CategoricalExtent("any illness", 0, 5),), 1))) == 1.0
+    assert bl.ail(_release(schema, ((CategoricalExtent("nervous", 0, 2),), 1))) == 0.5
+
+
+def test_ail_weighted():
+    def schema(weights=(None, None, None)):
+        return bl.DatasetSchema((
+            bl.Attribute("a", "qi", "numeric", lo=0, hi=1, weight=weights[0]),
+            bl.Attribute("b", "qi", "numeric", lo=0, hi=1, weight=weights[1]),
+            bl.Attribute("c", "qi", "numeric", lo=0, hi=2, weight=weights[2]),
+            bl.Attribute("s", "sa"),
+        ))
+    spread = (NumericExtent(0, 2 / 3), NumericExtent(0.5, 0.5), NumericExtent(0, 1))
+    assert bl.ail(_release(schema(), (spread, 3))) == pytest.approx((2 / 3 + 0.0 + 0.5) / 3)
+    flat = (NumericExtent(0, 0), NumericExtent(1, 1), NumericExtent(2, 2))
+    assert bl.ail(_release(schema(), (flat, 1))) == 0.0
+    two = (NumericExtent(0, 1), NumericExtent(0, 0), NumericExtent(1, 1))
+    assert bl.ail(_release(schema((0.5, 0.5, 0.0)), (two, 2))) == 0.5
+
+
+def test_ail_weighted_mean():
     schema = bl.DatasetSchema((
         bl.Attribute("x", "qi", "numeric", lo=0, hi=1),
         bl.Attribute("s", "sa"),
     ))
-    def ec(lo, hi, size):
-        return EquivalenceClass((NumericExtent(lo, hi),), np.array([size]))
-    rel = bl.Release(
-        schema,
-        bl.Distribution(("v",), (10,), 10),
-        1.0, 0, 16,
-        (ec(0, 0.25, 4), ec(0, 0.5, 6)),
-    )
+    rel = _release(schema, ((NumericExtent(0, 0.25),), 4), ((NumericExtent(0, 0.5),), 6))
     assert bl.ail(rel) == pytest.approx((4 * 0.25 + 6 * 0.5) / 10)
-    _ = dist
 
 
 def test_ail_extremes(example2):
@@ -104,30 +150,18 @@ def test_ail_extremes(example2):
         bl.Attribute("x", "qi", "numeric", lo=0, hi=1),
         bl.Attribute("s", "sa"),
     ))
-    singles = tuple(
-        EquivalenceClass((NumericExtent(0.3, 0.3),), np.array([1])) for _ in range(5)
-    )
-    rel = bl.Release(schema, bl.Distribution(("v",), (5,), 5), 1.0, 0, 16, singles)
+    rel = _release(schema, *[((NumericExtent(0.3, 0.3),), 1)] * 5)
     assert bl.ail(rel) == 0.0
 
 
 def test_merging_never_shrinks_loss(example2):
     release = bl.generalize(example2, 2.0, seed=2)
-    schema = release.schema
+    def loss(ec):
+        return bl.ail(dataclasses.replace(release, ecs=(ec,)))
     for a, b in zip(release.ecs, release.ecs[1:]):
-        merged_rows = np.concatenate([a.rows, b.rows])
-        merged = bl.build_ec(example2, merged_rows)
-        assert bl.il_ec(merged, schema) >= bl.il_ec(a, schema) - 1e-12
-        assert bl.il_ec(merged, schema) >= bl.il_ec(b, schema) - 1e-12
-
-
-def test_degenerate_domain_rejected():
-    attr = bl.Attribute.__new__(bl.Attribute)
-    object.__setattr__(attr, "name", "x")
-    object.__setattr__(attr, "lo", 5.0)
-    object.__setattr__(attr, "hi", 5.0)
-    with pytest.raises(bl.DataError, match="degenerate"):
-        bl.il_numeric(NumericExtent(5, 5), attr)
+        merged = bl.build_ec(example2, np.concatenate([a.rows, b.rows]))
+        assert loss(merged) >= loss(a) - 1e-12
+        assert loss(merged) >= loss(b) - 1e-12
 
 
 def test_release_round_trip(tmp_path, example2):
