@@ -18,7 +18,7 @@ costs.
 """
 
 from .audit import NbAuditReport, achieved_beta, ec_audit_lines, nb_bound_audit
-from .buckets import Bucket, BucketPartition, combinable, dp_partition, partition_spans
+from .buckets import Bucket, BucketPartition, dp_partition, partition_spans
 from .data import (
     Attribute,
     DataError,
@@ -45,10 +45,7 @@ from .likeness import (
     LikenessError,
     check_basic,
     check_enhanced,
-    class_counts,
     frequency_bound,
-    relative_distance,
-    required_beta,
 )
 from .perturb import (
     PerturbationError,
@@ -80,7 +77,6 @@ from .release import (
     NumericExtent,
     Release,
     build_ec,
-    generalize_ec,
     load_release,
     save_release,
 )
@@ -116,8 +112,6 @@ __all__ = [
     "census_like_profile",
     "check_basic",
     "check_enhanced",
-    "class_counts",
-    "combinable",
     "default_qi_spec",
     "dp_partition",
     "ec_audit_lines",
@@ -127,7 +121,6 @@ __all__ = [
     "frequency_bound",
     "gen_workload",
     "generalize",
-    "generalize_ec",
     "generate_synthetic",
     "hilbert_indices",
     "load_perturbation",
@@ -143,8 +136,6 @@ __all__ = [
     "ratio_bound",
     "reconstruct",
     "reconstruct_nonnegative",
-    "relative_distance",
-    "required_beta",
     "sa_distribution",
     "save_perturbation",
     "save_release",

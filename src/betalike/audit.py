@@ -17,31 +17,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, DataError, Table
-from .likeness import Bound, Distribution, LikenessError
+from .likeness import Bound, LikenessError
 from .release import Release
 
 # Distinct QI tuples whose naive-Bayes scores are updated at once.
 SCORE_CHUNK = 4096
 
 
-def _class_freqs(release: Release, dist: Distribution) -> np.ndarray:
-    """(classes, m): each class's SA frequencies, its counts checked as
-    `likeness.required_beta` checks them."""
+def _class_freqs(release: Release) -> np.ndarray:
+    """(classes, m): each class's SA frequencies; an empty class errors."""
     counts = release.class_counts
-    if counts.shape[1] != dist.m:
-        raise LikenessError(f"class counts must align with the {dist.m} SA values")
     sizes = counts.sum(axis=1, keepdims=True)
     if not sizes.all():
         raise LikenessError("class is empty")
     return counts / sizes
 
 
-def _required_betas(release: Release, dist: Distribution) -> np.ndarray:
-    """`likeness.required_beta` of every class at once: math.inf where some
-    frequency passes its p * (1 - ln p) cap, else the largest relative gain
-    (q - p) / p over the values with q > p, or 0.0 if there is none."""
+def _required_betas(release: Release) -> np.ndarray:
+    """Per class, the smallest beta under which it passes the enhanced
+    check: math.inf where some frequency passes its p * (1 - ln p) cap,
+    else the largest relative gain (q - p) / p over the values with q > p,
+    or 0.0 if there is none."""
+    dist = release.dist
     p = dist.freqs()
-    q = _class_freqs(release, dist)
+    q = _class_freqs(release)
     # The caps with every value on the logarithmic branch; beta is unused.
     unbounded = (q > Bound(dist, 1.0, cut=0.0).caps()).any(axis=1)
     need = np.where(q > p, (q - p) / p, 0.0).max(axis=1)
@@ -49,7 +48,7 @@ def _required_betas(release: Release, dist: Distribution) -> np.ndarray:
     return need
 
 
-def achieved_beta(release: Release, dist: Distribution | None = None) -> float:
+def achieved_beta(release: Release) -> float:
     """Smallest budget under which every class passes the enhanced check.
 
     Returns math.inf ("unbounded") when some class frequency exceeds the
@@ -57,25 +56,25 @@ def achieved_beta(release: Release, dist: Distribution | None = None) -> float:
     """
     if not release.ecs:
         raise DataError("release has no classes")
-    return float(_required_betas(release, dist or release.dist).max())
+    return float(_required_betas(release).max())
 
 
-def failing_classes(release: Release, dist: Distribution | None = None) -> list[int]:
+def failing_classes(release: Release) -> list[int]:
     """Indices of the classes above the release's own beta (the exact check)."""
-    bound = Bound(dist or release.dist, release.beta)
+    bound = Bound(release.dist, release.beta)
     counts = release.class_counts
     return [k for k, (row, size) in enumerate(zip(counts.tolist(), counts.sum(axis=1).tolist()))
             if not bound.admits(row, size)]
 
 
-def ec_audit_lines(release: Release, dist: Distribution | None = None) -> list[str]:
+def ec_audit_lines(release: Release) -> list[str]:
     """One line per class: size, worst value, worst gain, pass/fail."""
-    dist = dist or release.dist
-    failing = set(failing_classes(release, dist))
+    dist = release.dist
+    failing = set(failing_classes(release))
     p = dist.freqs()
-    gains = np.where(release.class_counts > 0, (_class_freqs(release, dist) - p) / p, -np.inf)
+    gains = np.where(release.class_counts > 0, (_class_freqs(release) - p) / p, -np.inf)
     worst = np.argmax(gains, axis=1).tolist()
-    needs = _required_betas(release, dist).tolist()
+    needs = _required_betas(release).tolist()
     sizes = release.class_counts.sum(axis=1).tolist()
     lines = []
     for k, (size, w, need) in enumerate(zip(sizes, worst, needs)):

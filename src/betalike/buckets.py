@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Table, sa_distribution
-from .likeness import Bound, Distribution, LikenessError
+from .likeness import Bound, Distribution
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,6 @@ class BucketPartition:
     buckets: tuple[Bucket, ...]
     dist: Distribution
     beta: float
-
-
-def combinable(dist: Distribution, b: int, e: int, beta: float) -> bool:
-    """Can values b..e (0-based, inclusive) share a bucket?
-
-    True when their combined mass is strictly below the frequency bound of
-    value b, the rarest of the run since the distribution is ascending.
-    """
-    if not 0 <= b <= e < dist.m:
-        raise LikenessError(f"value range [{b}, {e}] out of bounds for m={dist.m}")
-    return Bound(dist, beta).at([b]).admits([sum(dist.counts[b : e + 1])], dist.total, strict=True)
 
 
 def partition_spans(dist: Distribution, beta: float) -> list[tuple[int, int]]:

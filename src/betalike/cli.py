@@ -225,6 +225,8 @@ _COMMANDS = {
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise DataError(f"seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         # An OSError, so it must be caught before USER_ERRORS.

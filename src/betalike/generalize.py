@@ -9,6 +9,9 @@ guarantees retrieval never starves.
 A bucket is stored as runs of equal curve keys, so a nearest draw costs
 Python work per run it touches, not per record; only the buckets that
 supply anchors ever rebuild a per-record order (see `SortedBucket`).
+
+The draws fill one array of member rows, class after class; once the
+buckets are freed, `release.build_ec` builds every class from it at once.
 """
 from __future__ import annotations
 
@@ -174,16 +177,20 @@ def generalize(table: Table, beta: float, seed: int = 0, curve_order: int = 16) 
     leaves = bi_split(partition)
     keys = table_keys(table, curve_order)
     stores = [SortedBucket(keys[b.rows], b.rows) for b in partition.buckets]
+    del keys, partition
     rng = np.random.default_rng(seed)
-    ecs = []
+    members = np.empty(table.n_rows, dtype=np.int64)
+    sizes = []
+    end = 0
     for alloc in leaves:
-        member_chunks = []
-        anchor_bucket = int(np.argmax(alloc))
-        _, anchor_key = stores[anchor_bucket].peek_random(rng)
-        for j, a in enumerate(alloc):
+        alloc = alloc.tolist()
+        _, anchor_key = stores[alloc.index(max(alloc))].peek_random(rng)
+        for store, a in zip(stores, alloc):
             if a > 0:
-                member_chunks.append(stores[j].draw_nearest(anchor_key, int(a)))
-        rows = np.concatenate(member_chunks)
-        ecs.append(build_ec(table, rows))
+                members[end : end + a] = store.draw_nearest(anchor_key, a)
+                end += a
+        sizes.append(sum(alloc))
     assert all(len(s) == 0 for s in stores)
-    return Release(table.schema, dist, beta, seed, curve_order, tuple(ecs))
+    # The stores' per-record lists go before the classes are built.
+    del stores
+    return Release(table.schema, dist, beta, seed, curve_order, build_ec(table, members, sizes))

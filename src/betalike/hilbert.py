@@ -14,6 +14,11 @@ import numpy as np
 from .data import CATEGORICAL, DataError, Table
 
 
+def _check_order(order: int) -> None:
+    if not 1 <= order <= 31:
+        raise DataError(f"curve order must be in [1, 31], got {order}")
+
+
 def hilbert_indices(cells: np.ndarray, order: int):
     """Map (n, d) grid coordinates in [0, 2**order) to curve positions.
 
@@ -24,8 +29,7 @@ def hilbert_indices(cells: np.ndarray, order: int):
     if cells.ndim != 2:
         raise ValueError("cells must be an (n, d) array")
     n, d = cells.shape
-    if not 1 <= order <= 31:
-        raise DataError(f"curve order must be in [1, 31], got {order}")
+    _check_order(order)
     if n and (cells.min() < 0 or float(cells.max()) >= float(1 << order)):
         raise ValueError(f"cell coordinates must lie in [0, 2**{order})")
 
@@ -89,5 +93,6 @@ def quantize_table(table: Table, order: int) -> np.ndarray:
 
 def table_keys(table: Table, order: int):
     """Curve key of every row: each distinct QI tuple is encoded once."""
+    _check_order(order)
     _, inverse = table.qi_tuples
     return hilbert_indices(quantize_table(table, order), order)[inverse]

@@ -64,15 +64,6 @@ class Distribution:
             raise LikenessError(f"SA value {value!r} not in distribution") from None
 
 
-def relative_distance(p: float, q: float) -> float:
-    """Relative change of a value's frequency from p to q: (q - p) / p."""
-    if not 0.0 < p <= 1.0:
-        raise LikenessError(f"base frequency must be in (0, 1], got {p}")
-    if not 0.0 <= q <= 1.0:
-        raise LikenessError(f"frequency must be in [0, 1], got {q}")
-    return (q - p) / p
-
-
 def frequency_bound(p: float, beta: float) -> float:
     """Largest in-class frequency allowed for a value of global frequency p.
 
@@ -96,14 +87,6 @@ def one_plus_beta(beta: float) -> tuple[int, int]:
     """(1 + beta) as an exact integer ratio of the given float."""
     f = 1 + Fraction(beta)
     return f.numerator, f.denominator
-
-
-def class_counts(dist: Distribution, sa_values: Iterable[str]) -> np.ndarray:
-    """Per-value counts of one class, aligned with `dist`; unknown value errors."""
-    counts = np.zeros(dist.m, dtype=np.int64)
-    for v in sa_values:
-        counts[dist.index_of(v)] += 1
-    return counts
 
 
 def _as_counts(dist: Distribution, counts: Sequence[int] | np.ndarray) -> tuple[list[int], int]:
@@ -181,21 +164,3 @@ def check_enhanced(dist: Distribution, counts, beta: float) -> bool:
     """
     return _bound(dist, beta).admits(*_as_counts(dist, counts))
 
-
-def required_beta(dist: Distribution, counts) -> float:
-    """Smallest beta under which the class passes the enhanced check.
-
-    Returns 0.0 when no value exceeds its global frequency and math.inf when
-    some value exceeds the p * (1 - ln p) cap that no finite beta relaxes.
-    """
-    counts, g = _as_counts(dist, counts)
-    # With every value on the logarithmic branch, beta itself is unused.
-    if not _bound(dist, 1.0, cut=0.0).admits(counts, g):
-        return math.inf
-    worst = 0.0
-    for n_i, c in zip(dist.counts, counts):
-        p = n_i / dist.total
-        q = c / g
-        if q > p:
-            worst = max(worst, (q - p) / p)
-    return worst

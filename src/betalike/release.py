@@ -9,7 +9,8 @@ extent outside the schema domain or not a hierarchy node, or class counts
 that do not add up to the distribution. A release is immutable, so the
 class arrays the estimators and the audit read (`class_counts`,
 `class_extents` and their distinct pairs, `distinct_extents`) are cached,
-never invalidated.
+never invalidated. `build_ec` builds all classes in one batched pass, and
+`save_release` writes the file's fixed layout from the class arrays.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -102,62 +104,93 @@ class Release:
         return tuple(out)
 
 
-def generalize_ec(table: Table, rows: np.ndarray) -> tuple[Extent, ...]:
-    """Tight generalized QI description of the given member rows."""
-    if len(rows) == 0:
+def build_ec(table: Table, rows: np.ndarray, sizes) -> tuple[EquivalenceClass, ...]:
+    """The classes whose members are consecutive runs of `rows`, the k-th
+    `sizes[k]` long, with tight QI extents and SA counts: one `bincount` of
+    class * m + SA code, `reduceat` per QI column, one `Hierarchy.lca` per
+    distinct leaf span. Each class's rows are a slice of `rows`."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes <= 0).any():
         raise DataError("cannot generalize an empty class")
-    extents: list[Extent] = []
+    if sizes.sum() != len(rows):
+        raise DataError(f"class sizes add up to {sizes.sum()}, not to the {len(rows)} rows")
+    n, m = len(sizes), table.m
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    dtype = np.min_scalar_type(max(n * m - 1, 0))
+    key = table.sa_codes[rows].astype(dtype)
+    key += np.repeat(np.arange(0, n * m, m, dtype=dtype), sizes)
+    counts = np.bincount(key, minlength=n * m).reshape(n, m)
+    columns = []
     for attr, col in zip(table.schema.qi_attributes, table.qi_columns):
         member = col[rows]
+        lo, hi = np.minimum.reduceat(member, starts), np.maximum.reduceat(member, starts)
         if attr.kind == NUMERIC:
-            extents.append(NumericExtent(float(member.min()), float(member.max())))
+            columns.append([NumericExtent(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
         else:
-            node = attr.hierarchy.lca(int(member.min()), int(member.max()))
-            extents.append(CategoricalExtent(node.label, node.leaf_lo, node.leaf_hi))
-    return tuple(extents)
-
-
-def build_ec(table: Table, rows: np.ndarray) -> EquivalenceClass:
-    counts = np.bincount(table.sa_codes[rows], minlength=table.m)
-    return EquivalenceClass(generalize_ec(table, rows), counts, rows)
+            leaves = attr.hierarchy.n_leaves
+            spans, index = np.unique(lo * leaves + hi, return_inverse=True)
+            nodes = (attr.hierarchy.lca(*divmod(span, leaves)) for span in spans.tolist())
+            extents = [CategoricalExtent(node.label, node.leaf_lo, node.leaf_hi) for node in nodes]
+            columns.append([extents[i] for i in index.tolist()])
+    return tuple(EquivalenceClass(extents, class_counts, rows[a:b])
+                 for extents, class_counts, a, b in zip(zip(*columns), counts, starts.tolist(), ends.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def release_to_obj(release: Release) -> dict:
-    classes = []
-    for ec in release.ecs:
-        extents = []
-        for attr, ext in zip(release.schema.qi_attributes, ec.extents):
-            if attr.kind == NUMERIC:
-                extents.append({"lo": _num(ext.lo), "hi": _num(ext.hi)})
-            else:
-                extents.append({"label": ext.label, "leaf_lo": ext.leaf_lo, "leaf_hi": ext.leaf_hi})
-        sa = {
-            release.dist.values[i]: int(c)
-            for i, c in enumerate(ec.sa_counts)
-            if c > 0
-        }
-        classes.append({"size": ec.size, "extents": extents, "sa": sa})
-    return {
+def _numbers(values: np.ndarray) -> list[str]:
+    """Each value as JSON text, an integral one without a fraction (as
+    `data._num` writes it); each distinct value is formatted once."""
+    distinct, index = np.unique(values, return_inverse=True)
+    texts = [json.dumps(_num(x)) for x in distinct.tolist()]
+    return [texts[i] for i in index.tolist()]
+
+
+def _block(items: Sequence[str], indent: int, brackets: str = "[]") -> str:
+    """Items laid out one level deeper, in a list or object at `indent`."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + " " * indent + brackets[1]
+
+
+def save_release(release: Release, path) -> None:
+    """Write the release as the JSON that `json.dumps(..., indent=1)` makes
+    of it, laid out here from the class arrays: `json.dumps` encodes the
+    header, the strings and each distinct number, and every class is one
+    template filled in."""
+    dist = release.dist
+    header = {
         "kind": "generalized-release",
         "beta": release.beta,
         "seed": release.seed,
         "curve_order": release.curve_order,
         "qi": [a.name for a in release.schema.qi_attributes],
-        "sa": {
-            "attribute": release.schema.sa_attribute.name,
-            "values": list(release.dist.values),
-            "counts": list(release.dist.counts),
-            "total": release.dist.total,
-        },
-        "classes": classes,
+        "sa": {"attribute": release.schema.sa_attribute.name, "values": list(dist.values),
+               "counts": list(dist.counts), "total": dist.total},
     }
-
-
-def save_release(release: Release, path) -> None:
-    Path(path).write_text(json.dumps(release_to_obj(release), indent=1) + "\n", encoding="utf-8")
+    extents = []
+    for k, attr in enumerate(release.schema.qi_attributes):
+        lo, hi = (_numbers(v) for v in release.class_extents[k])
+        if attr.kind == NUMERIC:
+            extents.append([f'    {{\n     "lo": {a},\n     "hi": {b}\n    }}' for a, b in zip(lo, hi)])
+        else:
+            labels = [ec.extents[k].label for ec in release.ecs]
+            encoded = {label: json.dumps(label) for label in set(labels)}
+            extents.append([f'    {{\n     "label": {encoded[label]},\n     "leaf_lo": {a},\n'
+                            f'     "leaf_hi": {b}\n    }}' for label, a, b in zip(labels, lo, hi)])
+    counts = release.class_counts
+    cls, value = np.nonzero(counts > 0)
+    keys = [f"    {json.dumps(v)}: " for v in dist.values]
+    sa = [keys[j] + str(c) for j, c in zip(value.tolist(), counts[cls, value].tolist())]
+    bounds = np.searchsorted(cls, np.arange(len(counts) + 1)).tolist()
+    classes = [f'  {{\n   "size": {size},\n   "extents": {_block(ext, 3)},\n'
+               f'   "sa": {_block(sa[a:b], 3, "{}")}\n  }}'
+               for size, ext, a, b in zip(counts.sum(axis=1).tolist(), zip(*extents), bounds, bounds[1:])]
+    # The header's closing "\n}" gives way to the classes.
+    text = json.dumps(header, indent=1)[:-2] + f',\n "classes": {_block(classes, 1)}\n}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_release(path, schema: DatasetSchema) -> Release:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 import betalike as bl
+from betalike.data import NUMERIC, _num
+from betalike.likeness import Bound
 
 DISEASES = [
     ("headache", 2),
@@ -80,10 +82,11 @@ def census_release_b4(census_table):
 
 
 @st.composite
-def mixed_qi_tables(draw, n_qi=None):
+def mixed_qi_tables(draw, n_qi=None, sa_values=("x",)):
     """Tables over numeric and categorical QI axes whose rows repeat a few
     distinct QI tuples; numeric values include negative, zero and
-    fractional ones. `n_qi` fixes the number of QI axes (1 to 4 if None)."""
+    fractional ones. `n_qi` fixes the number of QI axes (1 to 4 if None);
+    each row's SA value is drawn from `sa_values`."""
     n_qi = n_qi or draw(st.integers(1, 4))
     attrs, values = [], []
     for k in range(n_qi):
@@ -97,6 +100,47 @@ def mixed_qi_tables(draw, n_qi=None):
     schema = bl.DatasetSchema((*attrs, bl.Attribute("s", "sa")))
     distinct = draw(st.lists(st.tuples(*values), min_size=1, max_size=8))
     rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    sa = [draw(st.sampled_from(sa_values)) for _ in rows] if len(sa_values) > 1 else sa_values * len(rows)
     return bl.table_from_rows(
-        schema, [{**{a.name: v for a, v in zip(attrs, row)}, "s": "x"} for row in rows]
+        schema, [{**{a.name: v for a, v in zip(attrs, row)}, "s": s} for row, s in zip(rows, sa)]
     )
+
+
+def combinable(d: bl.Distribution, b: int, e: int, beta: float) -> bool:
+    """Can values b..e (0-based, inclusive) share a bucket? Their combined
+    mass must stay strictly below the bound of value b, the rarest of the
+    run: the per-run check `partition_spans` makes, kept as its oracle."""
+    return Bound(d, beta).at([b]).admits([sum(d.counts[b : e + 1])], d.total, strict=True)
+
+
+def release_to_obj(release: bl.Release) -> dict:
+    """The release as the object whose `json.dumps(..., indent=1)` text
+    `save_release` writes, built class by class: the oracle of its bytes."""
+    classes = []
+    for ec in release.ecs:
+        extents = []
+        for attr, ext in zip(release.schema.qi_attributes, ec.extents):
+            if attr.kind == NUMERIC:
+                extents.append({"lo": _num(ext.lo), "hi": _num(ext.hi)})
+            else:
+                extents.append({"label": ext.label, "leaf_lo": ext.leaf_lo, "leaf_hi": ext.leaf_hi})
+        sa = {
+            release.dist.values[i]: int(c)
+            for i, c in enumerate(ec.sa_counts)
+            if c > 0
+        }
+        classes.append({"size": ec.size, "extents": extents, "sa": sa})
+    return {
+        "kind": "generalized-release",
+        "beta": release.beta,
+        "seed": release.seed,
+        "curve_order": release.curve_order,
+        "qi": [a.name for a in release.schema.qi_attributes],
+        "sa": {
+            "attribute": release.schema.sa_attribute.name,
+            "values": list(release.dist.values),
+            "counts": list(release.dist.counts),
+            "total": release.dist.total,
+        },
+        "classes": classes,
+    }

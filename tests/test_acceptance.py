@@ -15,7 +15,7 @@ import pytest
 import betalike as bl
 from betalike.likeness import Distribution
 
-from conftest import disease_table
+from conftest import combinable, disease_table
 
 
 def _report(n, detail):
@@ -70,7 +70,7 @@ def test_c02_privacy_soundness_sweep():
 def _brute_force_buckets(dist: Distribution, beta: float) -> int:
     m = dist.m
     comb = [
-        [bl.combinable(dist, b, e, beta) if e >= b else False for e in range(m)]
+        [combinable(dist, b, e, beta) if e >= b else False for e in range(m)]
         for b in range(m)
     ]
     best = m

@@ -8,6 +8,8 @@ import pytest
 import betalike as bl
 from betalike.likeness import Distribution
 
+from conftest import combinable
+
 
 def dist(counts):
     counts = tuple(sorted(counts))
@@ -18,18 +20,11 @@ EX2 = dist([2, 3, 3, 3, 4, 4])
 
 
 def test_combinable_example_arithmetic():
-    assert bl.combinable(EX2, 0, 1, 2.0)          # 5/19 < f(2/19)
-    assert not bl.combinable(EX2, 0, 2, 2.0)      # 8/19 > f(2/19)
-    assert bl.combinable(EX2, 2, 3, 2.0)
+    assert combinable(EX2, 0, 1, 2.0)          # 5/19 < f(2/19)
+    assert not combinable(EX2, 0, 2, 2.0)      # 8/19 > f(2/19)
+    assert combinable(EX2, 2, 3, 2.0)
     for i in range(6):
-        assert bl.combinable(EX2, i, i, 2.0)      # singleton runs always fit
-
-
-def test_combinable_bounds_checked():
-    with pytest.raises(bl.LikenessError):
-        bl.combinable(EX2, 0, 6, 2.0)
-    with pytest.raises(bl.LikenessError):
-        bl.combinable(EX2, -1, 0, 2.0)
+        assert combinable(EX2, i, i, 2.0)      # singleton runs always fit
 
 
 def test_example2_partition(example2):
@@ -63,7 +58,7 @@ def brute_force_min_buckets(d: Distribution, beta: float) -> int:
     comb = {}
     for b in range(m):
         for e in range(b, m):
-            comb[b, e] = bl.combinable(d, b, e, beta)
+            comb[b, e] = combinable(d, b, e, beta)
     best = m
     for cuts in itertools.product([False, True], repeat=m - 1):
         start, ok, n_buckets = 0, True, 0
@@ -112,7 +107,7 @@ def test_combinable_boundary_is_exclusive():
     # Run mass exactly equal to the bound does not combine: with counts
     # (1,1,2) at beta=1 the first pair has mass 1/2 = (1+1) * 1/4 exactly.
     d = dist([1, 1, 2])
-    assert not bl.combinable(d, 0, 1, 1.0)
+    assert not combinable(d, 0, 1, 1.0)
     assert bl.partition_spans(d, 1.0) == [(0, 0), (1, 1), (2, 2)]
 
 
@@ -129,7 +124,7 @@ def test_beta_must_be_positive():
     with pytest.raises(bl.LikenessError, match="beta"):
         bl.partition_spans(d, 0.0)
     with pytest.raises(bl.LikenessError, match="beta"):
-        bl.combinable(d, 0, 1, -1.0)
+        bl.partition_spans(d, -1.0)
 
 
 def test_bucket_count_monotone_in_beta():

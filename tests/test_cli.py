@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -627,6 +628,26 @@ def test_unusable_generalize_parameter_exits_one(example_files, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    *(pytest.param(command, ["--seed", "-1"], "seed must be >= 0, got -1", id=f"{command}-seed")
+      for command in ("gen-data", "generalize", "perturb", "queryeval")),
+    pytest.param("generalize", ["--order", "-1"], "curve order must be in [1, 31], got -1", id="order-negative"),
+    pytest.param("generalize", ["--order", "70"], "curve order must be in [1, 31], got 70", id="order-70"),
+])
+def test_negative_seed_or_bad_curve_order_is_one_error_line(example_files, tmp_path, capsys,
+                                                            command, flag, message):
+    csv, schema = example_files
+    files = ["--input", str(csv), "--schema", str(schema)]
+    args = {"gen-data": ["--rows", "50"], "queryeval": [*files, "--artifact", str(tmp_path)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, *args.get(command, files), *flag, "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("tamper", [

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import betalike as bl
 from betalike.data import NUMERIC, QI, Attribute
-from betalike.release import release_to_obj
+
+from conftest import release_to_obj
 
 
 class ReferenceBucket:

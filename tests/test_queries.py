@@ -216,7 +216,7 @@ def test_baseline_estimate(example2):
 def test_evaluate_workload_truth_is_error_free(example2):
     # Singleton classes have point extents, so their estimates are the
     # precise counts.
-    classes = tuple(bl.build_ec(example2, np.asarray([i])) for i in range(example2.n_rows))
+    classes = bl.build_ec(example2, np.arange(example2.n_rows), [1] * example2.n_rows)
     release = Release(example2.schema, bl.sa_distribution(example2), 2.0, 0, 16, classes)
     workload = bl.gen_workload(example2, 2, 0.4, 30, seed=9)
     report = bl.workload_report_generalized(example2, release, workload)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import betalike as bl
+from betalike.data import NUMERIC, DataError
 from betalike.release import CategoricalExtent, EquivalenceClass, NumericExtent
 
-from conftest import DISEASE_HIERARCHY
+from conftest import DISEASE_HIERARCHY, mixed_qi_tables, release_to_obj
 
 
 def cat_schema():
@@ -23,7 +27,8 @@ def cat_schema():
 def test_generalize_ec_single_record():
     schema, _ = cat_schema()
     t = bl.table_from_rows(schema, [{"age": 52, "illness": "angina", "s": "x"}])
-    extents = bl.generalize_ec(t, np.array([0]))
+    (ec,) = bl.build_ec(t, np.array([0]), [1])
+    extents = ec.extents
     assert extents[0] == NumericExtent(52.0, 52.0)
     assert extents[1].leaf_lo == extents[1].leaf_hi
     assert extents[1].label == "angina"
@@ -37,7 +42,8 @@ def test_generalize_ec_min_max_and_lca():
         {"age": 50, "illness": "brain tumors", "s": "x"},
     ]
     t = bl.table_from_rows(schema, rows)
-    extents = bl.generalize_ec(t, np.arange(3))
+    (ec,) = bl.build_ec(t, np.arange(3), [3])
+    extents = ec.extents
     assert extents[0] == NumericExtent(40.0, 60.0)
     assert extents[1].label == "nervous"
     assert extents[1].leaf_count == 3
@@ -159,7 +165,8 @@ def test_merging_never_shrinks_loss(example2):
     def loss(ec):
         return bl.ail(dataclasses.replace(release, ecs=(ec,)))
     for a, b in zip(release.ecs, release.ecs[1:]):
-        merged = bl.build_ec(example2, np.concatenate([a.rows, b.rows]))
+        rows = np.concatenate([a.rows, b.rows])
+        (merged,) = bl.build_ec(example2, rows, [len(rows)])
         assert loss(merged) >= loss(a) - 1e-12
         assert loss(merged) >= loss(b) - 1e-12
 
@@ -191,4 +198,139 @@ def test_load_release_rejects_garbage(tmp_path, example2):
 
 def test_empty_class_rejected(example2):
     with pytest.raises(bl.DataError, match="empty"):
-        bl.generalize_ec(example2, np.array([], dtype=np.int64))
+        bl.build_ec(example2, np.array([], dtype=np.int64), [0])
+    with pytest.raises(bl.DataError, match="empty"):
+        bl.build_ec(example2, np.arange(3), [2, 0, 1])
+
+
+# -- the batched class build ---------------------------------------------------
+
+def generalize_ec_per_class(table, rows):
+    """The per-class description that the batched `build_ec` replaced, kept
+    as its oracle."""
+    if len(rows) == 0:
+        raise DataError("cannot generalize an empty class")
+    extents = []
+    for attr, col in zip(table.schema.qi_attributes, table.qi_columns):
+        member = col[rows]
+        if attr.kind == NUMERIC:
+            extents.append(NumericExtent(float(member.min()), float(member.max())))
+        else:
+            node = attr.hierarchy.lca(int(member.min()), int(member.max()))
+            extents.append(CategoricalExtent(node.label, node.leaf_lo, node.leaf_hi))
+    return tuple(extents)
+
+
+def build_ec_per_class(table, rows):
+    counts = np.bincount(table.sa_codes[rows], minlength=table.m)
+    return EquivalenceClass(generalize_ec_per_class(table, rows), counts, rows)
+
+
+@st.composite
+def partitioned_tables(draw):
+    """A table over numeric and categorical QI axes with several SA values,
+    its rows in random order and cut into classes; single-row classes are
+    common."""
+    table = draw(mixed_qi_tables(sa_values=("a", "b", "c", "d")))
+    n = table.n_rows
+    order = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n - 1)))
+    return table, order, np.diff([0, *cuts, n]).tolist()
+
+
+@given(partitioned_tables())
+@settings(max_examples=150, deadline=None)
+def test_batched_build_matches_the_per_class_build(case):
+    table, rows, sizes = case
+    got = bl.build_ec(table, rows, sizes)
+    bounds = np.cumsum([0, *sizes])
+    assert len(got) == len(sizes)
+    for ec, a, b in zip(got, bounds, bounds[1:]):
+        want = build_ec_per_class(table, rows[a:b])
+        assert ec.extents == want.extents
+        assert ec.sa_counts.tolist() == want.sa_counts.tolist()
+        assert ec.rows.tolist() == want.rows.tolist()
+
+
+def test_class_sizes_must_cover_the_rows(example2):
+    with pytest.raises(bl.DataError, match="add up"):
+        bl.build_ec(example2, np.arange(5), [2, 2])
+
+
+def test_generalize_peak_memory():
+    # 2,128 classes. Building each class from its own concatenated rows,
+    # with the buckets still held, peaked at 17.6 MB here; the batched
+    # build after freeing them peaks at about 13.9 MB.
+    table = bl.generate_synthetic(200_000, 50, seed=1, sa_freqs=bl.census_like_profile(50))
+    tracemalloc.start()
+    try:
+        bl.generalize(table, 4.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2**20
+
+
+# -- save_release against the object form ----------------------------------------
+
+NUMBERS = [-3.5, -1, 0, 0.1, 0.25, 1 / 3, 2, 1e16, 12345.678]
+
+
+@st.composite
+def releases(draw):
+    """Hand-built releases over numeric and categorical QI whose SA values
+    and hierarchy labels include non-ASCII and quoted strings, and whose
+    numeric extents include fractions, large and negative floats."""
+    names = st.sampled_from(["a", "é", "naïve", "日本", 'quote"d', "back\\slash", "tab\tx", "😀"])
+    attrs = []
+    for k in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            attrs.append(bl.Attribute(f"n{k}", "qi", "numeric", lo=-10, hi=1e17))
+        else:
+            labels = draw(st.lists(names, min_size=2, max_size=5, unique=True))
+            leaves = [f"{label}.{k}" for label in labels]
+            attrs.append(bl.Attribute(f"c{k}", "qi", hierarchy=bl.Hierarchy.balanced(leaves, fanout=2,
+                                                                                 root_label=f"Ω{k}")))
+    values = tuple(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
+    schema = bl.DatasetSchema((*attrs, bl.Attribute("sä", "sa")))
+    ecs = []
+    for _ in range(draw(st.integers(1, 6))):
+        extents = []
+        for attr in attrs:
+            if attr.kind == NUMERIC:
+                lo, hi = sorted(draw(st.lists(st.sampled_from(NUMBERS), min_size=2, max_size=2)))
+                extents.append(NumericExtent(float(lo), float(hi)))
+            else:
+                a, b = sorted(draw(st.lists(st.integers(0, attr.hierarchy.n_leaves - 1), min_size=2, max_size=2)))
+                node = attr.hierarchy.lca(a, b)
+                extents.append(CategoricalExtent(node.label, node.leaf_lo, node.leaf_hi))
+        counts = draw(st.lists(st.integers(0, 5), min_size=len(values), max_size=len(values)).filter(any))
+        ecs.append(EquivalenceClass(tuple(extents), np.asarray(counts, dtype=np.int64)))
+    totals = np.sum([ec.sa_counts for ec in ecs], axis=0)
+    assume(totals.all())
+    order = np.argsort(totals, kind="stable")
+    dist = bl.Distribution(tuple(values[i] for i in order), tuple(int(totals[i]) for i in order),
+                           int(totals.sum()))
+    ecs = [EquivalenceClass(ec.extents, ec.sa_counts[order]) for ec in ecs]
+    beta = draw(st.sampled_from([0.1, 1.0, 4.0, 1e16]))
+    return bl.Release(schema, dist, beta, draw(st.integers(0, 2**40)), 16, tuple(ecs))
+
+
+@given(releases())
+@settings(max_examples=150, deadline=None)
+def test_saved_bytes_equal_the_object_form(tmp_path_factory, release):
+    path = tmp_path_factory.mktemp("save") / "r.json"
+    bl.save_release(release, path)
+    want = json.dumps(release_to_obj(release), indent=1) + "\n"
+    assert path.read_text(encoding="utf-8") == want
+    # A loaded release has no member rows and writes the same bytes.
+    loaded = bl.load_release(path, release.schema)
+    again = path.with_name("again.json")
+    bl.save_release(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_saved_generalized_release_equals_the_object_form(tmp_path, census_release_b4):
+    path = tmp_path / "r.json"
+    bl.save_release(census_release_b4, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(release_to_obj(census_release_b4), indent=1) + "\n"
