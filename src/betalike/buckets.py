@@ -6,7 +6,8 @@ bound of its rarest member (`Bound.admits(..., strict=True)`: exact integers
 on the linear branch, the float cap on the logarithmic one); classes drawing
 from buckets proportionally then keep every value inside its bound even in
 the worst-case composition. Dynamic programming over run endpoints minimizes
-the number of buckets.
+the number of buckets. A bucket's rows are found from one per-row bucket
+index, in ascending order, without sorting the rows.
 """
 from __future__ import annotations
 
@@ -81,14 +82,17 @@ def partition_spans(dist: Distribution, beta: float) -> list[tuple[int, int]]:
 
 
 def dp_partition(table: Table, beta: float) -> BucketPartition:
-    """Partition the table into the minimum number of admissible buckets."""
+    """Partition the table into the minimum number of admissible buckets.
+
+    Each row's bucket index is gathered from its SA code, and each bucket's
+    rows are the positions holding its index, found already ascending.
+    """
     dist = sa_distribution(table)
     spans = partition_spans(dist, beta)
-    order = np.argsort(table.sa_codes, kind="stable")
-    bounds = np.cumsum([0] + list(dist.counts))
+    index = np.arange(len(spans), dtype=np.min_scalar_type(len(spans) - 1))
+    bucket_of = np.repeat(index, [hi - lo + 1 for lo, hi in spans])[table.sa_codes]
     buckets = []
-    for lo, hi in spans:
-        rows = order[bounds[lo] : bounds[hi + 1]]
+    for i, (lo, hi) in enumerate(spans):
         mass = sum(dist.counts[lo : hi + 1]) / dist.total
-        buckets.append(Bucket(lo, hi, np.sort(rows), dist.freq(lo), mass))
+        buckets.append(Bucket(lo, hi, np.flatnonzero(bucket_of == i), dist.freq(lo), mass))
     return BucketPartition(tuple(buckets), dist, beta)

@@ -151,8 +151,10 @@ class Table:
     downstream module relies on that ordering. The derived arrays
     `qi_values`, `qi_codes`, `qi_tuples` and `prefix_cube` are computed on
     first use and never invalidated, which is sound only because a table is
-    never modified after it is built. Curve keys and the naive-Bayes audit work
-    once per distinct QI tuple and gather by `qi_tuples`' row index.
+    never modified after it is built; a loaded table gets `qi_values` and
+    `qi_codes` from the distinct values its loader parsed. Curve keys and
+    the naive-Bayes audit work once per distinct QI tuple and gather by
+    `qi_tuples`' row index.
     """
 
     schema: DatasetSchema
@@ -361,7 +363,22 @@ def _table_from_columns(schema: DatasetSchema, columns: dict[str, tuple[list, np
     if not len(sa_inverse):
         raise DataError("no rows")
     codes, sa_values = _intern_sa(sa_inverse, sa_distinct)
-    return Table(schema, tuple(values[inverse] for values, _, inverse in qi), codes, sa_values)
+    table = Table(schema, tuple(values[inverse] for values, _, inverse in qi), codes, sa_values)
+    # Sorting the parsed distinct values, not the rows, gives the same
+    # `qi_values` and `qi_codes`; distinct strings that parse to one number
+    # ("1", "1.0") merge here.
+    qi_distinct = []
+    for values, _, inverse in qi:
+        sorted_values, index = np.unique(values, return_inverse=True)
+        index = index.astype(np.min_scalar_type(max(len(sorted_values) - 1, 0)))
+        qi_distinct.append((sorted_values, index[inverse]))
+    return _with_qi_distinct(table, tuple(qi_distinct))
+
+
+def _with_qi_distinct(table: Table, qi_distinct: tuple[tuple[np.ndarray, np.ndarray], ...]) -> Table:
+    """The table with its `_qi_distinct` cache already filled in."""
+    vars(table)["_qi_distinct"] = qi_distinct
+    return table
 
 
 def table_from_rows(schema: DatasetSchema, rows: list[dict]) -> Table:
@@ -471,7 +488,8 @@ def load_table(path, schema: DatasetSchema, sa_order: tuple[str, ...] | None = N
     if unknown:
         raise DataError(f"{path}: SA values {sorted(unknown)} not in the declared order")
     remap = np.asarray([sa_order.index(v) for v in table.sa_values], dtype=np.int64)
-    return replace(table, sa_codes=remap[table.sa_codes], sa_values=tuple(sa_order))
+    return _with_qi_distinct(replace(table, sa_codes=remap[table.sa_codes], sa_values=tuple(sa_order)),
+                             table._qi_distinct)
 
 
 def _num(x: float) -> int | float:
@@ -651,7 +669,9 @@ def generate_synthetic(
         raise DataError("need m >= 1")
     if n < m:
         raise DataError(f"need at least one row per SA value: n={n} < m={m}")
-    if skew < 0:
+    # NaN fails the comparison; an infinite skew gives a valid, degenerate
+    # profile.
+    if not skew >= 0:
         raise DataError("skew must be >= 0")
     if sa_freqs is None:
         weights = np.arange(1, m + 1, dtype=float) ** -skew

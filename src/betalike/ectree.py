@@ -5,6 +5,10 @@ holding the floor and remainder halves of each bucket's count; the split is
 kept only when both children are non-empty and eligible, i.e. every bucket's
 share of the child stays at or below the frequency bound of the bucket's
 rarest value. Leaves are emitted left-first, smallest eligible classes.
+
+Every node with the same counts roots the same subtree, so `bi_split`
+memoizes the leaves by count vector: a 1M-row census table's tree has about
+16k nodes but only a few dozen distinct ones.
 """
 from __future__ import annotations
 
@@ -30,25 +34,31 @@ def eligible(alloc, partition: BucketPartition) -> bool:
     return _bucket_bound(partition).admits(counts.tolist(), size)
 
 
-def bi_split(partition: BucketPartition) -> list[np.ndarray]:
-    """Leaf allocation vectors of the halving tree, in left-first order.
+def bi_split(partition: BucketPartition) -> np.ndarray:
+    """Leaf allocation vectors of the halving tree, in left-first order, as
+    the rows of one (leaves, buckets) int64 array.
 
     Component-wise the leaves sum exactly to the bucket sizes, and each leaf
     passes the eligibility check. The root is its own fallback leaf, so the
-    result is never empty.
+    result is never empty. A node's subtree depends only on its counts, and
+    the tree repeats a few distinct count vectors many times over, so each
+    distinct node's leaves are computed once. Halving shrinks the largest
+    count, which bounds the recursion depth by its bit length.
     """
     bound = _bucket_bound(partition)
-    root = np.asarray([b.size for b in partition.buckets], dtype=np.int64)
-    leaves: list[np.ndarray] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        left = node // 2
-        right = node - left
-        ls, rs = int(left.sum()), int(right.sum())
-        if ls >= 1 and rs >= 1 and bound.admits(left.tolist(), ls) and bound.admits(right.tolist(), rs):
-            stack.append(right)
-            stack.append(left)
-        else:
-            leaves.append(node)
-    return leaves
+    memo: dict[tuple[int, ...], np.ndarray] = {}
+
+    def leaves_of(node: tuple[int, ...]) -> np.ndarray:
+        leaves = memo.get(node)
+        if leaves is None:
+            left = tuple(c // 2 for c in node)
+            right = tuple(c - h for c, h in zip(node, left))
+            ls, rs = sum(left), sum(right)
+            if ls >= 1 and rs >= 1 and bound.admits(left, ls) and bound.admits(right, rs):
+                leaves = np.concatenate([leaves_of(left), leaves_of(right)])
+            else:
+                leaves = np.asarray([node], dtype=np.int64)
+            memo[node] = leaves
+        return leaves
+
+    return leaves_of(tuple(b.size for b in partition.buckets))

@@ -7,14 +7,18 @@ destructively in leaf order; the allocation tree's conservation property
 guarantees retrieval never starves.
 
 A bucket is stored as runs of equal curve keys, so a nearest draw costs
-Python work per run it touches, not per record; only the buckets that
-supply anchors ever rebuild a per-record order (see `SortedBucket`).
+Python work per run it touches, not per record, and it only logs the slot
+ranges it took; only the buckets that supply anchors ever rebuild a
+per-record order (see `SortedBucket`).
 
-The draws fill one array of member rows, class after class; once the
-buckets are freed, `release.build_ec` builds every class from it at once.
+Once every class is drawn, each bucket's log is expanded into rows in one
+pass and scattered into one array of member rows, class after class: class
+k's share of bucket b is the next `leaves[k, b]` of b's draws.
+`release.build_ec` then builds every class from it at once.
 """
 from __future__ import annotations
 
+import array
 import bisect
 
 import numpy as np
@@ -29,6 +33,11 @@ from .release import Release, build_ec
 class SortedBucket:
     """Bucket contents sorted by (curve key, row), with removal.
 
+    Built from the table's distinct curve keys, ascending, and the codes of
+    the bucket's rows into them (`hilbert.table_keys`), with the rows in
+    ascending order. A stable sort of the codes then gives the (key, row)
+    order; numpy sorts codes of 16 bits or fewer by radix.
+
     Rows are grouped into runs of equal keys. A nearest draw finds the
     anchor's insertion point among the runs and expands on both sides,
     taking the nearer side and breaking ties toward the lower key. It takes
@@ -39,26 +48,25 @@ class SortedBucket:
     run's rows as the draw still needs. A linked list over the non-empty
     runs and "first live run >= i" pointers skip the empty ones.
 
-    `peek_random` indexes the live records in the order that swap-removing
-    each taken record from a list of all of them leaves behind. Draws only
-    log what they took, one range of slots (positions in the sorted row
-    array) per run step; a bucket builds that order and replays its log
-    when it is peeked, so buckets that never supply an anchor pay nothing
-    for it.
+    A draw only logs what it took, one range of slots (positions in the
+    sorted row array) per run step; `taken` expands the log into rows once
+    the draws are done. `peek_random` indexes the live records in the order
+    that swap-removing each taken record from a list of all of them leaves
+    behind. A bucket builds that order and replays the log from where it
+    last stopped when it is peeked, so buckets that never supply an anchor
+    pay nothing for it.
     """
 
-    def __init__(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=np.int64)
-        n = len(rows)
-        order = np.lexsort((rows, keys))
-        keys = keys[order]
-        # A memoryview reads and slices rows faster than the array does.
-        self._rows = memoryview(rows[order])
-        change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    def __init__(self, keys: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> None:
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        self._rows = np.asarray(rows, dtype=np.int64)[order]
+        n = len(order)
+        change = np.flatnonzero(codes[1:] != codes[:-1]) + 1
         starts = [0, *change.tolist()] if n else []
         n_runs = len(starts)
         self._size = n
-        self._run_keys = keys[starts].tolist()
+        self._run_keys = keys[codes[starts]].tolist()
         self._starts = starts
         self._lo = list(starts)
         self._hi = starts[1:] + [n]
@@ -70,9 +78,10 @@ class SortedBucket:
         self._nxt[-1] = 0
         # "First live run >= i" pointers with path compression.
         self._ceil = list(range(n_runs + 1))
-        # Slots taken since the live order was last brought up to date, as
-        # (first, last) pairs of an ascending or descending slot range.
-        self._log: list[int] = []
+        # Every slot taken, as (first, last) pairs of an ascending or
+        # descending slot range, and how much of it the live order has seen.
+        self._log = array.array("q")
+        self._replayed = 0
         self._alive: list[int] | None = None
         self._slot: list[int] | None = None
 
@@ -93,8 +102,9 @@ class SortedBucket:
         if self._alive is None:
             self._alive = list(range(len(self._rows)))
             self._slot = list(range(len(self._rows)))
-        alive, slot, log = self._alive, self._slot, self._log
-        pairs = iter(log)
+        alive, slot = self._alive, self._slot
+        pairs = iter(self._log[self._replayed :])
+        self._replayed = len(self._log)
         for first, last in zip(pairs, pairs):
             step = 1 if first <= last else -1
             i = first
@@ -107,64 +117,68 @@ class SortedBucket:
                 if i == last:
                     break
                 i += step
-        del log[:]
         return alive
 
     def peek_random(self, rng: np.random.Generator) -> tuple[int, int]:
         """(row, key) of a uniformly random live record; nothing is removed."""
         alive = self._live_order()
         i = alive[int(rng.integers(len(alive)))]
-        return self._rows[i], self._run_keys[bisect.bisect_right(self._starts, i) - 1]
+        return int(self._rows[i]), self._run_keys[bisect.bisect_right(self._starts, i) - 1]
 
-    def draw_nearest(self, anchor_key: int, count: int) -> np.ndarray:
-        """Remove and return the `count` rows with keys nearest the anchor's."""
+    def draw_nearest(self, anchor_key: int, count: int) -> None:
+        """Remove the `count` rows with keys nearest the anchor's; `taken`
+        returns them."""
         if count > self._size:
             raise DataError(f"cannot draw {count} of {self._size} remaining records")
-        out = np.empty(count, dtype=np.int64)
         if count == 0:
-            return out
+            return
         self._size -= count
         anchor_key = int(anchor_key)
-        taken = memoryview(out)
-        keys, rows, lo, hi, log = self._run_keys, self._rows, self._lo, self._hi, self._log
+        keys, lo, hi, log = self._run_keys, self._lo, self._hi, self._log
         prv, nxt, ceil = self._prv, self._nxt, self._ceil
         tail = len(keys)
         right = self._find_ceil(bisect.bisect_left(keys, anchor_key))
         left = prv[right]
-        pos = 0
-        while pos < count:
+        while count:
             if left != -1 and (right == tail or anchor_key - keys[left] <= keys[right] - anchor_key):
                 # Take from the top of the run below the anchor.
                 a, b = lo[left], hi[left]
-                if b - a > count - pos:
-                    a = hi[left] = b - (count - pos)
+                if b - a > count:
+                    a = hi[left] = b - count
                 else:
                     p, nx = prv[left], nxt[left]
                     nxt[p], prv[nx], ceil[left] = nx, p, left + 1
                     left = p
-                if b - a == 1:
-                    taken[pos] = rows[a]
-                else:
-                    taken[pos : pos + b - a] = rows[a:b][::-1]
                 log.append(b - 1)
                 log.append(a)
             else:
                 # Take from the bottom of the run at or above it.
                 a, b = lo[right], hi[right]
-                if b - a > count - pos:
-                    b = lo[right] = a + (count - pos)
+                if b - a > count:
+                    b = lo[right] = a + count
                 else:
                     p, nx = prv[right], nxt[right]
                     nxt[p], prv[nx], ceil[right] = nx, p, right + 1
                     right = nx
-                if b - a == 1:
-                    taken[pos] = rows[a]
-                else:
-                    taken[pos : pos + b - a] = rows[a:b]
                 log.append(a)
                 log.append(b - 1)
-            pos += b - a
-        return out
+            count -= b - a
+
+    def taken(self) -> np.ndarray:
+        """The rows drawn so far, in draw order."""
+        pairs = np.frombuffer(self._log, dtype=np.int64).reshape(-1, 2)
+        if not len(pairs):
+            return np.empty(0, dtype=np.int64)
+        first, last = pairs[:, 0], pairs[:, 1]
+        lengths = np.abs(last - first) + 1
+        # Slot steps: +-1 inside a range, and a jump from the previous
+        # range's last slot to the next range's first; their running sum
+        # walks every slot in log order.
+        steps = np.repeat(np.where(last < first, -1, 1), lengths)
+        heads = np.cumsum(lengths[:-1])
+        steps[0] = first[0]
+        steps[heads] = first[1:] - last[:-1]
+        return self._rows[np.cumsum(steps)]
 
 
 def generalize(table: Table, beta: float, seed: int = 0, curve_order: int = 16) -> Release:
@@ -175,22 +189,26 @@ def generalize(table: Table, beta: float, seed: int = 0, curve_order: int = 16) 
     dist = sa_distribution(table)
     partition = dp_partition(table, beta)
     leaves = bi_split(partition)
-    keys = table_keys(table, curve_order)
-    stores = [SortedBucket(keys[b.rows], b.rows) for b in partition.buckets]
-    del keys, partition
+    keys, codes = table_keys(table, curve_order)
+    stores = [SortedBucket(keys, codes[b.rows], b.rows) for b in partition.buckets]
+    del keys, codes, partition
     rng = np.random.default_rng(seed)
-    members = np.empty(table.n_rows, dtype=np.int64)
-    sizes = []
-    end = 0
-    for alloc in leaves:
-        alloc = alloc.tolist()
+    for alloc in leaves.tolist():
         _, anchor_key = stores[alloc.index(max(alloc))].peek_random(rng)
         for store, a in zip(stores, alloc):
             if a > 0:
-                members[end : end + a] = store.draw_nearest(anchor_key, a)
-                end += a
-        sizes.append(sum(alloc))
+                store.draw_nearest(anchor_key, a)
     assert all(len(s) == 0 for s in stores)
-    # The stores' per-record lists go before the classes are built.
-    del stores
-    return Release(table.schema, dist, beta, seed, curve_order, build_ec(table, members, sizes))
+    # Class k's members are its share of each bucket's draws, bucket after
+    # bucket; bucket b's draws hold its classes' shares class after class.
+    starts = np.cumsum(leaves, axis=None).reshape(leaves.shape) - leaves
+    members = np.empty(table.n_rows, dtype=np.int64)
+    for b in range(len(stores)):
+        share = leaves[:, b]
+        # Each share's first slot in members, less its first index in the
+        # bucket's draws, plus each draw's index.
+        offset = np.repeat(starts[:, b] - (np.cumsum(share) - share), share)
+        members[offset + np.arange(len(offset))] = stores[b].taken()
+        # The store's per-record lists go before the classes are built.
+        stores[b] = None
+    return Release(table.schema, dist, beta, seed, curve_order, build_ec(table, members, leaves.sum(axis=1)))

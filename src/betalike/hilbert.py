@@ -5,7 +5,9 @@ one integer along a Hilbert curve, so rows close in QI space tend to get
 nearby keys. The encoding is the classic bit-transposition algorithm,
 vectorized over points; in one dimension it degenerates to the identity.
 Rows with the same QI values get the same key, so `table_keys` quantizes
-and encodes each distinct QI tuple once and gathers the keys by row.
+and encodes each distinct QI tuple once. It returns the distinct keys in
+ascending order and each row's index into them, so a bucket orders its rows
+by these small codes instead of by the keys themselves.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ def hilbert_indices(cells: np.ndarray, order: int):
     """Map (n, d) grid coordinates in [0, 2**order) to curve positions.
 
     Returns a uint64 array when d * order fits in 64 bits, otherwise an
-    object array of Python ints; both sort with `np.lexsort`.
+    object array of Python ints; both sort with `np.unique`.
     """
     cells = np.asarray(cells)
     if cells.ndim != 2:
@@ -92,7 +94,11 @@ def quantize_table(table: Table, order: int) -> np.ndarray:
 
 
 def table_keys(table: Table, order: int):
-    """Curve key of every row: each distinct QI tuple is encoded once."""
+    """(keys, codes): the distinct curve keys of the table's rows in
+    ascending order, and each row's index into them in the narrowest
+    unsigned dtype that holds it. Each distinct QI tuple is encoded once;
+    tuples that quantize to one grid cell share a key and so a code."""
     _check_order(order)
     _, inverse = table.qi_tuples
-    return hilbert_indices(quantize_table(table, order), order)[inverse]
+    keys, codes = np.unique(hilbert_indices(quantize_table(table, order), order), return_inverse=True)
+    return keys, codes.astype(np.min_scalar_type(max(len(keys) - 1, 0)))[inverse]

@@ -57,12 +57,6 @@ class Distribution:
     def freq(self, i: int) -> float:
         return self.counts[i] / self.total
 
-    def index_of(self, value: str) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise LikenessError(f"SA value {value!r} not in distribution") from None
-
 
 def frequency_bound(p: float, beta: float) -> float:
     """Largest in-class frequency allowed for a value of global frequency p.

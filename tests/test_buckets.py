@@ -134,3 +134,23 @@ def test_bucket_count_monotone_in_beta():
         d = dist([int(c) for c in rng.integers(1, 40, size=m)])
         counts = [len(bl.partition_spans(d, b)) for b in (0.5, 1.0, 2.0, 4.0)]
         assert all(x >= y for x, y in zip(counts, counts[1:]))
+
+
+def reference_bucket_rows(table, spans) -> list[list[int]]:
+    """Each bucket's rows, ascending, cut from one stable argsort of the SA
+    codes: the grouping that `dp_partition` replaced, kept as its oracle."""
+    order = np.argsort(table.sa_codes, kind="stable")
+    bounds = np.cumsum([0, *table.sa_counts()])
+    return [np.sort(order[bounds[lo] : bounds[hi + 1]]).tolist() for lo, hi in spans]
+
+
+@pytest.mark.parametrize("m, beta", [(1, 1.0), (6, 0.5), (50, 4.0), (300, 0.3)])
+def test_bucket_rows_match_the_sorted_grouping(m, beta):
+    # m = 300 gives more buckets than a uint8 bucket index can hold.
+    table = bl.generate_synthetic(4_000, m, skew=1.1, seed=m)
+    part = bl.dp_partition(table, beta)
+    spans = [(b.lo, b.hi) for b in part.buckets]
+    assert [b.rows.tolist() for b in part.buckets] == reference_bucket_rows(table, spans)
+    assert all(b.rows.dtype == np.int64 for b in part.buckets)
+    if m == 300:
+        assert len(part.buckets) > 256

@@ -557,6 +557,15 @@ def test_perturb_prints_margin_on_the_cap(tmp_path, capsys):
     assert "\nposterior_margin=-0.000000\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("skew", ["nan", "-1"])
+def test_gen_data_rejects_nan_or_negative_skew(tmp_path, capsys, skew):
+    prefix = tmp_path / "x"
+    assert run(["gen-data", "--skew", skew, "--rows", "100", "--out", str(prefix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: skew must be >= 0\n" and captured.out == ""
+    assert not prefix.with_suffix(".csv").exists()
+
+
 def test_nonpositive_beta_exits_one(example_files, tmp_path, capsys):
     csv, schema = example_files
     code = run([

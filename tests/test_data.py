@@ -117,6 +117,56 @@ def test_load_with_declared_sa_order(tmp_path):
         bl.load_table(f, patient_schema(), sa_order=("flu", "other"))
 
 
+def sorted_qi_distinct(table):
+    """Per QI column, the sorted distinct values and each row's code into
+    them, from one `np.unique` over the rows: what a table computes when
+    its loader gave it nothing."""
+    out = []
+    for col in table.qi_columns:
+        values, codes = np.unique(col, return_inverse=True)
+        out.append((values, codes.astype(np.min_scalar_type(max(len(values) - 1, 0)))))
+    return out
+
+
+def assert_loaded_qi_distinct(table):
+    # The loader fills the cache, so the rows are never sorted again.
+    assert "_qi_distinct" in vars(table)
+    want = sorted_qi_distinct(table)
+    for k, (values, codes) in enumerate(want):
+        assert table.qi_values[k].dtype == values.dtype and table.qi_codes[k].dtype == codes.dtype
+        assert table.qi_values[k].tolist() == values.tolist()
+        assert table.qi_codes[k].tolist() == codes.tolist()
+
+
+def test_loaded_tables_carry_sorted_qi_values(tmp_path):
+    # "30", "30.0" and "030" are three strings but one number.
+    f = tmp_path / "t.csv"
+    _write_csv(f, ["50,30,flu", "60.5,30.0,cold", "50.0,030,flu", "40,80,flu", "60.50,21,cold"])
+    t = bl.load_table(f, patient_schema())
+    assert_loaded_qi_distinct(t)
+    assert t.qi_values[0].tolist() == [40.0, 50.0, 60.5] and t.qi_codes[0].tolist() == [1, 2, 1, 0, 2]
+    assert t.qi_values[1].tolist() == [21.0, 30.0, 80.0] and t.qi_codes[1].tolist() == [1, 1, 1, 2, 0]
+    ordered = bl.load_table(f, patient_schema(), sa_order=("cold", "flu"))
+    assert ordered.sa_values == ("cold", "flu")
+    assert_loaded_qi_distinct(ordered)
+    assert_loaded_qi_distinct(bl.table_from_rows(patient_schema(), [{"weight": 41, "age": 30, "disease": "x"}]))
+
+
+def test_loaded_categorical_and_wide_columns_match_the_row_sort(tmp_path):
+    zip_spec = bl.default_qi_spec() + (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),)
+    source = bl.generate_synthetic(3_000, 20, seed=5, qi_spec=zip_spec)
+    # A generated table computes them on first use.
+    assert "_qi_distinct" not in vars(source)
+    f = tmp_path / "zip.csv"
+    bl.save_table(source, f)
+    t = bl.load_table(f, source.schema)
+    assert_loaded_qi_distinct(t)
+    assert t.qi_codes[3].dtype == np.uint16
+    for k in range(4):
+        assert t.qi_values[k].tolist() == source.qi_values[k].tolist()
+        assert t.qi_codes[k].tolist() == source.qi_codes[k].tolist()
+
+
 def test_sa_distribution_single_value():
     schema = patient_schema()
     rows = [{"weight": 50, "age": 30, "disease": "flu"} for _ in range(4)]
@@ -157,6 +207,17 @@ def test_synthetic_census_profile_extremes():
 def test_synthetic_requires_row_per_value():
     with pytest.raises(bl.DataError, match="at least one row per SA value"):
         bl.generate_synthetic(5, 10)
+
+
+@pytest.mark.parametrize("skew", [-0.5, float("nan")])
+def test_synthetic_rejects_negative_or_nan_skew(skew):
+    with pytest.raises(bl.DataError, match="^skew must be >= 0$"):
+        bl.generate_synthetic(100, 5, skew=skew)
+
+
+def test_synthetic_infinite_skew_is_degenerate_but_valid():
+    t = bl.generate_synthetic(100, 5, skew=float("inf"), seed=1)
+    assert t.sa_counts().tolist() == [1, 1, 1, 1, 96]
 
 
 def test_synthetic_every_value_present():

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betalike as bl
+from betalike.likeness import Bound
 
 
 def test_eligibility_examples(example2):
@@ -106,3 +109,44 @@ def test_split_is_deterministic(example2):
     a = [leaf.tolist() for leaf in bl.bi_split(part)]
     b = [leaf.tolist() for leaf in bl.bi_split(part)]
     assert a == b
+
+
+def reference_bi_split(partition) -> list[list[int]]:
+    """The halving tree walked node by node with an explicit stack, every
+    node split afresh: the oracle of the memoized `bi_split`."""
+    bound = Bound(partition.dist, partition.beta).at([b.lo for b in partition.buckets])
+    leaves = []
+    stack = [np.asarray([b.size for b in partition.buckets], dtype=np.int64)]
+    while stack:
+        node = stack.pop()
+        left = node // 2
+        right = node - left
+        ls, rs = int(left.sum()), int(right.sum())
+        if ls >= 1 and rs >= 1 and bound.admits(left.tolist(), ls) and bound.admits(right.tolist(), rs):
+            stack.append(right)
+            stack.append(left)
+        else:
+            leaves.append(node.tolist())
+    return leaves
+
+
+def test_random_partitions_match_the_stack_walk():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        part = _random_partition(rng)
+        leaves = bl.bi_split(part)
+        assert leaves.dtype == np.int64 and leaves.shape == (len(leaves), len(part.buckets))
+        assert leaves.tolist() == reference_bi_split(part)
+
+
+@given(st.lists(st.integers(1, 5_000), min_size=1, max_size=12), st.floats(0.2, 6.0))
+@settings(max_examples=200, deadline=None)
+def test_memoized_split_matches_the_stack_walk(counts, beta):
+    counts = sorted(counts)
+    dist = bl.Distribution(tuple(f"v{i}" for i in range(len(counts))), tuple(counts), sum(counts))
+    bounds = np.cumsum([0, *counts])
+    buckets = tuple(bl.Bucket(lo, hi, np.arange(bounds[lo], bounds[hi + 1]), dist.freq(lo),
+                              (bounds[hi + 1] - bounds[lo]) / dist.total)
+                    for lo, hi in bl.partition_spans(dist, beta))
+    part = bl.BucketPartition(buckets, dist, beta)
+    assert bl.bi_split(part).tolist() == reference_bi_split(part)

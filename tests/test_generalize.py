@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import betalike as bl
 from betalike.data import NUMERIC, QI, Attribute
+from betalike.hilbert import quantize_table
 
-from conftest import release_to_obj
+from conftest import mixed_qi_tables, release_to_obj
 
 
 class ReferenceBucket:
@@ -99,35 +100,46 @@ class ReferenceBucket:
         return out
 
 
-def make_bucket(keys, rows=None, cls=bl.SortedBucket):
-    rows = np.arange(len(keys)) if rows is None else np.asarray(rows)
-    return cls(np.asarray(keys, dtype=np.int64), rows)
+def make_bucket(keys, rows=None):
+    """A `SortedBucket` over rows with the given curve keys: the rows in
+    ascending order, each coded into the distinct keys."""
+    keys = np.asarray(keys)
+    rows = np.arange(len(keys)) if rows is None else np.asarray(rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    distinct, codes = np.unique(keys[order], return_inverse=True)
+    return bl.SortedBucket(distinct, codes, rows[order])
+
+
+def draw_rows(bucket, anchor_key, count) -> list[int]:
+    """The rows one nearest draw takes, read back from `taken`."""
+    before = len(bucket.taken())
+    assert bucket.draw_nearest(anchor_key, count) is None
+    return bucket.taken()[before:].tolist()
 
 
 def test_draw_nearest_two_sided():
     b = make_bucket([10, 20, 30, 40])
-    got = b.draw_nearest(21, 2)
-    assert sorted(got.tolist()) == [1, 2]      # keys 20 and 30
+    assert sorted(draw_rows(b, 21, 2)) == [1, 2]      # keys 20 and 30
 
 
 def test_draw_nearest_one_sided_below():
     b = make_bucket([10, 20, 30, 40])
-    assert b.draw_nearest(3, 1).tolist() == [0]
+    assert draw_rows(b, 3, 1) == [0]
 
 
 def test_draw_whole_bucket():
     b = make_bucket([10, 20, 30, 40])
-    got = b.draw_nearest(999, 4)
-    assert sorted(got.tolist()) == [0, 1, 2, 3]
+    assert sorted(draw_rows(b, 999, 4)) == [0, 1, 2, 3]
     assert len(b) == 0
 
 
 def test_draw_consumes_across_calls():
     b = make_bucket([10, 20, 30, 40])
-    first = b.draw_nearest(21, 2)
-    second = b.draw_nearest(21, 2)
-    assert sorted(first.tolist() + second.tolist()) == [0, 1, 2, 3]
-    assert sorted(second.tolist()) == [0, 3]
+    first = draw_rows(b, 21, 2)
+    second = draw_rows(b, 21, 2)
+    assert sorted(first + second) == [0, 1, 2, 3]
+    assert sorted(second) == [0, 3]
+    assert b.taken().tolist() == first + second
 
 
 def test_draw_overdraw_errors():
@@ -138,12 +150,21 @@ def test_draw_overdraw_errors():
 
 def test_equal_keys_keep_row_order():
     b = make_bucket([5, 5, 5], rows=[30, 10, 20])
-    assert b.draw_nearest(5, 2).tolist() == [10, 20]
+    assert draw_rows(b, 5, 2) == [10, 20]
 
 
 def test_tie_prefers_lower_key():
     b = make_bucket([10, 30])
-    assert b.draw_nearest(20, 1).tolist() == [0]
+    assert draw_rows(b, 20, 1) == [0]
+
+
+def test_taken_before_any_draw_is_empty():
+    for b in (make_bucket([]), make_bucket([7, 7])):
+        taken = b.taken()
+        assert taken.dtype == np.int64 and taken.tolist() == []
+    b = make_bucket([7, 7])
+    b.draw_nearest(7, 0)
+    assert b.taken().tolist() == []
 
 
 def test_example2_release(example2):
@@ -193,19 +214,18 @@ def test_numeric_extents_are_attained(example2):
 
 
 def test_draw_nearest_matches_brute_force():
-    for cls in (bl.SortedBucket, ReferenceBucket):
-        rng = np.random.default_rng(99)
-        for _ in range(100):
-            n = int(rng.integers(1, 40))
-            keys = rng.integers(0, 200, size=n).astype(np.int64)
-            bucket = make_bucket(keys, cls=cls)
-            anchor = int(rng.integers(-20, 220))
-            count = int(rng.integers(1, n + 1))
-            got = np.sort(keys[bucket.draw_nearest(anchor, count)])
-            want = np.sort(np.asarray(
-                sorted(keys.tolist(), key=lambda k: (abs(k - anchor), k))[:count]
-            ))
-            assert got.tolist() == want.tolist()
+    rng = np.random.default_rng(99)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        keys = rng.integers(0, 200, size=n).astype(np.int64)
+        anchor = int(rng.integers(-20, 220))
+        count = int(rng.integers(1, n + 1))
+        want = sorted(keys.tolist(), key=lambda k: (abs(k - anchor), k))[:count]
+        rows = np.arange(n)
+        got = [draw_rows(make_bucket(keys), anchor, count),
+               ReferenceBucket(keys, rows).draw_nearest(anchor, count).tolist()]
+        for taken in got:
+            assert sorted(keys[taken].tolist()) == sorted(want)
 
 
 @st.composite
@@ -236,9 +256,10 @@ def bucket_scripts(draw):
 @settings(max_examples=300, deadline=None)
 def test_run_buckets_match_the_per_record_reference(case):
     keys, rows, script, seed = case
-    new, ref = bl.SortedBucket(keys, rows), ReferenceBucket(keys, rows)
+    new, ref = make_bucket(keys, rows), ReferenceBucket(keys, rows)
     new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     peeked = int(keys[0]) if len(keys) else 0
+    drawn = []
     for op in script:
         assert len(new) == len(ref)
         if op[0] == "peek":
@@ -250,8 +271,38 @@ def test_run_buckets_match_the_per_record_reference(case):
         else:
             anchor = peeked if op[1] == "peeked" else op[1]
             count = int(op[2] * len(ref))
-            assert new.draw_nearest(anchor, count).tolist() == ref.draw_nearest(anchor, count).tolist()
+            want = ref.draw_nearest(anchor, count).tolist()
+            assert draw_rows(new, anchor, count) == want
+            drawn += want
     assert len(new) == len(ref)
+    assert new.taken().tolist() == drawn
+
+
+def reference_members(table, beta, seed, order) -> list[int]:
+    """The member rows `generalize` publishes, class after class: each
+    class's draws from its buckets in bucket order, drawn from per-record
+    stores over per-row curve keys."""
+    _, inverse = table.qi_tuples
+    keys = bl.hilbert_indices(quantize_table(table, order), order)[inverse]
+    partition = bl.dp_partition(table, beta)
+    stores = [ReferenceBucket(keys[b.rows], b.rows) for b in partition.buckets]
+    rng = np.random.default_rng(seed)
+    members = []
+    for alloc in bl.bi_split(partition).tolist():
+        _, anchor_key = stores[alloc.index(max(alloc))].peek_random(rng)
+        for store, a in zip(stores, alloc):
+            if a > 0:
+                members += store.draw_nearest(anchor_key, a).tolist()
+    return members
+
+
+@given(mixed_qi_tables(sa_values=("a", "b", "c", "d", "e")), st.floats(0.3, 5.0),
+       st.integers(0, 2**16), st.sampled_from([2, 4, 16, 22]))
+@settings(max_examples=150, deadline=None)
+def test_members_are_each_class_draws_in_order(table, beta, seed, order):
+    release = bl.generalize(table, beta, seed=seed, curve_order=order)
+    members = np.concatenate([ec.rows for ec in release.ecs]).tolist()
+    assert members == reference_members(table, beta, seed, order)
 
 
 def _golden_tables():

@@ -102,8 +102,8 @@ def test_identical_records_identical_keys():
     schema = patient_schema()
     rows = [{"weight": 55, "age": 33, "disease": "flu"}] * 2
     t = bl.table_from_rows(schema, rows)
-    keys = bl.table_keys(t, 16)
-    assert keys[0] == keys[1]
+    keys, codes = bl.table_keys(t, 16)
+    assert len(keys) == 1 and codes.tolist() == [0, 0]
 
 
 def test_categorical_axis_uses_leaf_rank():
@@ -133,6 +133,32 @@ def test_table_keys_are_per_row_curve_keys(n_qi, order, data):
             scaled = (col - attr.lo) / (attr.hi - attr.lo) * top
         cells.append(np.clip(np.floor(scaled + 0.5), 0, top).astype(np.uint64))
     expected = bl.hilbert_indices(np.column_stack(cells), order)
-    keys = bl.table_keys(t, order)
+    keys, codes = bl.table_keys(t, order)
     assert keys.dtype == expected.dtype == (np.uint64 if n_qi * order <= 64 else object)
-    assert keys.tolist() == expected.tolist()
+    assert keys.tolist() == sorted(set(expected.tolist()))
+    assert codes.dtype == np.min_scalar_type(len(keys) - 1)
+    assert keys[codes].tolist() == expected.tolist()
+
+
+def per_row_table_keys(table, order: int):
+    """Curve key of every row, each distinct QI tuple encoded once and
+    gathered by row: the per-row keys that `table_keys` codes."""
+    _, inverse = table.qi_tuples
+    return bl.hilbert_indices(quantize_table(table, order), order)[inverse]
+
+
+@pytest.mark.parametrize("order, key_type", [(3, np.uint64), (16, np.uint64), (20, object)])
+def test_table_keys_code_the_per_row_keys(order, key_type):
+    # At order 3 the zip axis has 8 cells, so most of the table's distinct
+    # tuples share a key with another; at order 20 the 4 QI axes need 80-bit
+    # keys, held as Python ints.
+    zip_spec = bl.default_qi_spec() + (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),)
+    t = bl.generate_synthetic(3_000, 20, seed=5, qi_spec=zip_spec)
+    keys, codes = bl.table_keys(t, order)
+    want = per_row_table_keys(t, order)
+    assert keys.dtype == want.dtype == key_type
+    assert keys[codes].tolist() == want.tolist()
+    assert (np.diff(np.unique(codes)) == 1).all() and codes.max() == len(keys) - 1
+    assert all(a < b for a, b in zip(keys.tolist(), keys.tolist()[1:]))
+    if order == 3:
+        assert len(keys) < len(t.qi_tuples[0])
