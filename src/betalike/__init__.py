@@ -35,7 +35,7 @@ from .data import (
     save_table,
     table_from_rows,
 )
-from .ectree import bi_split, eligible
+from .ectree import bi_split
 from .generalize import SortedBucket, generalize
 from .hierarchy import Hierarchy, HierarchyError
 from .hilbert import hilbert_indices, table_keys
@@ -115,7 +115,6 @@ __all__ = [
     "default_qi_spec",
     "dp_partition",
     "ec_audit_lines",
-    "eligible",
     "estimate_perturbed",
     "exact_count",
     "frequency_bound",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, DataError, Table
+from .data import CATEGORICAL, DataError, Table, check_source
 from .likeness import Bound, LikenessError
 from .release import Release
 
@@ -101,10 +101,6 @@ class NbAuditReport:
     accuracy: float
     top_frequency: float
 
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
     def lines(self) -> list[str]:
         attr, value, sa, ratio = self.worst
         return [
@@ -125,8 +121,7 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     per QI attribute it holds two (distinct values x m) arrays at a time.
     """
     dist = release.dist
-    if dist.total != table.n_rows:
-        raise DataError("release and table disagree on row count")
+    check_source(table, dist)
     m = dist.m
     p = dist.freqs()
     n_i = np.asarray(dist.counts, dtype=float)

@@ -24,6 +24,7 @@ from .buckets import dp_partition
 from .data import (
     DataError,
     census_like_profile,
+    check_source,
     generate_synthetic,
     load_schema,
     load_table,
@@ -175,13 +176,15 @@ def _cmd_audit(args) -> int:
     schema = load_schema(args.schema)
     table = load_table(args.input, schema)
     release = load_release(args.release, schema)
+    # First, so that a table that is not the release's source fails before
+    # any line is printed.
+    report = nb_bound_audit(release, table)
     achieved = achieved_beta(release)
     achieved_txt = "unbounded" if math.isinf(achieved) else f"{achieved:.6f}"
     print(f"achieved_beta={achieved_txt} declared_beta={release.beta}")
     ec_lines = ec_audit_lines(release)
     for line in ec_lines:
         print(line)
-    report = nb_bound_audit(release, table)
     for line in report.lines():
         print(line)
     # The class lines already carry the exact check's verdict; the exit code
@@ -197,9 +200,11 @@ def _cmd_queryeval(args) -> int:
     artifact = Path(args.artifact)
     if artifact.is_dir():
         perturbed, model = load_perturbation(artifact, schema)
+        check_source(table, model.dist)
         reports = perturbation_reports(table, perturbed, model, workload)
     else:
         release = load_release(artifact, schema)
+        check_source(table, release.dist)
         reports = {"generalized": workload_report_generalized(table, release, workload)}
     for name, report in reports.items():
         med = report.median_error

@@ -536,6 +536,19 @@ def sa_distribution(table: Table) -> Distribution:
     return Distribution(table.sa_values, tuple(int(c) for c in counts), table.n_rows)
 
 
+def check_source(table: Table, dist: Distribution) -> None:
+    """A DataError unless the table holds the SA values, in the same code
+    order, and the counts that an artifact's distribution `dist` records, as
+    the table it was made from does: the artifact's counts are read by the
+    table's SA codes."""
+    if table.n_rows != dist.total:
+        raise DataError(f"table is not the artifact's source: its row count {table.n_rows} "
+                        f"differs from the artifact's {dist.total}")
+    if table.sa_values != dist.values or table.sa_counts().tolist() != list(dist.counts):
+        raise DataError("table is not the artifact's source: its SA values or their counts "
+                        "differ from the artifact's")
+
+
 # ---------------------------------------------------------------------------
 # Schema config files
 
@@ -597,15 +610,15 @@ CENSUS_MIN_FREQ = 0.002018
 CENSUS_MAX_FREQ = 0.048402
 
 
-def census_like_profile(m: int = 50, lo: float = CENSUS_MIN_FREQ, hi: float = CENSUS_MAX_FREQ) -> np.ndarray:
+def census_like_profile(m: int = 50) -> np.ndarray:
     """Ascending frequency profile with census-like extremes, summing to 1.
 
     Three plateaus, the way salary-class marginals cluster: a small rare tier
-    pinned at `lo`, a few top classes pinned at `hi`, and a dominant middle
-    tier whose value is solved so the mass is exactly 1.
+    pinned at `CENSUS_MIN_FREQ`, a few top classes pinned at
+    `CENSUS_MAX_FREQ`, and a dominant middle tier whose value is solved so
+    the mass is exactly 1.
     """
-    if not 0 < lo < hi < 1:
-        raise DataError("need 0 < lo < hi < 1")
+    lo, hi = CENSUS_MIN_FREQ, CENSUS_MAX_FREQ
     rare = max(1, round(0.1 * m))
     top = max(1, round(0.06 * m))
     mid = m - rare - top
@@ -678,7 +691,8 @@ def generate_synthetic(
         freqs = np.sort(weights / weights.sum())
     else:
         freqs = np.asarray(sa_freqs, dtype=float)
-        if freqs.shape != (m,) or (freqs <= 0).any() or abs(freqs.sum() - 1.0) > 1e-9:
+        # NaN fails both comparisons.
+        if freqs.shape != (m,) or not ((freqs > 0).all() and abs(freqs.sum() - 1.0) <= 1e-9):
             raise DataError("sa_freqs must be m positive frequencies summing to 1")
         freqs = np.sort(freqs)
     counts = _apportion(freqs, n)

@@ -15,23 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .buckets import BucketPartition
-from .likeness import Bound, LikenessError
-
-
-def _bucket_bound(partition: BucketPartition) -> Bound:
-    """Each bucket's cap: the bound of its rarest value."""
-    return Bound(partition.dist, partition.beta).at([b.lo for b in partition.buckets])
-
-
-def eligible(alloc, partition: BucketPartition) -> bool:
-    """Does every bucket's share of this allocation respect its bound?"""
-    counts = np.asarray(alloc, dtype=np.int64)
-    if counts.shape != (len(partition.buckets),):
-        raise LikenessError("allocation length must match the bucket count")
-    size = int(counts.sum())
-    if size <= 0:
-        raise LikenessError("allocation is empty")
-    return _bucket_bound(partition).admits(counts.tolist(), size)
+from .likeness import Bound
 
 
 def bi_split(partition: BucketPartition) -> np.ndarray:
@@ -45,7 +29,8 @@ def bi_split(partition: BucketPartition) -> np.ndarray:
     distinct node's leaves are computed once. Halving shrinks the largest
     count, which bounds the recursion depth by its bit length.
     """
-    bound = _bucket_bound(partition)
+    # Each bucket's cap: the bound of its rarest value.
+    bound = Bound(partition.dist, partition.beta).at([b.lo for b in partition.buckets])
     memo: dict[tuple[int, ...], np.ndarray] = {}
 
     def leaves_of(node: tuple[int, ...]) -> np.ndarray:

@@ -130,8 +130,6 @@ class SortedBucket:
         returns them."""
         if count > self._size:
             raise DataError(f"cannot draw {count} of {self._size} remaining records")
-        if count == 0:
-            return
         self._size -= count
         anchor_key = int(anchor_key)
         keys, lo, hi, log = self._run_keys, self._lo, self._hi, self._log

@@ -26,10 +26,6 @@ class Node:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def leaf_count(self) -> int:
-        return self.leaf_hi - self.leaf_lo + 1
-
 
 class Hierarchy:
     """Rooted tree over a categorical domain.
@@ -40,10 +36,8 @@ class Hierarchy:
     """
 
     def __init__(self, spec) -> None:
-        counter = [0]
-        self.root = self._build(spec, counter)
         leaves: list[str] = []
-        self._collect(self.root, leaves)
+        self.root = self._build(spec, leaves)
         self.leaves: tuple[str, ...] = tuple(leaves)
         self._index: dict[str, int] = {}
         for i, value in enumerate(leaves):
@@ -52,11 +46,11 @@ class Hierarchy:
             self._index[value] = i
 
     @staticmethod
-    def _build(spec, counter) -> Node:
+    def _build(spec, leaves: list[str]) -> Node:
+        """The node for `spec`; its leaves are appended to `leaves` in pre-order."""
         if isinstance(spec, str):
-            i = counter[0]
-            counter[0] += 1
-            return Node(spec, i, i)
+            leaves.append(spec)
+            return Node(spec, len(leaves) - 1, len(leaves) - 1)
         if isinstance(spec, dict):
             try:
                 label, children = spec["name"], spec["children"]
@@ -64,17 +58,9 @@ class Hierarchy:
                 raise HierarchyError(f"hierarchy node missing key {exc}") from exc
             if not isinstance(label, str) or not isinstance(children, list) or not children:
                 raise HierarchyError("internal node needs a name and a non-empty list of children")
-            kids = tuple(Hierarchy._build(c, counter) for c in children)
+            kids = tuple(Hierarchy._build(c, leaves) for c in children)
             return Node(label, kids[0].leaf_lo, kids[-1].leaf_hi, kids)
         raise HierarchyError(f"bad hierarchy node: {spec!r}")
-
-    @staticmethod
-    def _collect(node: Node, out: list[str]) -> None:
-        if node.is_leaf:
-            out.append(node.label)
-        else:
-            for child in node.children:
-                Hierarchy._collect(child, out)
 
     @property
     def n_leaves(self) -> int:
@@ -108,16 +94,3 @@ class Hierarchy:
             return {"name": node.label, "children": [render(c) for c in node.children]}
 
         return render(self.root)
-
-    @classmethod
-    def balanced(cls, values: list[str], fanout: int = 4, root_label: str = "any") -> "Hierarchy":
-        """Single-level grouping of `values` into runs of `fanout` leaves."""
-        if not values:
-            raise HierarchyError("balanced hierarchy needs at least one value")
-        if len(values) <= fanout:
-            return cls({"name": root_label, "children": list(values)})
-        groups = [
-            {"name": f"{root_label}.{i // fanout}", "children": list(values[i : i + fanout])}
-            for i in range(0, len(values), fanout)
-        ]
-        return cls({"name": root_label, "children": groups})

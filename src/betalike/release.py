@@ -4,9 +4,10 @@ Each equivalence class carries a generalized QI description (a closed range
 per numeric attribute, the lowest common ancestor per categorical attribute)
 plus its exact SA multiset. The overall SA distribution and the run
 parameters are embedded so a release file is auditable on its own.
-`load_release` rejects a file `generalize` could not have written: an
-extent outside the schema domain or not a hierarchy node, or class counts
-that do not add up to the distribution. A release is immutable, so the
+`load_release` rejects a file `generalize` could not have written: a
+negative seed, a curve order `hilbert` would refuse, an extent outside the
+schema domain or not a hierarchy node, or class counts that do not add up
+to the distribution. A release is immutable, so the
 class arrays the estimators and the audit read (`class_counts`,
 `class_extents` and their distinct pairs, `distinct_extents`) are cached,
 never invalidated. `build_ec` builds all classes in one batched pass, and
@@ -26,6 +27,7 @@ import numpy as np
 from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, distribution_from_obj, json_beta,
                    json_field, read_json)
 from .hierarchy import HierarchyError
+from .hilbert import _check_order
 from .likeness import Distribution
 
 
@@ -42,10 +44,6 @@ class CategoricalExtent:
     label: str
     leaf_lo: int
     leaf_hi: int
-
-    @property
-    def leaf_count(self) -> int:
-        return self.leaf_hi - self.leaf_lo + 1
 
 
 Extent = NumericExtent | CategoricalExtent
@@ -204,7 +202,13 @@ def load_release(path, schema: DatasetSchema) -> Release:
         raise DataError(f"{path}: QI attributes do not match the schema")
     beta = json_beta(obj, path)
     seed = json_field(obj, "seed", int, path)
+    if seed < 0:
+        raise DataError(f"{path}: field 'seed' must be >= 0, got {seed}")
     curve_order = json_field(obj, "curve_order", int, path)
+    try:
+        _check_order(curve_order)
+    except DataError as exc:
+        raise DataError(f"{path}: field 'curve_order': {exc}") from None
     index = {v: i for i, v in enumerate(dist.values)}
     ecs = []
     for k, cls in enumerate(json_field(obj, "classes", list, path, items=dict)):

@@ -66,6 +66,17 @@ def table1() -> bl.Table:
     return bl.table_from_rows(patient_schema(), rows)
 
 
+def balanced_hierarchy(values: list[str], fanout: int, root_label: str = "any") -> bl.Hierarchy:
+    """Single-level grouping of `values` into runs of `fanout` leaves, or
+    the values directly under the root when they fit in one run."""
+    if len(values) <= fanout:
+        return bl.Hierarchy({"name": root_label, "children": list(values)})
+    return bl.Hierarchy({"name": root_label, "children": [
+        {"name": f"{root_label}.{i // fanout}", "children": list(values[i : i + fanout])}
+        for i in range(0, len(values), fanout)
+    ]})
+
+
 @pytest.fixture(scope="session")
 def example2():
     return disease_table()
@@ -95,7 +106,7 @@ def mixed_qi_tables(draw, n_qi=None, sa_values=("x",)):
             values.append(st.sampled_from([-4, -1.5, 0, 0.25, 3, 9]))
         else:
             leaves = [f"c{k}.{i}" for i in range(draw(st.integers(2, 6)))]
-            attrs.append(bl.Attribute(f"c{k}", "qi", hierarchy=bl.Hierarchy.balanced(leaves, fanout=2)))
+            attrs.append(bl.Attribute(f"c{k}", "qi", hierarchy=balanced_hierarchy(leaves, fanout=2)))
             values.append(st.sampled_from(leaves))
     schema = bl.DatasetSchema((*attrs, bl.Attribute("s", "sa")))
     distinct = draw(st.lists(st.tuples(*values), min_size=1, max_size=8))

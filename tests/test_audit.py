@@ -14,7 +14,7 @@ from betalike.data import CATEGORICAL, NUMERIC, QI, Attribute
 from betalike.likeness import Bound
 from betalike.release import CategoricalExtent, EquivalenceClass, NumericExtent, Release
 
-from conftest import table1
+from conftest import DISEASES, balanced_hierarchy, disease_table, table1
 
 
 def single_attr_schema():
@@ -206,6 +206,18 @@ def test_nb_row_count_mismatch(example2):
         bl.nb_bound_audit(rel, other)
 
 
+@pytest.mark.parametrize("counts", [
+    [("headache", 3), ("epilepsy", 2), *DISEASES[2:]],
+    # The same count per value, but the tied values first appear in another
+    # order, so the table's SA codes differ from the release's.
+    [DISEASES[0], DISEASES[3], DISEASES[2], DISEASES[1], *DISEASES[4:]],
+], ids=["other-counts", "other-code-order"])
+def test_nb_audit_rejects_a_table_that_is_not_the_source(example2, counts):
+    rel = bl.generalize(example2, 2.0, seed=3)
+    with pytest.raises(bl.DataError, match="^table is not the artifact's source: its SA values"):
+        bl.nb_bound_audit(rel, disease_table(counts))
+
+
 def test_audits_agree_with_the_exact_class_check():
     # The float 0.3 lies just below 3/10, so a class at q = 1.3 p exactly is
     # over its cap; a float comparison with slack would let it pass.
@@ -268,7 +280,7 @@ def _qi_attribute(k, kind):
     if kind == NUMERIC:
         return Attribute(f"n{k}", QI, NUMERIC, lo=0, hi=6)
     leaves = [f"c{k}.{i}" for i in range(5)]
-    return Attribute(f"c{k}", QI, CATEGORICAL, hierarchy=bl.Hierarchy.balanced(leaves, fanout=2))
+    return Attribute(f"c{k}", QI, CATEGORICAL, hierarchy=balanced_hierarchy(leaves, fanout=2))
 
 
 def _random_partition_release(table, beta, data):

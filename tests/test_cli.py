@@ -445,9 +445,12 @@ def _move_one_count(release):
     (_move_one_count, "'classes'"),
     (lambda release: release["classes"][0]["sa"].update({release["sa"]["values"][0]: 10**30}),
      "count of"),
+    (lambda release: release.update(curve_order=999), "'curve_order'"),
+    (lambda release: release.update(curve_order=-5), "'curve_order'"),
+    (lambda release: release.update(seed=-1), "'seed'"),
 ], ids=["nan-extent", "infinite-extent", "inverted-extent", "outside-domain", "wrong-label",
         "not-the-node-span", "leaf-out-of-range", "huge-extent", "counts-off-distribution",
-        "huge-count"])
+        "huge-count", "curve-order-too-large", "curve-order-negative", "negative-seed"])
 def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
     prefix = tmp_path / "synth"
     csv, schema = prefix.with_suffix(".csv"), prefix.with_suffix(".schema.json")
@@ -465,7 +468,34 @@ def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "release.json" in err and named in err
-    assert "classes[0]" in err or named == "'classes'"
+    # A field of the whole release is named as it stands; a class's fault names the class.
+    assert "classes[0]" in err or named.startswith("'")
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("audit", "release"), ("queryeval", "release"), ("queryeval", "perturbation"),
+])
+@pytest.mark.parametrize("other, message", [
+    (["--seed", "2", "--skew", "1.0"], "SA values or their counts differ"),
+    (["--seed", "1", "--rows", "4000"], "row count 4000 differs from the artifact's 5000"),
+], ids=["other-distribution", "other-row-count"])
+def test_table_that_is_not_the_source_exits_one(tmp_path, capsys, command, artifact, other, message):
+    source, foreign = tmp_path / "a", tmp_path / "b"
+    schema = source.with_suffix(".schema.json")
+    assert run(["gen-data", "--rows", "5000", "--seed", "1", "--out", str(source)]) == 0
+    assert run(["gen-data", "--rows", "5000", *other, "--out", str(foreign)]) == 0
+    made = {"release": tmp_path / "release.json", "perturbation": tmp_path / "pert"}
+    common = ["--input", str(source.with_suffix(".csv")), "--schema", str(schema)]
+    assert run(["generalize", *common, "--out", str(made["release"])]) == 0
+    assert run(["perturb", *common, "--out", str(made["perturbation"])]) == 0
+    capsys.readouterr()
+    files = ["--input", str(foreign.with_suffix(".csv")), "--schema", str(schema)]
+    flag = "--release" if command == "audit" else "--artifact"
+    assert run([command, *files, flag, str(made[artifact])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: table is not the artifact's source: ")
+    assert captured.err.count("\n") == 1 and message in captured.err
 
 
 @pytest.mark.parametrize("doc, named", [

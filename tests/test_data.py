@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,15 @@ def test_synthetic_requires_row_per_value():
 def test_synthetic_rejects_negative_or_nan_skew(skew):
     with pytest.raises(bl.DataError, match="^skew must be >= 0$"):
         bl.generate_synthetic(100, 5, skew=skew)
+
+
+@pytest.mark.parametrize("freqs", [[float("nan"), 1.0], [float("nan")] * 2, [0.5, float("inf")],
+                                   [0.0, 1.0], [0.4, 0.4], [1.0]])
+def test_synthetic_rejects_bad_sa_freqs(freqs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bl.DataError, match="^sa_freqs must be m positive frequencies summing to 1$"):
+            bl.generate_synthetic(100, 2, sa_freqs=freqs)
 
 
 def test_synthetic_infinite_skew_is_degenerate_but_valid():

@@ -13,7 +13,7 @@ import betalike as bl
 from betalike.data import NUMERIC, QI, Attribute
 from betalike.hilbert import quantize_table
 
-from conftest import mixed_qi_tables, release_to_obj
+from conftest import balanced_hierarchy, mixed_qi_tables, release_to_obj
 
 
 class ReferenceBucket:
@@ -369,7 +369,7 @@ def test_randomized_end_to_end(tmp_path):
         for k in range(d):
             if rng.random() < 0.4:
                 n_leaves = int(rng.integers(2, 9))
-                h = bl.Hierarchy.balanced(leaf_pool[:n_leaves], fanout=3)
+                h = balanced_hierarchy(leaf_pool[:n_leaves], fanout=3)
                 attrs.append(bl.Attribute(f"q{k}", "qi", "categorical", hierarchy=h))
             else:
                 lo = float(rng.integers(0, 50))

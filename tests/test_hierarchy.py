@@ -58,7 +58,7 @@ def test_bad_specs_rejected():
 def test_lca_spans():
     h = Hierarchy(DISEASE_HIERARCHY)
     nervous = h.lca(0, 2)
-    assert nervous.label == "nervous" and nervous.leaf_count == 3
+    assert nervous.label == "nervous" and (nervous.leaf_lo, nervous.leaf_hi) == (0, 2)
     # A span crossing groups resolves to the root.
     assert h.lca(1, 3).label == "any illness"
     # A single leaf resolves to the leaf itself.
@@ -75,14 +75,6 @@ def test_lca_out_of_range():
 def test_spec_round_trip():
     h = Hierarchy(DISEASE_HIERARCHY)
     assert Hierarchy(h.to_spec()).leaves == h.leaves
-
-
-def test_balanced_helper():
-    h = Hierarchy.balanced([f"v{i}" for i in range(10)], fanout=4)
-    assert h.n_leaves == 10
-    assert not h.root.is_leaf
-    flat = Hierarchy.balanced(["a", "b"], fanout=4)
-    assert flat.n_leaves == 2
 
 
 @st.composite
