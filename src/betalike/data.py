@@ -149,12 +149,13 @@ class Table:
     categorical). SA values are interned to dense codes 0..m-1 in ascending
     frequency order, ties broken by first appearance in row order; every
     downstream module relies on that ordering. The derived arrays
-    `qi_values`, `qi_codes`, `qi_tuples` and `prefix_cube` are computed on
-    first use and never invalidated, which is sound only because a table is
-    never modified after it is built; a loaded table gets `qi_values` and
-    `qi_codes` from the distinct values its loader parsed. Curve keys and
-    the naive-Bayes audit work once per distinct QI tuple and gather by
-    `qi_tuples`' row index.
+    `qi_values`, `qi_codes`, `qi_tuples`, `prefix_cube` and `rows_by_sa` are
+    computed on first use and never invalidated, which is sound only because
+    a table is never modified after it is built (a table made from another
+    with `dataclasses.replace` starts with none of them); a loaded table
+    gets `qi_values` and `qi_codes` from the distinct values its loader
+    parsed. Curve keys and the naive-Bayes audit work once per distinct QI
+    tuple and gather by `qi_tuples`' row index.
     """
 
     schema: DatasetSchema
@@ -237,6 +238,18 @@ class Table:
         for axis in range(len(shape) - 1):
             np.cumsum(cube, axis=axis, out=cube)
         return cube
+
+    @cached_property
+    def rows_by_sa(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """(codes, starts): `qi_codes` with the rows in stable SA-code order,
+        and each SA code's first position in that order, with `n_rows`
+        appended (an SA code without rows has an empty span). The query
+        module counts tables past its cube budget from these."""
+        # Narrow codes make the stable sort a radix sort.
+        order = np.argsort(self.sa_codes.astype(np.min_scalar_type(max(self.m - 1, 0))), kind="stable")
+        starts = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum(self.sa_counts(), out=starts[1:])
+        return tuple(codes[order] for codes in self.qi_codes), starts
 
     def value_spans(self, k: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per interval, the span [first, end) of `qi_values[k]` holding the

@@ -128,7 +128,7 @@ class SortedBucket:
     def draw_nearest(self, anchor_key: int, count: int) -> None:
         """Remove the `count` rows with keys nearest the anchor's; `taken`
         returns them."""
-        if count > self._size:
+        if not 0 <= count <= self._size:
             raise DataError(f"cannot draw {count} of {self._size} remaining records")
         self._size -= count
         anchor_key = int(anchor_key)

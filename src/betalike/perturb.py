@@ -208,7 +208,9 @@ def save_perturbation(outdir, perturbed: Table, model: PerturbationModel, seed: 
 def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     """Read a published artifact back. The model is rebuilt from the
     published distribution and beta, and the published matrix must equal
-    the rebuilt one exactly (save_perturbation writes round-trip reprs)."""
+    the rebuilt one exactly (save_perturbation writes round-trip reprs).
+    The perturbed table must hold the distribution's total of rows, as
+    `perturb` writes."""
     outdir = Path(outdir)
     dist_path = outdir / _DIST_FILE
     try:
@@ -232,5 +234,9 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
             f"{matrix_path}: transition matrix differs from the one the published "
             "distribution and beta determine"
         )
-    table = load_table(outdir / _TABLE_FILE, schema, sa_order=dist.values)
+    table_path = outdir / _TABLE_FILE
+    table = load_table(table_path, schema, sa_order=dist.values)
+    if table.n_rows != dist.total:
+        raise DataError(f"{table_path}: {table.n_rows} rows, but {_DIST_FILE} "
+                        f"publishes a total of {dist.total}")
     return table, model

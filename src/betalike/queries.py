@@ -12,16 +12,19 @@ the global SA distribution.
 
 How the workload reports count rows: every count a report needs (precise
 counts, the perturbed table's per-query SA histograms, the baseline's
-QI-matching row counts) is read from a prefix-sum cube over the table's
-distinct QI values x SA codes (Ho, Agrawal, Megiddo, Srikant, "Range
-Queries in OLAP Data Cubes", SIGMOD 1997). One pass over the rows builds
-the cube (`Table.prefix_cube`) on a table's first workload, and the table
-keeps it for its lifetime; each query then costs 2^d corner lookups per SA
-value, all queries at once, with predicates mapped to distinct values by
-`Table.value_spans` (inclusive, as a row mask compares). The cube is read
-only when it has at most CUBE_CELLS_PER_ROW cells per table row; a table
-with a high-cardinality QI column (say a zip code) is counted with
-per-query row masks instead, and never builds one.
+QI-matching row counts) comes from per-query SA histograms, with each
+query's predicates mapped to a span of each axis's distinct values by
+`Table.value_spans` (inclusive and exact, as a row mask compares). Within
+the cell budget the histograms are read from a prefix-sum cube over the
+table's distinct QI values x SA codes (Ho, Agrawal, Megiddo, Srikant,
+"Range Queries in OLAP Data Cubes", SIGMOD 1997). One pass over the rows
+builds the cube (`Table.prefix_cube`) on a table's first workload, and the
+table keeps it for its lifetime; each query then costs 2^d corner lookups
+per SA value, all queries at once. The cube is read only when it has at
+most CUBE_CELLS_PER_ROW cells per table row; a table with a
+high-cardinality QI column (say a zip code) never builds one and is
+counted from its QI codes in SA order (`Table.rows_by_sa`): per query, one
+unsigned compare per constrained axis and one sum per SA code's rows.
 
 The generalized estimator works once per distinct class extent: each
 predicate's overlap fractions are computed over the distinct (lo, hi) pairs
@@ -94,28 +97,19 @@ def gen_workload(table: Table, lam: int, theta: float, n: int, seed: int = 0) ->
     return queries
 
 
-def _qi_mask(table: Table, query: AggregateQuery) -> np.ndarray:
-    mask = np.ones(table.n_rows, dtype=bool)
+def exact_count(table: Table, query: AggregateQuery) -> int:
+    """Rows satisfying every predicate, SA included, compared row by row on
+    the raw columns: the reference the workload counts are checked against."""
+    mask = (table.sa_codes >= query.sa_lo) & (table.sa_codes <= query.sa_hi)
     for k, lo, hi in query.qi:
         col = table.qi_columns[k]
         mask &= (col >= lo) & (col <= hi)
-    return mask
-
-
-def _sa_mask(table: Table, query: AggregateQuery) -> np.ndarray:
-    return (table.sa_codes >= query.sa_lo) & (table.sa_codes <= query.sa_hi)
-
-
-def exact_count(table: Table, query: AggregateQuery) -> int:
-    """Rows satisfying every predicate, SA included."""
-    mask = _qi_mask(table, query)
-    mask &= _sa_mask(table, query)
     return int(mask.sum())
 
 
 # The cube over distinct QI values x SA is built only when it has at most
 # this many cells per table row; beyond that, building and scanning it costs
-# more than row masks.
+# more than a pass over the SA-ordered QI codes per query.
 CUBE_CELLS_PER_ROW = 8
 
 # Queries whose (queries x classes) overlap fractions the generalized
@@ -133,13 +127,7 @@ def _cube_shape(table: Table) -> tuple[int, ...] | None:
 def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarray:
     """(queries, m) int64: per query, the SA histogram of the rows matching
     its QI predicates (the SA range is not applied)."""
-    out = np.zeros((len(workload), table.m), dtype=np.int64)
-    if _cube_shape(table) is None:
-        for i, q in enumerate(workload):
-            out[i] = np.bincount(table.sa_codes[_qi_mask(table, q)], minlength=table.m)
-        return out
-    cube = table.prefix_cube
-    d = cube.ndim - 1
+    d = len(table.qi_columns)
     # Per axis, the intersection of the query's predicates on it; an
     # unconstrained axis keeps (-inf, inf), and a NaN bound matches no row.
     preds = np.asarray([(k, i, lo, hi) for i, q in enumerate(workload) for k, lo, hi in q.qi],
@@ -149,10 +137,14 @@ def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarr
     q_hi = np.full((d, len(workload)), np.inf)
     np.maximum.at(q_lo, at, preds[:, 2])
     np.minimum.at(q_hi, at, preds[:, 3])
-    corners = [table.value_spans(k, q_lo[k], q_hi[k]) for k in range(d)]
+    spans = [table.value_spans(k, q_lo[k], q_hi[k]) for k in range(d)]
+    if _cube_shape(table) is None:
+        return _row_histograms(table, spans, len(workload))
+    cube = table.prefix_cube
+    out = np.zeros((len(workload), table.m), dtype=np.int64)
     # Inclusion-exclusion over the 2^d corners of each query's box.
     for upper in itertools.product((False, True), repeat=d):
-        index = tuple(corners[k][1] if up else corners[k][0] for k, up in enumerate(upper))
+        index = tuple(spans[k][1] if up else spans[k][0] for k, up in enumerate(upper))
         if (d - sum(upper)) % 2:
             out -= cube[index]
         else:
@@ -160,18 +152,45 @@ def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarr
     return out
 
 
+def _row_histograms(table: Table, spans: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
+    """`_qi_histograms` without a cube: per query, one pass over the QI codes
+    in SA order (`Table.rows_by_sa`). Each axis whose span [first, end) is
+    not the whole axis is one unsigned compare, (code - first) < (end -
+    first), ANDed into the query's row mask; the mask's sum over each SA
+    code's rows is its histogram."""
+    codes, starts = table.rows_by_sa
+    counts = np.diff(starts)
+    # reduceat yields an element, not 0, for an empty segment (and rejects
+    # a start equal to the length), so sum only over the SA codes that
+    # have rows and scatter the sums into those.
+    present = np.flatnonzero(counts)
+    at = starts[present]
+    # int32 sums run about twice as fast as int64 ones; no count can pass
+    # n_rows.
+    total = np.int32 if table.n_rows <= np.iinfo(np.int32).max else np.int64
+    axes = [(c, first.tolist(), end.tolist(), len(values))
+            for c, (first, end), values in zip(codes, spans, table.qi_values)]
+    out = np.zeros((n, table.m), dtype=np.int64)
+    for i in range(n):
+        bounds = [(c, first[i], end[i]) for c, first, end, size in axes if end[i] - first[i] < size]
+        if any(a == b for _, a, b in bounds):
+            continue                        # an empty span matches no row
+        mask = None
+        for c, a, b in bounds:
+            # first < end <= the axis size, so both fit the codes' dtype and
+            # a code below first wraps past end - first.
+            hit = (c - c.dtype.type(a)) < c.dtype.type(b - a)
+            mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
+        if mask is None:
+            out[i] = counts
+        else:
+            out[i, present] = np.add.reduceat(mask, at, dtype=total)
+    return out
+
+
 def _workload_counts(table: Table, workload: Sequence[AggregateQuery]) -> tuple[np.ndarray, np.ndarray]:
     """Per query, as int64: the rows matching its QI predicates, and the
     precise count (those rows whose SA code is in the query's range)."""
-    if _cube_shape(table) is None:
-        rows = np.zeros(len(workload), dtype=np.int64)
-        prec = np.zeros(len(workload), dtype=np.int64)
-        for i, q in enumerate(workload):
-            mask = _qi_mask(table, q)
-            rows[i] = np.count_nonzero(mask)
-            mask &= _sa_mask(table, q)
-            prec[i] = np.count_nonzero(mask)
-        return rows, prec
     hist = _qi_histograms(table, workload)
     cum = np.zeros((len(workload), table.m + 1), dtype=np.int64)
     np.cumsum(hist, axis=1, out=cum[:, 1:])

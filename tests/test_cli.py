@@ -117,7 +117,8 @@ QUERYEVAL_REPORTS = {
 
 @pytest.mark.parametrize("counting", QUERYEVAL_REPORTS)
 def test_queryeval_on_a_perturbation_counts_once(tmp_path, monkeypatch, capsys, counting):
-    # A zip code puts the table past the cube's cell budget: row masks count it.
+    # A zip code puts the table past the cube's cell budget: the row path
+    # (`Table.rows_by_sa`) counts it.
     zip_qi = (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),) if counting == "row-masks" else ()
     table = bl.generate_synthetic(3000, 20, qi_spec=bl.default_qi_spec() + zip_qi, seed=5, skew=0.5)
     csv, schema = tmp_path / "t.csv", tmp_path / "t.schema.json"
@@ -709,6 +710,30 @@ def test_tampered_transition_matrix_exits_one(example_files, tmp_path, capsys, t
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "pm.txt" in err
+
+
+@pytest.mark.parametrize("resize", [
+    lambda header, rows: [header, *rows[:3]],
+    lambda header, rows: [header, *rows, *rows[:2]],
+], ids=["short", "long"])
+def test_perturbed_table_of_the_wrong_length_exits_one(example_files, tmp_path, capsys, resize):
+    csv, schema = example_files
+    outdir = tmp_path / "pert"
+    assert run(["perturb", "--input", str(csv), "--schema", str(schema),
+                "--beta", "2", "--seed", "1", "--out", str(outdir)]) == 0
+    table = outdir / "perturbed.csv"
+    header, *rows = table.read_text(encoding="utf-8").splitlines()
+    total = json.loads((outdir / "distribution.json").read_text(encoding="utf-8"))["total"]
+    assert len(rows) == total
+    table.write_text("\n".join(resize(header, rows)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
+                "--artifact", str(outdir), "--lambda", "1", "--queries", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "perturbed.csv" in captured.err and f"total of {total}" in captured.err
 
 
 class _ClosedPipe:

@@ -148,6 +148,15 @@ def test_draw_overdraw_errors():
         b.draw_nearest(0, 3)
 
 
+def test_draw_negative_count_errors():
+    b = make_bucket([10, 20, 30, 40])
+    with pytest.raises(bl.DataError, match="cannot draw"):
+        b.draw_nearest(5, -1)
+    # The bucket is untouched: every row can still be drawn, each once.
+    assert len(b) == 4 and len(b.taken()) == 0
+    assert sorted(draw_rows(b, 5, 4)) == [0, 1, 2, 3]
+
+
 def test_equal_keys_keep_row_order():
     b = make_bucket([5, 5, 5], rows=[30, 10, 20])
     assert draw_rows(b, 5, 2) == [10, 20]

@@ -293,8 +293,8 @@ def test_relative_errors_are_scale_free(example2):
     assert scaled.errors == pytest.approx(base.errors)
 
 
-# Workload counting: the prefix-sum cube and the row-mask fallback must both
-# reproduce per-query counts exactly.
+# Workload counting: the prefix-sum cube and the row path over SA-ordered
+# codes must both reproduce per-query counts exactly.
 
 # Non-integer values, so inclusive bounds drawn from this pool land exactly
 # on data values.
@@ -379,8 +379,8 @@ def test_qi_histograms_match_per_query_counts(cells_per_row, case):
     assert np.array_equal(hist, np.asarray(expected, dtype=np.int64).reshape(hist.shape))
     assert np.array_equal(rows, [reference_histogram(table, q).sum() for q in workload + odd_sa])
     assert np.array_equal(prec, [bl.exact_count(table, q) for q in workload + odd_sa])
-    # The fallback never builds the codes the cube needs.
-    assert ("qi_codes" in vars(table)) == (cells_per_row == FITS_ANY_CUBE)
+    # The row path never builds the cube.
+    assert ("prefix_cube" in vars(table)) == (cells_per_row == FITS_ANY_CUBE)
 
 
 @pytest.mark.parametrize("cells_per_row", [0, FITS_ANY_CUBE])
@@ -486,3 +486,61 @@ def test_the_cube_is_built_once_per_table():
     assert [t is table for t in built] == [True, False] and built[1] is perturbed
     expected = [reference_histogram(perturbed, q) for q in workload]
     assert np.array_equal(queries._qi_histograms(perturbed, workload), expected)
+
+
+# Five SA values with rows; the codes named are the empty ones, of 6 or 7.
+@pytest.mark.parametrize("empty", [(0,), (3,), (5,), (2, 3), (0, 6)],
+                         ids=["first", "middle", "last", "adjacent", "first-and-last"])
+def test_row_path_leaves_empty_sa_codes_at_zero(tmp_path, empty):
+    # A perturbed table loaded with its distribution's value order may hold
+    # SA codes without rows. The row path sums each SA code's rows with
+    # reduceat, which gives an element, not 0, for an empty segment.
+    rng = np.random.default_rng(11)
+    tree = bl.Hierarchy({"name": "any", "children": list(LEAVES)})
+    schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=0, hi=10),
+                               bl.Attribute("c", "qi", hierarchy=tree), bl.Attribute("s", "sa")))
+    held = ["p", "q", "r", "s", "t"]
+    rows = [{"x": float(rng.choice(NUMERIC_POOL)), "c": str(rng.choice(LEAVES)), "s": str(rng.choice(held))}
+            for _ in range(300)]
+    bl.save_table(bl.table_from_rows(schema, rows), tmp_path / "t.csv")
+    held_in_order = iter(held)
+    order = tuple(f"none{i}" if i in empty else next(held_in_order) for i in range(len(held) + len(empty)))
+    table = bl.load_table(tmp_path / "t.csv", schema, sa_order=order)
+    assert [i for i, n in enumerate(table.sa_counts()) if n == 0] == list(empty)
+    workload = bl.gen_workload(table, 1, 0.3, 20, seed=1) + bl.gen_workload(table, 2, 0.3, 20, seed=2)
+    # No predicate, an empty span, and a span that is the whole axis.
+    workload += [AggregateQuery((), 0, table.m - 1), AggregateQuery(((0, 11.0, 12.0),), 0, 1),
+                 AggregateQuery(((1, 0.0, 3.0),), 0, 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries, "CUBE_CELLS_PER_ROW", 0)
+        hist = queries._qi_histograms(table, workload)
+    assert "prefix_cube" not in vars(table)
+    assert np.array_equal(hist, [reference_histogram(table, q) for q in workload])
+
+
+def test_the_sa_ordered_codes_are_built_once_per_table():
+    table = bl.generate_synthetic(5_000, 20, seed=6, skew=0.5)
+    release = bl.generalize(table, 4.0, seed=1)
+    dist = bl.sa_distribution(table)
+    model = bl.build_model(dist, 4.0)
+    built = []
+    original = bl.Table.rows_by_sa.func
+    counted = cached_property(lambda t: built.append(t) or original(t))
+    counted.__set_name__(bl.Table, "rows_by_sa")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries, "CUBE_CELLS_PER_ROW", 0)
+        mp.setattr(bl.Table, "rows_by_sa", counted)
+        workload = bl.gen_workload(table, 2, 0.1, 40, seed=1)
+        bl.workload_report_generalized(table, release, workload)
+        # Perturbed after the table has its SA-ordered codes: `perturb`
+        # builds the new table with dataclasses.replace, which must not
+        # carry them over.
+        perturbed = bl.perturb(table, model, seed=2)
+        for _ in range(2):
+            bl.workload_report_generalized(table, release, workload)
+            bl.workload_report_perturbed(table, perturbed, model, workload)
+            bl.workload_report_baseline(table, dist, workload)
+        hist = queries._qi_histograms(perturbed, workload)
+    assert [t is table for t in built] == [True, False] and built[1] is perturbed
+    assert "prefix_cube" not in vars(table) and "prefix_cube" not in vars(perturbed)
+    assert np.array_equal(hist, [reference_histogram(perturbed, q) for q in workload])
