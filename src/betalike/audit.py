@@ -118,7 +118,7 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     original rows; under the model's bound its accuracy should sit near the
     top value's global frequency. It predicts once per distinct QI tuple, so
     its memory is O(distinct tuples x m) plus O(rows), never rows x m, and
-    per QI attribute it holds two (distinct values x m) arrays at a time.
+    per QI attribute it holds one (distinct values x m) array at a time.
     """
     dist = release.dist
     check_source(table, dist)
@@ -136,41 +136,42 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     # Rows with the same QI values get the same scores: score each distinct
     # tuple once, (T, m), and compare its prediction with each of its rows.
     tuples, inverse = table.qi_tuples
+    counts = release.class_counts.astype(float)    # `ufunc.at` is slow across dtypes
     log_scores = np.tile(np.log(p), (len(tuples), 1))
     for k, (attr, values) in enumerate(zip(table.schema.qi_attributes, table.qi_values)):
         # +counts at each class span's first value, -counts past its last,
-        # summed down the values in place.
+        # summed down the values in place; float64 holds these counts
+        # exactly, and the buffer later takes log Pr[t | v_i] in place.
         first, end = table.value_spans(k, *release.class_extents[k])
-        hits = np.zeros((len(values) + 1, m), dtype=np.int64)
-        np.add.at(hits, first, release.class_counts)
-        np.subtract.at(hits, end, release.class_counts)
+        hits = np.zeros((len(values) + 1, m))
+        np.add.at(hits, first, counts)
+        np.subtract.at(hits, end, counts)
         hits = np.cumsum(hits, axis=0, out=hits)[:-1]             # (V, m)
         covered = hits.sum(axis=1)
         marginal = covered / dist.total                            # Pr[t]
-        ratio = np.divide(hits, n_i[None, :])                      # Pr[t | v_i]
-        ratio /= marginal[:, None]
-        pairs += ratio.size
-        # ratio > bounds is hits / covered > f(p). A pair below 1 - 1e-9 of
-        # its float bound cannot break it; the bound decides the rest exactly.
-        for vi, si in zip(*np.nonzero(ratio > bounds[None, :] * (1.0 - 1e-9))):
-            violations += not bound.at([si]).admits([int(hits[vi, si])], int(covered[vi]))
-        flat = int(np.argmax(ratio))
-        vi, si = divmod(flat, m)
-        if ratio[vi, si] > worst[3]:
-            shown = attr.hierarchy.leaves[int(values[vi])] if attr.kind == CATEGORICAL else float(values[vi])
-            worst = (attr.name, shown, dist.values[si], float(ratio[vi, si]))
-            worst_bound = float(bounds[si])
-        max_ratio = np.maximum(max_ratio, ratio.max(axis=0))
-        # The ratios are spent: their buffer takes log Pr[t | v_i], which is
-        # added to the tuples' scores a chunk of tuples at a time.
-        log_cond = np.divide(hits, n_i[None, :], out=ratio)
-        del hits
+        pairs += hits.size
+        for lo in range(0, len(values), SCORE_CHUNK):
+            ratio = hits[lo : lo + SCORE_CHUNK] / n_i[None, :]     # Pr[t | v_i]
+            ratio /= marginal[lo : lo + SCORE_CHUNK, None]
+            # ratio > bounds is hits / covered > f(p). A pair below 1 - 1e-9
+            # of its float bound cannot break it; the bound decides the rest exactly.
+            for vi, si in zip(*np.nonzero(ratio > bounds[None, :] * (1.0 - 1e-9))):
+                violations += not bound.at([si]).admits([int(hits[lo + vi, si])], int(covered[lo + vi]))
+            vi, si = divmod(int(np.argmax(ratio)), m)
+            if ratio[vi, si] > worst[3]:
+                value = values[lo + vi]
+                shown = attr.hierarchy.leaves[int(value)] if attr.kind == CATEGORICAL else float(value)
+                worst = (attr.name, shown, dist.values[si], float(ratio[vi, si]))
+                worst_bound = float(bounds[si])
+            max_ratio = np.maximum(max_ratio, ratio.max(axis=0))
+        # log Pr[t | v_i] is added to the tuples' scores a chunk at a time.
+        log_cond = np.divide(hits, n_i[None, :], out=hits)
         with np.errstate(divide="ignore"):
             np.log(log_cond, out=log_cond)
         for lo in range(0, len(tuples), SCORE_CHUNK):
             log_scores[lo : lo + SCORE_CHUNK] += log_cond[tuples[lo : lo + SCORE_CHUNK, k]]
         # Free the buffer before the next axis allocates its own.
-        del ratio, log_cond
+        del hits, log_cond
 
     # Among ties prefer the more frequent value (highest code).
     predictions = m - 1 - np.argmax(log_scores[:, ::-1], axis=1)

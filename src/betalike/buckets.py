@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Table, sa_distribution
+from .data import Table, code_dtype, sa_distribution
 from .likeness import Bound, Distribution
 
 
@@ -89,7 +89,7 @@ def dp_partition(table: Table, beta: float) -> BucketPartition:
     """
     dist = sa_distribution(table)
     spans = partition_spans(dist, beta)
-    index = np.arange(len(spans), dtype=np.min_scalar_type(len(spans) - 1))
+    index = np.arange(len(spans), dtype=code_dtype(len(spans)))
     bucket_of = np.repeat(index, [hi - lo + 1 for lo, hi in spans])[table.sa_codes]
     buckets = []
     for i, (lo, hi) in enumerate(spans):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import CATEGORICAL, DataError, Table
+from .data import CATEGORICAL, DataError, Table, _distinct_codes
 
 
 def _check_order(order: int) -> None:
@@ -100,5 +100,5 @@ def table_keys(table: Table, order: int):
     tuples that quantize to one grid cell share a key and so a code."""
     _check_order(order)
     _, inverse = table.qi_tuples
-    keys, codes = np.unique(hilbert_indices(quantize_table(table, order), order), return_inverse=True)
-    return keys, codes.astype(np.min_scalar_type(max(len(keys) - 1, 0)))[inverse]
+    keys, codes = _distinct_codes(hilbert_indices(quantize_table(table, order), order))
+    return keys, codes[inverse]

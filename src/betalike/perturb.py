@@ -130,7 +130,7 @@ def perturb(table: Table, model: PerturbationModel, seed: int = 0) -> Table:
     codes = table.sa_codes
     keep = rng.random(table.n_rows) < model.retention[codes]
     replacement = rng.integers(0, model.m, size=table.n_rows)
-    return replace(table, sa_codes=np.where(keep, codes, replacement))
+    return replace(table, sa_codes=np.where(keep, codes, replacement.astype(codes.dtype)))
 
 
 def posterior(model: PerturbationModel) -> np.ndarray:

@@ -99,10 +99,10 @@ def gen_workload(table: Table, lam: int, theta: float, n: int, seed: int = 0) ->
 
 def exact_count(table: Table, query: AggregateQuery) -> int:
     """Rows satisfying every predicate, SA included, compared row by row on
-    the raw columns: the reference the workload counts are checked against."""
+    the column values: the reference the workload counts are checked against."""
     mask = (table.sa_codes >= query.sa_lo) & (table.sa_codes <= query.sa_hi)
     for k, lo, hi in query.qi:
-        col = table.qi_columns[k]
+        col = table.qi_values[k][table.qi_codes[k]]
         mask &= (col >= lo) & (col <= hi)
     return int(mask.sum())
 
@@ -127,7 +127,7 @@ def _cube_shape(table: Table) -> tuple[int, ...] | None:
 def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarray:
     """(queries, m) int64: per query, the SA histogram of the rows matching
     its QI predicates (the SA range is not applied)."""
-    d = len(table.qi_columns)
+    d = len(table.qi_codes)
     # Per axis, the intersection of the query's predicates on it; an
     # unconstrained axis keeps (-inf, inf), and a NaN bound matches no row.
     preds = np.asarray([(k, i, lo, hi) for i, q in enumerate(workload) for k, lo, hi in q.qi],
@@ -235,11 +235,9 @@ def _generalized_estimates(release: Release, workload: Sequence[AggregateQuery])
     order are taken together, a chunk at a time: per predicate, the
     overlap fractions are computed over the distinct extents of its axis and
     gathered by class, and each query's factors multiply in its own
-    predicate order. The SA match comes from one (m + 1, classes) prefix,
-    and each query ends in one dot product."""
-    counts = release.class_counts
-    cum = np.zeros((release.dist.m + 1, len(counts)))
-    cum[1:] = np.cumsum(counts, axis=1).T
+    predicate order. The SA match comes from `Release.sa_prefix`, and each
+    query ends in one dot product."""
+    cum = release.sa_prefix
     kinds = [attr.kind for attr in release.schema.qi_attributes]
     first, end = (span.tolist() for span in _sa_spans(workload, release.dist.m))
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -249,7 +247,7 @@ def _generalized_estimates(release: Release, workload: Sequence[AggregateQuery])
     for axes, members in groups.items():
         for start in range(0, len(members), _QUERY_CHUNK):
             chunk = members[start : start + _QUERY_CHUNK]
-            frac = np.ones((len(chunk), len(counts)))
+            frac = np.ones((len(chunk), cum.shape[1]))
             for j, k in enumerate(axes):
                 q_lo, q_hi = np.asarray([workload[i].qi[j][1:] for i in chunk], dtype=float).T
                 lo, hi, index = release.distinct_extents[k]

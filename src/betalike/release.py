@@ -7,8 +7,8 @@ parameters are embedded so a release file is auditable on its own.
 `load_release` rejects a file `generalize` could not have written: a
 negative seed, a curve order `hilbert` would refuse, an extent outside the
 schema domain or not a hierarchy node, or class counts that do not add up
-to the distribution. A release is immutable, so the
-class arrays the estimators and the audit read (`class_counts`,
+to the distribution. A release is immutable, so the class arrays the
+estimators and the audit read (`class_counts` and its `sa_prefix`,
 `class_extents` and their distinct pairs, `distinct_extents`) are cached,
 never invalidated. `build_ec` builds all classes in one batched pass, and
 `save_release` writes the file's fixed layout from the class arrays.
@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, distribution_from_obj, json_beta,
-                   json_field, read_json)
+from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, code_dtype, distribution_from_obj,
+                   json_beta, json_field, read_json)
 from .hierarchy import HierarchyError
 from .hilbert import _check_order
 from .likeness import Distribution
@@ -79,6 +79,11 @@ class Release:
         return np.asarray([ec.sa_counts for ec in self.ecs], dtype=np.int64).reshape(-1, self.dist.m)
 
     @cached_property
+    def sa_prefix(self) -> np.ndarray:
+        """(m + 1, classes) float64: row s holds each class's count of SA codes below s."""
+        return np.vstack([np.zeros(len(self.class_counts)), np.cumsum(self.class_counts, axis=1).T])
+
+    @cached_property
     def class_extents(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per QI attribute, float (lo, hi) over the classes; categorical: the leaf span."""
         out = []
@@ -105,8 +110,8 @@ class Release:
 def build_ec(table: Table, rows: np.ndarray, sizes) -> tuple[EquivalenceClass, ...]:
     """The classes whose members are consecutive runs of `rows`, the k-th
     `sizes[k]` long, with tight QI extents and SA counts: one `bincount` of
-    class * m + SA code, `reduceat` per QI column, one `Hierarchy.lca` per
-    distinct leaf span. Each class's rows are a slice of `rows`."""
+    class * m + SA code, `reduceat` over QI codes, ordered as `qi_values`, one
+    `Hierarchy.lca` per distinct leaf span. Each class's rows are a slice of `rows`."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if (sizes <= 0).any():
         raise DataError("cannot generalize an empty class")
@@ -115,14 +120,14 @@ def build_ec(table: Table, rows: np.ndarray, sizes) -> tuple[EquivalenceClass, .
     n, m = len(sizes), table.m
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    dtype = np.min_scalar_type(max(n * m - 1, 0))
+    dtype = code_dtype(n * m)
     key = table.sa_codes[rows].astype(dtype)
     key += np.repeat(np.arange(0, n * m, m, dtype=dtype), sizes)
     counts = np.bincount(key, minlength=n * m).reshape(n, m)
     columns = []
-    for attr, col in zip(table.schema.qi_attributes, table.qi_columns):
-        member = col[rows]
-        lo, hi = np.minimum.reduceat(member, starts), np.maximum.reduceat(member, starts)
+    for attr, values, codes in zip(table.schema.qi_attributes, table.qi_values, table.qi_codes):
+        member = codes[rows]
+        lo, hi = values[np.minimum.reduceat(member, starts)], values[np.maximum.reduceat(member, starts)]
         if attr.kind == NUMERIC:
             columns.append([NumericExtent(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
         else:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import betalike as bl
-from betalike.data import NUMERIC, _num
+from betalike.data import NUMERIC, _num, code_dtype
 from betalike.likeness import Bound
 
 DISEASES = [
@@ -64,6 +64,16 @@ def table1() -> bl.Table:
         {"weight": 60, "age": 70, "disease": "angina"},
     ]
     return bl.table_from_rows(patient_schema(), rows)
+
+
+def table_from_qi_columns(schema: bl.DatasetSchema, columns, sa_codes, sa_values) -> bl.Table:
+    """A table given its QI columns row by row (floats, or leaf indices for
+    a categorical axis): each column's sorted distinct values and codes
+    from one `np.unique`, and every code in the narrowest unsigned dtype."""
+    qi = [np.unique(col, return_inverse=True) for col in columns]
+    return bl.Table(schema, tuple(values for values, _ in qi),
+                    tuple(codes.astype(code_dtype(len(values))) for values, codes in qi),
+                    np.asarray(sa_codes).astype(code_dtype(len(sa_values))), tuple(sa_values))
 
 
 def balanced_hierarchy(values: list[str], fanout: int, root_label: str = "any") -> bl.Hierarchy:

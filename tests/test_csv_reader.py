@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import betalike as bl
 from betalike import data
+from conftest import table_from_qi_columns
 
 B = data._BLOCK
 
@@ -49,7 +50,7 @@ def _reference_from_columns(schema, columns, row_error=None):
         raise bl.DataError("no rows")
     *qi, (_, sa_distinct, sa_inverse) = parsed
     codes, sa_values = data._intern_sa(sa_inverse, sa_distinct)
-    return bl.Table(schema, tuple(values[inverse] for values, _, inverse in qi), codes, sa_values)
+    return table_from_qi_columns(schema, [values[inverse] for values, _, inverse in qi], codes, sa_values)
 
 
 def reference_load(path, schema, sa_order=None):
@@ -92,7 +93,7 @@ def reference_load(path, schema, sa_order=None):
     unknown = set(table.sa_values) - set(sa_order)
     if unknown:
         raise bl.DataError(f"{path}: SA values {sorted(unknown)} not in the declared order")
-    remap = np.asarray([sa_order.index(v) for v in table.sa_values], dtype=np.int64)
+    remap = np.asarray([sa_order.index(v) for v in table.sa_values], dtype=data.code_dtype(len(sa_order)))
     return replace(table, sa_codes=remap[table.sa_codes], sa_values=tuple(sa_order))
 
 
@@ -286,8 +287,20 @@ def test_load_peak_is_a_few_times_the_table(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(col.nbytes for col in table.qi_columns) + table.sa_codes.nbytes
+    # The bytes of the float64 QI columns and int64 SA codes the table held
+    # before it kept only narrow codes.
+    arrays = 8 * table.n_rows * (len(table.qi_codes) + 1)
     assert peak <= 4 * arrays, (peak, arrays)
+
+
+def test_table_is_a_byte_per_cell_plus_its_distinct_values(tmp_path):
+    source = bl.generate_synthetic(200_000, 50, seed=2, sa_freqs=bl.census_like_profile(50))
+    path = tmp_path / "census.csv"
+    bl.save_table(source, path)
+    for table in (source, bl.load_table(path, source.schema)):
+        distinct = sum(values.nbytes for values in table.qi_values)
+        arrays = distinct + sum(codes.nbytes for codes in table.qi_codes) + table.sa_codes.nbytes
+        assert arrays <= table.n_rows * (len(table.qi_codes) + 1) + distinct
 
 
 @pytest.mark.parametrize("block", [1, 3, 64, B])

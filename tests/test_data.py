@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betalike as bl
+from betalike import data
+from betalike.data import code_dtype
 
-from conftest import mixed_qi_tables, patient_schema, table1
+from conftest import mixed_qi_tables, patient_schema, table1, table_from_qi_columns
 
 
 def _write_csv(path, rows, header="weight,age,disease"):
@@ -118,25 +120,14 @@ def test_load_with_declared_sa_order(tmp_path):
         bl.load_table(f, patient_schema(), sa_order=("flu", "other"))
 
 
-def sorted_qi_distinct(table):
-    """Per QI column, the sorted distinct values and each row's code into
-    them, from one `np.unique` over the rows: what a table computes when
-    its loader gave it nothing."""
-    out = []
-    for col in table.qi_columns:
+def assert_sorted_qi_distinct(table):
+    """The table's `qi_values` and `qi_codes` are what one `np.unique` over
+    each gathered column gives, dtypes included, with the codes in the
+    narrowest unsigned dtype."""
+    for k, col in enumerate(table.qi_columns):
         values, codes = np.unique(col, return_inverse=True)
-        out.append((values, codes.astype(np.min_scalar_type(max(len(values) - 1, 0)))))
-    return out
-
-
-def assert_loaded_qi_distinct(table):
-    # The loader fills the cache, so the rows are never sorted again.
-    assert "_qi_distinct" in vars(table)
-    want = sorted_qi_distinct(table)
-    for k, (values, codes) in enumerate(want):
-        assert table.qi_values[k].dtype == values.dtype and table.qi_codes[k].dtype == codes.dtype
-        assert table.qi_values[k].tolist() == values.tolist()
-        assert table.qi_codes[k].tolist() == codes.tolist()
+        assert table.qi_values[k].dtype == values.dtype and np.array_equal(table.qi_values[k], values)
+        assert table.qi_codes[k].dtype == code_dtype(len(values)) and np.array_equal(table.qi_codes[k], codes)
 
 
 def test_loaded_tables_carry_sorted_qi_values(tmp_path):
@@ -144,28 +135,86 @@ def test_loaded_tables_carry_sorted_qi_values(tmp_path):
     f = tmp_path / "t.csv"
     _write_csv(f, ["50,30,flu", "60.5,30.0,cold", "50.0,030,flu", "40,80,flu", "60.50,21,cold"])
     t = bl.load_table(f, patient_schema())
-    assert_loaded_qi_distinct(t)
+    assert_sorted_qi_distinct(t)
     assert t.qi_values[0].tolist() == [40.0, 50.0, 60.5] and t.qi_codes[0].tolist() == [1, 2, 1, 0, 2]
     assert t.qi_values[1].tolist() == [21.0, 30.0, 80.0] and t.qi_codes[1].tolist() == [1, 1, 1, 2, 0]
     ordered = bl.load_table(f, patient_schema(), sa_order=("cold", "flu"))
     assert ordered.sa_values == ("cold", "flu")
-    assert_loaded_qi_distinct(ordered)
-    assert_loaded_qi_distinct(bl.table_from_rows(patient_schema(), [{"weight": 41, "age": 30, "disease": "x"}]))
+    assert_sorted_qi_distinct(ordered)
+    assert_sorted_qi_distinct(bl.table_from_rows(patient_schema(), [{"weight": 41, "age": 30, "disease": "x"}]))
+
+
+ZIP = bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999)
+CROSSING_ZERO = bl.Attribute("x", "qi", "numeric", lo=-3.7, hi=2.2)
 
 
 def test_loaded_categorical_and_wide_columns_match_the_row_sort(tmp_path):
-    zip_spec = bl.default_qi_spec() + (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),)
-    source = bl.generate_synthetic(3_000, 20, seed=5, qi_spec=zip_spec)
-    # A generated table computes them on first use.
-    assert "_qi_distinct" not in vars(source)
+    source = bl.generate_synthetic(3_000, 20, seed=5, qi_spec=bl.default_qi_spec() + (ZIP,))
     f = tmp_path / "zip.csv"
     bl.save_table(source, f)
     t = bl.load_table(f, source.schema)
-    assert_loaded_qi_distinct(t)
+    assert_sorted_qi_distinct(t)
     assert t.qi_codes[3].dtype == np.uint16
     for k in range(4):
         assert t.qi_values[k].tolist() == source.qi_values[k].tolist()
         assert t.qi_codes[k].tolist() == source.qi_codes[k].tolist()
+
+
+@pytest.mark.parametrize("spec, n", [
+    (None, 20_000),
+    (None, 120),
+    (bl.default_qi_spec() + (ZIP,), 20_000),
+    ((CROSSING_ZERO, bl.Attribute("f", "qi", "numeric", lo=0.25, hi=9.75)), 20_000),
+    ((bl.Attribute("w", "qi", "numeric", lo=-2.0**60, hi=2.0**60), CROSSING_ZERO), 20_000),
+], ids=["default", "default-with-gaps", "zip", "crossing-zero", "wider-than-2**53"])
+def test_generated_qi_codes_are_the_row_sort(spec, n):
+    # The zip and the 2**61-wide axes hold more integers than rows and are
+    # sorted; the others are ranked by counting, and at 120 rows some ages
+    # in the drawn range are missing.
+    assert_sorted_qi_distinct(bl.generate_synthetic(n, 50, qi_spec=spec, seed=3))
+
+
+def test_generated_values_crossing_zero_match_the_rounded_draws(tmp_path):
+    # The generator's draws replayed: the SA shuffle, then one uniform per
+    # row, rounded the way the column was before it was held as codes.
+    n, m = 4_000, 4
+    t = bl.generate_synthetic(n, m, qi_spec=(CROSSING_ZERO,), seed=8, correlated=False)
+    rng = np.random.default_rng(8)
+    rng.shuffle(np.repeat(np.arange(m), n // m))
+    col = np.rint(CROSSING_ZERO.lo + rng.random(n) * (CROSSING_ZERO.hi - CROSSING_ZERO.lo))
+    assert np.signbit(col[col == 0]).any()
+    values, codes = np.unique(col, return_inverse=True)
+    assert np.array_equal(t.qi_values[0], values) and np.array_equal(t.qi_codes[0], codes)
+    bl.save_table(t, tmp_path / "t.csv")
+    bl.save_table(table_from_qi_columns(t.schema, (col,), t.sa_codes, t.sa_values), tmp_path / "rows.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_sa_codes_take_the_narrowest_dtype(tmp_path, m, dtype):
+    t = bl.generate_synthetic(2 * m, m, seed=1)
+    f = tmp_path / "t.csv"
+    bl.save_table(t, f)
+    perturbed = bl.perturb(t, bl.build_model(bl.sa_distribution(t), 2.0), seed=1)
+    tables = (t, bl.load_table(f, t.schema), bl.load_table(f, t.schema, sa_order=t.sa_values), perturbed)
+    assert [table.sa_codes.dtype for table in tables] == [dtype] * 4
+
+
+def test_derived_tables_share_the_source_qi_arrays(tmp_path, monkeypatch):
+    t = bl.generate_synthetic(500, 10, seed=2)
+    perturbed = bl.perturb(t, bl.build_model(bl.sa_distribution(t), 2.0), seed=1)
+    assert perturbed.qi_values is t.qi_values and perturbed.qi_codes is t.qi_codes
+    f = tmp_path / "t.csv"
+    bl.save_table(t, f)
+    built, build = [], data._table_from_columns
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(data, "_table_from_columns", spy)
+    ordered = bl.load_table(f, t.schema, sa_order=tuple(reversed(t.sa_values)))
+    assert ordered.qi_values is built[0].qi_values and ordered.qi_codes is built[0].qi_codes
 
 
 def test_sa_distribution_single_value():
@@ -295,7 +344,7 @@ def test_qi_tuples_past_int64_radix():
     rows = np.concatenate([distinct, distinct[rng.integers(0, n - 10, 10)]])
     schema = bl.DatasetSchema(tuple(bl.Attribute(f"q{k}", "qi", "numeric", lo=0, hi=n) for k in range(d))
                               + (bl.Attribute("s", "sa"),))
-    table = bl.Table(schema, tuple(rows.T.copy()), np.zeros(n, dtype=np.int64), ("x",))
+    table = table_from_qi_columns(schema, rows.T, np.zeros(n, dtype=np.int64), ("x",))
     assert np.prod([len(v) for v in table.qi_values], dtype=float) > 2.0**63
     _assert_qi_tuples_match_unique(table)
     assert len(table.qi_tuples[0]) == n - 10
@@ -436,7 +485,7 @@ def _fractional_table():
     xs = xs[rng.permutation(len(xs))]
     codes = rng.integers(0, 3, len(xs))
     sa = rng.integers(0, 4, len(xs))
-    return bl.Table(schema, (xs, codes), sa, ("w,1", "x y", '"z"', "plain"))
+    return table_from_qi_columns(schema, (xs, codes), sa, ("w,1", "x y", '"z"', "plain"))
 
 
 def _zip_table():

@@ -347,8 +347,9 @@ def tables_and_workloads(draw):
 def reference_histogram(table, query):
     """SA histogram of the rows matching the QI predicates, row by row."""
     hist = np.zeros(table.m, dtype=np.int64)
+    columns = table.qi_columns
     for i in range(table.n_rows):
-        if all(lo <= float(table.qi_columns[k][i]) <= hi for k, lo, hi in query.qi):
+        if all(lo <= float(columns[k][i]) <= hi for k, lo, hi in query.qi):
             hist[table.sa_codes[i]] += 1
     return hist
 
