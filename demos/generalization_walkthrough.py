@@ -58,9 +58,9 @@ for leaf in bl.bi_split(partition):
 release = bl.generalize(table, BETA, seed=7)
 print(f"\nMaterialized {len(release.ecs)} classes by curve-local retrieval:")
 for k, ec in enumerate(release.ecs):
-    w, a = ec.extents
+    (w_lo, w_hi), (a_lo, a_hi) = ec.extents
     diseases = {dist.values[i]: int(c) for i, c in enumerate(ec.sa_counts) if c}
-    print(f"  class {k}: weight [{w.lo:.0f}, {w.hi:.0f}], age [{a.lo:.0f}, {a.hi:.0f}], "
+    print(f"  class {k}: weight [{w_lo:.0f}, {w_hi:.0f}], age [{a_lo:.0f}, {a_hi:.0f}], "
           f"{ec.size} rows, SA multiset {diseases}")
 
 print(f"\nachieved beta  = {bl.achieved_beta(release):.4f} (requested {BETA})")

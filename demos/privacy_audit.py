@@ -11,7 +11,7 @@ Run: python demos/privacy_audit.py
 import numpy as np
 
 import betalike as bl
-from betalike.release import EquivalenceClass, NumericExtent, Release
+from betalike.release import EquivalenceClass, Release
 
 BETA = 4.0
 table = bl.generate_synthetic(50_000, 50, seed=5, sa_freqs=bl.census_like_profile(50))
@@ -38,8 +38,8 @@ schema = bl.DatasetSchema((
 ))
 dist = bl.Distribution(("rare", "common"), (3, 7), 10)
 leaky = Release(schema, dist, BETA, 0, 16, (
-    EquivalenceClass((NumericExtent(0, 2),), np.array([3, 0])),
-    EquivalenceClass((NumericExtent(2, 9),), np.array([0, 7])),
+    EquivalenceClass(((0, 2),), np.array([3, 0])),
+    EquivalenceClass(((2, 9),), np.array([0, 7])),
 ))
 achieved = bl.achieved_beta(leaky)
 print(f"  achieved beta = {'unbounded' if achieved == float('inf') else achieved}")

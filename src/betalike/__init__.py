@@ -71,15 +71,7 @@ from .queries import (
     workload_report_generalized,
     workload_report_perturbed,
 )
-from .release import (
-    CategoricalExtent,
-    EquivalenceClass,
-    NumericExtent,
-    Release,
-    build_ec,
-    load_release,
-    save_release,
-)
+from .release import EquivalenceClass, Release, build_ec, load_release, save_release
 
 __version__ = "0.1.0"
 
@@ -88,7 +80,6 @@ __all__ = [
     "Attribute",
     "Bucket",
     "BucketPartition",
-    "CategoricalExtent",
     "DataError",
     "DatasetSchema",
     "Distribution",
@@ -97,7 +88,6 @@ __all__ = [
     "HierarchyError",
     "LikenessError",
     "NbAuditReport",
-    "NumericExtent",
     "PerturbationError",
     "PerturbationModel",
     "Release",

@@ -63,10 +63,13 @@ def json_beta(obj: dict, where):
 
 
 def distribution_from_obj(obj: dict, where) -> Distribution:
-    """The SA distribution an artifact stores as "values", "counts", "total"."""
+    """The SA distribution an artifact stores as "values", "counts", "total";
+    the total must fit the int64 count arrays the artifact is read into."""
     values = json_field(obj, "values", list, where, items=str)
     counts = json_field(obj, "counts", list, where, items=int)
     total = json_field(obj, "total", int, where)
+    if total > 2**63 - 1:
+        raise DataError(f"{where}: field 'total' must be at most 2**63 - 1, got {total}")
     try:
         return Distribution(tuple(values), tuple(counts), total)
     except LikenessError as exc:

@@ -15,6 +15,7 @@ have the same form (Agrawal & Haritsa, ICDE 2005).
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -223,7 +224,10 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     beta = json_beta(obj, dist_path)
     matrix_path = outdir / _MATRIX_FILE
     try:
-        matrix = np.loadtxt(matrix_path, ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file fails the shape check below; numpy's warning would add a line.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            matrix = np.loadtxt(matrix_path, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{matrix_path}: not a transition matrix ({exc})") from None
     if matrix.shape != (dist.m, dist.m):

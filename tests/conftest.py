@@ -140,11 +140,12 @@ def release_to_obj(release: bl.Release) -> dict:
     classes = []
     for ec in release.ecs:
         extents = []
-        for attr, ext in zip(release.schema.qi_attributes, ec.extents):
+        for attr, (lo, hi) in zip(release.schema.qi_attributes, ec.extents):
             if attr.kind == NUMERIC:
-                extents.append({"lo": _num(ext.lo), "hi": _num(ext.hi)})
+                extents.append({"lo": _num(lo), "hi": _num(hi)})
             else:
-                extents.append({"label": ext.label, "leaf_lo": ext.leaf_lo, "leaf_hi": ext.leaf_hi})
+                node = attr.hierarchy.lca(int(lo), int(hi))
+                extents.append({"label": node.label, "leaf_lo": node.leaf_lo, "leaf_hi": node.leaf_hi})
         sa = {
             release.dist.values[i]: int(c)
             for i, c in enumerate(ec.sa_counts)

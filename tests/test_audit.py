@@ -12,7 +12,7 @@ import betalike as bl
 from betalike import audit
 from betalike.data import CATEGORICAL, NUMERIC, QI, Attribute
 from betalike.likeness import Bound
-from betalike.release import CategoricalExtent, EquivalenceClass, NumericExtent, Release
+from betalike.release import EquivalenceClass, Release
 
 from conftest import DISEASES, balanced_hierarchy, disease_table, table1
 
@@ -27,7 +27,7 @@ def single_attr_schema():
 def release_from_counts(dist, class_counts, beta=1.0, extents=None):
     ecs = []
     for i, counts in enumerate(class_counts):
-        ext = extents[i] if extents else (NumericExtent(0, 10),)
+        ext = extents[i] if extents else ((0, 10),)
         ecs.append(EquivalenceClass(ext, np.asarray(counts, dtype=np.int64)))
     return Release(single_attr_schema(), dist, beta, 0, 16, tuple(ecs))
 
@@ -250,8 +250,7 @@ def brute_force_nb_audit(release, table):
         hits = np.zeros((len(values), m), dtype=np.int64)
         for vi, v in enumerate(values):
             for ec in release.ecs:
-                ext = ec.extents[k]
-                lo, hi = (ext.lo, ext.hi) if attr.kind == NUMERIC else (ext.leaf_lo, ext.leaf_hi)
+                lo, hi = ec.extents[k]
                 if lo <= v <= hi:
                     hits[vi] += ec.sa_counts
         covered = hits.sum(axis=1)
@@ -296,10 +295,10 @@ def _random_partition_release(table, beta, data):
         whole = []
         for attr in table.schema.qi_attributes:
             if attr.kind == NUMERIC:
-                whole.append(NumericExtent(attr.lo, attr.hi))
+                whole.append((attr.lo, attr.hi))
             else:
                 root = attr.hierarchy.root
-                whole.append(CategoricalExtent(root.label, root.leaf_lo, root.leaf_hi))
+                whole.append((root.leaf_lo, root.leaf_hi))
         ecs[0] = EquivalenceClass(tuple(whole), ecs[0].sa_counts)
         numeric = [k for k, a in enumerate(table.schema.qi_attributes) if a.kind == NUMERIC]
         for i in range(1, len(ecs)):
@@ -307,7 +306,7 @@ def _random_partition_release(table, beta, data):
                 k = data.draw(st.sampled_from(numeric))
                 g = data.draw(st.integers(0, 5))
                 extents = list(ecs[i].extents)
-                extents[k] = NumericExtent(g + 0.25, g + 0.5)
+                extents[k] = (g + 0.25, g + 0.5)
                 ecs[i] = EquivalenceClass(tuple(extents), ecs[i].sa_counts)
     return Release(table.schema, bl.sa_distribution(table), beta, 0, 16, tuple(ecs))
 

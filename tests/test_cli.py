@@ -434,6 +434,16 @@ def _move_one_count(release):
     sa[other] = sa.get(other, 0) + 1
 
 
+def _counts_past_int64(release):
+    """Every count times 2**63: the release adds up, but no count fits an int64."""
+    scale = 2**63
+    release["sa"]["counts"] = [c * scale for c in release["sa"]["counts"]]
+    release["sa"]["total"] *= scale
+    for cls in release["classes"]:
+        cls["size"] *= scale
+        cls["sa"] = {value: c * scale for value, c in cls["sa"].items()}
+
+
 @pytest.mark.parametrize("tamper, named", [
     (_set_extent(0, lo=float("nan")), "extent age"),
     (_set_extent(0, hi=float("inf")), "extent age"),
@@ -449,9 +459,12 @@ def _move_one_count(release):
     (lambda release: release.update(curve_order=999), "'curve_order'"),
     (lambda release: release.update(curve_order=-5), "'curve_order'"),
     (lambda release: release.update(seed=-1), "'seed'"),
+    (lambda release: release["classes"][0].update(size=0, sa={}), "class is empty"),
+    (_counts_past_int64, "'total'"),
 ], ids=["nan-extent", "infinite-extent", "inverted-extent", "outside-domain", "wrong-label",
         "not-the-node-span", "leaf-out-of-range", "huge-extent", "counts-off-distribution",
-        "huge-count", "curve-order-too-large", "curve-order-negative", "negative-seed"])
+        "huge-count", "curve-order-too-large", "curve-order-negative", "negative-seed", "empty-class",
+        "total-past-int64"])
 def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
     prefix = tmp_path / "synth"
     csv, schema = prefix.with_suffix(".csv"), prefix.with_suffix(".schema.json")
@@ -695,7 +708,8 @@ def test_negative_seed_or_bad_curve_order_is_one_error_line(example_files, tmp_p
     lambda text: "\n".join(" ".join(repr(3 * float(x)) for x in line.split())
                            for line in text.splitlines()) + "\n",
     lambda text: text.replace(" ", " oops ", 1),
-], ids=["scaled", "unparsable"])
+    lambda text: "",
+], ids=["scaled", "unparsable", "empty"])
 def test_tampered_transition_matrix_exits_one(example_files, tmp_path, capsys, tamper):
     csv, schema = example_files
     outdir = tmp_path / "pert"
@@ -704,8 +718,11 @@ def test_tampered_transition_matrix_exits_one(example_files, tmp_path, capsys, t
     pm = outdir / "pm.txt"
     pm.write_text(tamper(pm.read_text(encoding="utf-8")), encoding="utf-8")
     capsys.readouterr()
-    code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
-                "--artifact", str(outdir), "--lambda", "1", "--queries", "5"])
+    # pytest would capture a warning that reaches stderr outside the test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
+                    "--artifact", str(outdir), "--lambda", "1", "--queries", "5"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

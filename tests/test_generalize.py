@@ -218,8 +218,7 @@ def test_numeric_extents_are_attained(example2):
     for ec in release.ecs:
         for k, attr in enumerate(release.schema.qi_attributes):
             col = example2.qi_columns[k][ec.rows]
-            assert ec.extents[k].lo == col.min()
-            assert ec.extents[k].hi == col.max()
+            assert ec.extents[k] == (col.min(), col.max())
 
 
 def test_draw_nearest_matches_brute_force():

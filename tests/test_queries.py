@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import betalike as bl
 from betalike import queries
 from betalike.queries import AggregateQuery
-from betalike.release import EquivalenceClass, NumericExtent, Release
+from betalike.release import EquivalenceClass, Release
 
 from conftest import table1
 
@@ -148,25 +149,25 @@ def reference_generalized(release, query):
 
 
 def test_estimate_generalized_contained_is_exact():
-    rel = one_ec_release(NumericExtent(2, 4), [4, 6])
+    rel = one_ec_release((2, 4), [4, 6])
     q = AggregateQuery(((0, 0.0, 10.0),), 0, 0)
     assert generalized_estimate(rel, q) == pytest.approx(4.0)
 
 
 def test_estimate_generalized_disjoint_is_zero():
-    rel = one_ec_release(NumericExtent(2, 4), [4, 6])
+    rel = one_ec_release((2, 4), [4, 6])
     q = AggregateQuery(((0, 5.0, 10.0),), 0, 1)
     assert generalized_estimate(rel, q) == 0.0
 
 
 def test_estimate_generalized_half_overlap():
-    rel = one_ec_release(NumericExtent(2, 4), [10, 10])
+    rel = one_ec_release((2, 4), [10, 10])
     q = AggregateQuery(((0, 3.0, 10.0),), 0, 0)
     assert generalized_estimate(rel, q) == pytest.approx(5.0)
 
 
 def test_estimate_generalized_point_extent():
-    rel = one_ec_release(NumericExtent(3, 3), [2, 2])
+    rel = one_ec_release((3, 3), [2, 2])
     inside = AggregateQuery(((0, 2.0, 4.0),), 0, 1)
     outside = AggregateQuery(((0, 4.0, 9.0),), 0, 1)
     assert generalized_estimate(rel, inside) == 4.0
@@ -461,6 +462,23 @@ def test_distinct_extents_gather_back_the_class_extents(census_release_b4):
     for (lo, hi), (d_lo, d_hi, index) in zip(release.class_extents, release.distinct_extents):
         assert len(d_lo) == len(set(zip(lo.tolist(), hi.tolist()))) < len(lo)
         assert np.array_equal(d_lo[index], lo) and np.array_equal(d_hi[index], hi)
+
+
+def test_distinct_extents_compare_bit_patterns():
+    schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=-1, hi=1), bl.Attribute("s", "sa")))
+    extents = [(-0.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (0.0, 0.5)]
+    ecs = tuple(EquivalenceClass((ext,), np.array([1])) for ext in extents)
+    release = Release(schema, bl.Distribution(("a",), (4,), 4), 1.0, 0, 16, ecs)
+    ((lo, hi),), ((d_lo, d_hi, index),) = release.class_extents, release.distinct_extents
+    assert len(d_lo) == 3 and index.tolist() == [0, 1, 0, 2]
+    assert np.array_equal(np.signbit(d_lo[index]), np.signbit(lo)) and np.array_equal(d_hi[index], hi)
+
+
+def test_a_release_without_classes_has_empty_class_arrays():
+    empty = dataclasses.replace(one_ec_release((2, 4), [4, 6]), ecs=())
+    assert [(lo.shape, hi.shape) for lo, hi in empty.class_extents] == [((0,), (0,))]
+    assert [tuple(a.shape for a in axis) for axis in empty.distinct_extents] == [((0,), (0,), (0,))]
+    assert empty.class_counts.shape == (0, 2)
 
 
 def test_the_cube_is_built_once_per_table():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import betalike as bl
 from betalike.data import NUMERIC, DataError
-from betalike.release import CategoricalExtent, EquivalenceClass, NumericExtent
+from betalike.release import EquivalenceClass
 
 from conftest import DISEASE_HIERARCHY, balanced_hierarchy, mixed_qi_tables, release_to_obj
 
@@ -28,10 +28,7 @@ def test_generalize_ec_single_record():
     schema, _ = cat_schema()
     t = bl.table_from_rows(schema, [{"age": 52, "illness": "angina", "s": "x"}])
     (ec,) = bl.build_ec(t, np.array([0]), [1])
-    extents = ec.extents
-    assert extents[0] == NumericExtent(52.0, 52.0)
-    assert extents[1].leaf_lo == extents[1].leaf_hi
-    assert extents[1].label == "angina"
+    assert ec.extents == ((52.0, 52.0), (4.0, 4.0))
 
 
 def test_generalize_ec_min_max_and_lca():
@@ -43,10 +40,8 @@ def test_generalize_ec_min_max_and_lca():
     ]
     t = bl.table_from_rows(schema, rows)
     (ec,) = bl.build_ec(t, np.arange(3), [3])
-    extents = ec.extents
-    assert extents[0] == NumericExtent(40.0, 60.0)
-    assert extents[1].label == "nervous"
-    assert extents[1].leaf_hi - extents[1].leaf_lo + 1 == 3
+    assert ec.extents == ((40.0, 60.0), (0.0, 2.0))
+    assert h.lca(0, 2).label == "nervous"
 
 
 def _release(schema, *classes):
@@ -64,10 +59,11 @@ def _ail_per_class(release):
     for ec in release.ecs:
         loss = 0.0
         for w, attr, ext in zip(schema.qi_weights(), schema.qi_attributes, ec.extents):
+            lo, hi = ext
             if attr.kind == "numeric":
-                part = (ext.hi - ext.lo) / (attr.hi - attr.lo)
+                part = (hi - lo) / (attr.hi - attr.lo)
             else:
-                leaves = ext.leaf_hi - ext.leaf_lo + 1
+                leaves = hi - lo + 1
                 part = 0.0 if leaves == 1 else leaves / attr.hierarchy.n_leaves
             loss += w * part
         total += ec.size * loss
@@ -92,10 +88,10 @@ def _weighted_mixed_release():
     ))
     return _release(
         schema,
-        ((NumericExtent(52, 52), CategoricalExtent("angina", 4, 4), NumericExtent(0.25, 0.25)), 3),
-        ((NumericExtent(40, 61.5), CategoricalExtent("nervous", 0, 2), NumericExtent(0.1, 0.7)), 5),
-        ((NumericExtent(45, 70), CategoricalExtent("blood", 5, 5), NumericExtent(0, 1)), 2),
-        ((NumericExtent(40, 70), CategoricalExtent("any illness", 0, 5), NumericExtent(1 / 3, 0.9)), 7),
+        (((52, 52), (4, 4), (0.25, 0.25)), 3),
+        (((40, 61.5), (0, 2), (0.1, 0.7)), 5),
+        (((45, 70), (5, 5), (0, 1)), 2),
+        (((40, 70), (0, 5), (1 / 3, 0.9)), 7),
     )
 
 
@@ -111,17 +107,17 @@ def test_ail_equals_the_per_class_formula(census_release_b4, make):
 
 def test_ail_numeric_part():
     schema = bl.DatasetSchema((bl.Attribute("age", "qi", "numeric", lo=40, hi=70), bl.Attribute("s", "sa")))
-    assert bl.ail(_release(schema, ((NumericExtent(52, 52),), 1))) == 0.0
-    assert bl.ail(_release(schema, ((NumericExtent(40, 70),), 1))) == 1.0
-    assert bl.ail(_release(schema, ((NumericExtent(40, 60),), 1))) == pytest.approx(2 / 3)
+    assert bl.ail(_release(schema, (((52, 52),), 1))) == 0.0
+    assert bl.ail(_release(schema, (((40, 70),), 1))) == 1.0
+    assert bl.ail(_release(schema, (((40, 60),), 1))) == pytest.approx(2 / 3)
 
 
 def test_ail_categorical_part():
     schema, _ = cat_schema()
     schema = bl.DatasetSchema(schema.attributes[1:])
-    assert bl.ail(_release(schema, ((CategoricalExtent("headache", 0, 0),), 1))) == 0.0
-    assert bl.ail(_release(schema, ((CategoricalExtent("any illness", 0, 5),), 1))) == 1.0
-    assert bl.ail(_release(schema, ((CategoricalExtent("nervous", 0, 2),), 1))) == 0.5
+    assert bl.ail(_release(schema, (((0, 0),), 1))) == 0.0
+    assert bl.ail(_release(schema, (((0, 5),), 1))) == 1.0
+    assert bl.ail(_release(schema, (((0, 2),), 1))) == 0.5
 
 
 def test_ail_weighted():
@@ -132,11 +128,11 @@ def test_ail_weighted():
             bl.Attribute("c", "qi", "numeric", lo=0, hi=2, weight=weights[2]),
             bl.Attribute("s", "sa"),
         ))
-    spread = (NumericExtent(0, 2 / 3), NumericExtent(0.5, 0.5), NumericExtent(0, 1))
+    spread = ((0, 2 / 3), (0.5, 0.5), (0, 1))
     assert bl.ail(_release(schema(), (spread, 3))) == pytest.approx((2 / 3 + 0.0 + 0.5) / 3)
-    flat = (NumericExtent(0, 0), NumericExtent(1, 1), NumericExtent(2, 2))
+    flat = ((0, 0), (1, 1), (2, 2))
     assert bl.ail(_release(schema(), (flat, 1))) == 0.0
-    two = (NumericExtent(0, 1), NumericExtent(0, 0), NumericExtent(1, 1))
+    two = ((0, 1), (0, 0), (1, 1))
     assert bl.ail(_release(schema((0.5, 0.5, 0.0)), (two, 2))) == 0.5
 
 
@@ -145,7 +141,7 @@ def test_ail_weighted_mean():
         bl.Attribute("x", "qi", "numeric", lo=0, hi=1),
         bl.Attribute("s", "sa"),
     ))
-    rel = _release(schema, ((NumericExtent(0, 0.25),), 4), ((NumericExtent(0, 0.5),), 6))
+    rel = _release(schema, (((0, 0.25),), 4), (((0, 0.5),), 6))
     assert bl.ail(rel) == pytest.approx((4 * 0.25 + 6 * 0.5) / 10)
 
 
@@ -157,7 +153,7 @@ def test_ail_extremes(example2):
         bl.Attribute("x", "qi", "numeric", lo=0, hi=1),
         bl.Attribute("s", "sa"),
     ))
-    rel = _release(schema, *[((NumericExtent(0.3, 0.3),), 1)] * 5)
+    rel = _release(schema, *[(((0.3, 0.3),), 1)] * 5)
     assert bl.ail(rel) == 0.0
 
 
@@ -197,6 +193,23 @@ def test_load_release_rejects_garbage(tmp_path, example2):
         bl.load_release(p, example2.schema)
 
 
+def test_class_counts_are_summed_without_wrapping(tmp_path):
+    """Per-value sums past 2**64, which int64 arithmetic would wrap to the
+    published count, are still a mismatch."""
+    schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=0, hi=10), bl.Attribute("s", "sa")))
+    big = 2**63 - 1
+    def cls(sa):
+        return {"size": sum(sa.values()), "extents": [{"lo": 0, "hi": 10}], "sa": sa}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({
+        "kind": "generalized-release", "beta": 1.0, "seed": 0, "curve_order": 16, "qi": ["x"],
+        "sa": {"attribute": "s", "values": ["a", "b"], "counts": [1, big - 1], "total": big},
+        "classes": [cls({"b": big})] * 3 + [cls({"a": 1, "b": 1})],
+    }), encoding="utf-8")
+    with pytest.raises(DataError, match=f"counts of 'b' sum to {3 * big + 1}, but"):
+        bl.load_release(path, schema)
+
+
 def test_empty_class_rejected(example2):
     with pytest.raises(bl.DataError, match="empty"):
         bl.build_ec(example2, np.array([], dtype=np.int64), [0])
@@ -215,10 +228,10 @@ def generalize_ec_per_class(table, rows):
     for attr, col in zip(table.schema.qi_attributes, table.qi_columns):
         member = col[rows]
         if attr.kind == NUMERIC:
-            extents.append(NumericExtent(float(member.min()), float(member.max())))
+            extents.append((float(member.min()), float(member.max())))
         else:
             node = attr.hierarchy.lca(int(member.min()), int(member.max()))
-            extents.append(CategoricalExtent(node.label, node.leaf_lo, node.leaf_hi))
+            extents.append((float(node.leaf_lo), float(node.leaf_hi)))
     return tuple(extents)
 
 
@@ -275,13 +288,15 @@ def test_generalize_peak_memory():
 # -- save_release against the object form ----------------------------------------
 
 NUMBERS = [-3.5, -1, 0, 0.1, 0.25, 1 / 3, 2, 1e16, 12345.678]
+SHADOWED = "shadowed"
 
 
 @st.composite
 def releases(draw):
     """Hand-built releases over numeric and categorical QI whose SA values
-    and hierarchy labels include non-ASCII and quoted strings, and whose
-    numeric extents include fractions, large and negative floats."""
+    and hierarchy labels include non-ASCII and quoted strings, whose
+    numeric extents include fractions, large and negative floats, and whose
+    hierarchies may put a node above the root with the root its only child."""
     names = st.sampled_from(["a", "é", "naïve", "日本", 'quote"d', "back\\slash", "tab\tx", "😀"])
     attrs = []
     for k in range(draw(st.integers(1, 3))):
@@ -290,8 +305,12 @@ def releases(draw):
         else:
             labels = draw(st.lists(names, min_size=2, max_size=5, unique=True))
             leaves = [f"{label}.{k}" for label in labels]
-            attrs.append(bl.Attribute(f"c{k}", "qi", hierarchy=balanced_hierarchy(leaves, fanout=2,
-                                                                              root_label=f"Ω{k}")))
+            hierarchy = balanced_hierarchy(leaves, fanout=2, root_label=f"Ω{k}")
+            if draw(st.booleans()):
+                # A single-child chain: the root's only child is an internal
+                # node with the same leaf span, the one a label must name.
+                hierarchy = bl.Hierarchy({"name": f"{SHADOWED}{k}", "children": [hierarchy.to_spec()]})
+            attrs.append(bl.Attribute(f"c{k}", "qi", hierarchy=hierarchy))
     values = tuple(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
     schema = bl.DatasetSchema((*attrs, bl.Attribute("sä", "sa")))
     ecs = []
@@ -300,11 +319,11 @@ def releases(draw):
         for attr in attrs:
             if attr.kind == NUMERIC:
                 lo, hi = sorted(draw(st.lists(st.sampled_from(NUMBERS), min_size=2, max_size=2)))
-                extents.append(NumericExtent(float(lo), float(hi)))
+                extents.append((float(lo), float(hi)))
             else:
                 a, b = sorted(draw(st.lists(st.integers(0, attr.hierarchy.n_leaves - 1), min_size=2, max_size=2)))
                 node = attr.hierarchy.lca(a, b)
-                extents.append(CategoricalExtent(node.label, node.leaf_lo, node.leaf_hi))
+                extents.append((float(node.leaf_lo), float(node.leaf_hi)))
         counts = draw(st.lists(st.integers(0, 5), min_size=len(values), max_size=len(values)).filter(any))
         ecs.append(EquivalenceClass(tuple(extents), np.asarray(counts, dtype=np.int64)))
     totals = np.sum([ec.sa_counts for ec in ecs], axis=0)
@@ -324,6 +343,7 @@ def test_saved_bytes_equal_the_object_form(tmp_path_factory, release):
     bl.save_release(release, path)
     want = json.dumps(release_to_obj(release), indent=1) + "\n"
     assert path.read_text(encoding="utf-8") == want
+    assert SHADOWED not in want
     # A loaded release has no member rows and writes the same bytes.
     loaded = bl.load_release(path, release.schema)
     again = path.with_name("again.json")
