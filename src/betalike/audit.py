@@ -24,28 +24,29 @@ from .release import Release
 SCORE_CHUNK = 4096
 
 
-def _class_freqs(release: Release) -> np.ndarray:
-    """(classes, m): each class's SA frequencies; an empty class errors."""
+def _class_gains(release: Release) -> tuple[np.ndarray, np.ndarray]:
+    """(gain, need). gain is (classes, m): each value's relative gain
+    (q - p) / p in each class. need is each class's smallest beta under
+    which it passes the enhanced check: math.inf where some frequency passes
+    its p * (1 - ln p) cap, else the largest positive gain, or 0.0 if there
+    is none. An empty class errors."""
+    dist = release.dist
     counts = release.class_counts
     sizes = counts.sum(axis=1, keepdims=True)
     if not sizes.all():
         raise LikenessError("class is empty")
-    return counts / sizes
-
-
-def _required_betas(release: Release) -> np.ndarray:
-    """Per class, the smallest beta under which it passes the enhanced
-    check: math.inf where some frequency passes its p * (1 - ln p) cap,
-    else the largest relative gain (q - p) / p over the values with q > p,
-    or 0.0 if there is none."""
-    dist = release.dist
+    q = counts / sizes
     p = dist.freqs()
-    q = _class_freqs(release)
+    gain = (q - p) / p
+    need = gain.max(axis=1, initial=0.0)
     # The caps with every value on the logarithmic branch; beta is unused.
-    unbounded = (q > Bound(dist, 1.0, cut=0.0).caps()).any(axis=1)
-    need = np.where(q > p, (q - p) / p, 0.0).max(axis=1)
-    need[unbounded] = math.inf
-    return need
+    need[(q > Bound(dist, 1.0, cut=0.0).caps()).any(axis=1)] = math.inf
+    return gain, need
+
+
+def beta_text(beta: float) -> str:
+    """A beta as the audit lines print it: "unbounded" or six decimals."""
+    return "unbounded" if math.isinf(beta) else f"{beta:.6f}"
 
 
 def achieved_beta(release: Release) -> float:
@@ -56,7 +57,7 @@ def achieved_beta(release: Release) -> float:
     """
     if not release.ecs:
         raise DataError("release has no classes")
-    return float(_required_betas(release).max())
+    return float(_class_gains(release)[1].max())
 
 
 def failing_classes(release: Release) -> list[int]:
@@ -68,21 +69,20 @@ def failing_classes(release: Release) -> list[int]:
 
 
 def ec_audit_lines(release: Release) -> list[str]:
-    """One line per class: size, worst value, worst gain, pass/fail."""
+    """One line per class: size, worst value, worst gain, required beta, pass/fail."""
     dist = release.dist
     failing = set(failing_classes(release))
-    p = dist.freqs()
-    gains = np.where(release.class_counts > 0, (_class_freqs(release) - p) / p, -np.inf)
-    worst = np.argmax(gains, axis=1).tolist()
-    needs = _required_betas(release).tolist()
+    gain, need = _class_gains(release)
+    # The worst value is among those the class holds.
+    gain[release.class_counts == 0] = -np.inf
+    worst = np.argmax(gain, axis=1).tolist()
     sizes = release.class_counts.sum(axis=1).tolist()
     lines = []
-    for k, (size, w, need) in enumerate(zip(sizes, worst, needs)):
+    for k, (size, w, beta) in enumerate(zip(sizes, worst, need.tolist())):
         status = "FAIL" if k in failing else "PASS"
-        need_txt = "unbounded" if math.isinf(need) else f"{need:.6f}"
         lines.append(
             f"ec={k} size={size} worst_value={dist.values[w]} "
-            f"worst_gain={gains[k, w]:.6f} required_beta={need_txt} {status}"
+            f"worst_gain={gain[k, w]:.6f} required_beta={beta_text(beta)} {status}"
         )
     return lines
 

@@ -14,12 +14,11 @@ writing its output file, may not have happened.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-from .audit import achieved_beta, ec_audit_lines, failing_classes, nb_bound_audit
+from .audit import achieved_beta, beta_text, ec_audit_lines, failing_classes, nb_bound_audit
 from .buckets import dp_partition
 from .data import (
     DataError,
@@ -144,8 +143,7 @@ def _cmd_generalize(args) -> int:
     achieved = achieved_beta(release)
     loss = ail(release)
     print(f"classes={len(release.ecs)} rows={release.n_rows} ail={loss:.6f}")
-    achieved_txt = "unbounded" if math.isinf(achieved) else f"{achieved:.6f}"
-    print(f"achieved_beta={achieved_txt} requested_beta={args.beta}")
+    print(f"achieved_beta={beta_text(achieved)} requested_beta={args.beta}")
     failing = failing_classes(release)
     if failing:
         raise InternalAuditError(f"freshly generalized release violates its own budget: "
@@ -179,9 +177,7 @@ def _cmd_audit(args) -> int:
     # First, so that a table that is not the release's source fails before
     # any line is printed.
     report = nb_bound_audit(release, table)
-    achieved = achieved_beta(release)
-    achieved_txt = "unbounded" if math.isinf(achieved) else f"{achieved:.6f}"
-    print(f"achieved_beta={achieved_txt} declared_beta={release.beta}")
+    print(f"achieved_beta={beta_text(achieved_beta(release))} declared_beta={release.beta}")
     ec_lines = ec_audit_lines(release)
     for line in ec_lines:
         print(line)

@@ -62,6 +62,22 @@ def json_beta(obj: dict, where):
     return beta
 
 
+def json_seed(obj: dict, where) -> int:
+    """obj["seed"], an integer >= 0, as the producing command's --seed is."""
+    seed = json_field(obj, "seed", int, where)
+    if seed < 0:
+        raise DataError(f"{where}: field 'seed' must be >= 0, got {seed}")
+    return seed
+
+
+def check_sa_attribute(obj: dict, where, schema: DatasetSchema) -> None:
+    """obj["attribute"] must be a string naming the schema's SA attribute."""
+    name = json_field(obj, "attribute", str, where)
+    if name != schema.sa_attribute.name:
+        raise DataError(f"{where}: field 'attribute' is {name!r}, but the schema's "
+                        f"SA attribute is {schema.sa_attribute.name!r}")
+
+
 def distribution_from_obj(obj: dict, where) -> Distribution:
     """The SA distribution an artifact stores as "values", "counts", "total";
     the total must fit the int64 count arrays the artifact is read into."""

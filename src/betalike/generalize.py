@@ -24,7 +24,7 @@ import bisect
 import numpy as np
 
 from .buckets import dp_partition
-from .data import DataError, Table, sa_distribution
+from .data import DataError, Table
 from .ectree import bi_split
 from .hilbert import table_keys
 from .release import Release, build_ec
@@ -184,8 +184,8 @@ def generalize(table: Table, beta: float, seed: int = 0, curve_order: int = 16) 
 
     Deterministic for a fixed (table, beta, seed, curve_order).
     """
-    dist = sa_distribution(table)
     partition = dp_partition(table, beta)
+    dist = partition.dist
     leaves = bi_split(partition)
     keys, codes = table_keys(table, curve_order)
     stores = [SortedBucket(keys, codes[b.rows], b.rows) for b in partition.buckets]

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Table, distribution_from_obj, json_beta, load_table, read_json, save_table
+from .data import (DataError, Table, check_sa_attribute, distribution_from_obj, json_beta, json_seed, load_table,
+                   read_json, save_table)
 from .likeness import Distribution, frequency_bound
 
 
@@ -210,7 +211,8 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     """Read a published artifact back. The model is rebuilt from the
     published distribution and beta, and the published matrix must equal
     the rebuilt one exactly (save_perturbation writes round-trip reprs).
-    The perturbed table must hold the distribution's total of rows, as
+    The seed must be >= 0 and the attribute the schema's SA attribute, and
+    the perturbed table must hold the distribution's total of rows, as
     `perturb` writes."""
     outdir = Path(outdir)
     dist_path = outdir / _DIST_FILE
@@ -222,6 +224,8 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
         raise DataError(f"{dist_path}: not a perturbed-release distribution")
     dist = distribution_from_obj(obj, dist_path)
     beta = json_beta(obj, dist_path)
+    json_seed(obj, dist_path)
+    check_sa_attribute(obj, dist_path, schema)
     matrix_path = outdir / _MATRIX_FILE
     try:
         with warnings.catch_warnings():

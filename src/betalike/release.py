@@ -7,15 +7,15 @@ hierarchy node covering them, the lowest common ancestor, whose label exists
 only in the file: `save_release` writes `Hierarchy.lca(lo, hi).label` and
 `load_release` accepts no other. The overall SA distribution and the run
 parameters are embedded so a release file is auditable on its own.
-`load_release` rejects a file `generalize` could not have written: a
-negative seed, a curve order `hilbert` would refuse, an extent outside the
-schema domain or not a hierarchy node, an empty class, or class counts that
-do not add up to the distribution. A release is immutable, so the class
-arrays the estimators and the audit read (`class_counts` and its
-`sa_prefix`, `class_extents` and their distinct pairs, `distinct_extents`)
-are cached, never invalidated. `build_ec` builds all classes in one
-batched pass, and `save_release` writes the file's fixed layout from the
-class arrays.
+`load_release` rejects a file `generalize` could not have written: an SA
+attribute the schema does not name, a negative seed, a curve order `hilbert`
+would refuse, an extent outside the schema domain or not a hierarchy node,
+an empty class, or class counts that do not add up to the distribution. A
+release is immutable, so the class arrays the estimators and the audit read
+(`class_counts` and its `sa_prefix`, `class_extents` and their distinct
+pairs, `distinct_extents`) are cached, never invalidated. `build_ec` builds
+all classes in one batched pass, and `save_release` writes the file's fixed
+layout from the class arrays.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, code_dtype, distribution_from_obj,
-                   json_beta, json_field, read_json)
+from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, check_sa_attribute, code_dtype,
+                   distribution_from_obj, json_beta, json_field, json_seed, read_json)
 from .hierarchy import HierarchyError
 from .hilbert import _check_order
 from .likeness import Distribution
@@ -182,13 +182,13 @@ def load_release(path, schema: DatasetSchema) -> Release:
     obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("kind") != "generalized-release":
         raise DataError(f"{path}: not a generalized release file")
-    dist = distribution_from_obj(json_field(obj, "sa", dict, path), f"{path}: sa")
+    sa = json_field(obj, "sa", dict, path)
+    dist = distribution_from_obj(sa, f"{path}: sa")
+    check_sa_attribute(sa, f"{path}: sa", schema)
     if [a.name for a in schema.qi_attributes] != json_field(obj, "qi", list, path, items=str):
         raise DataError(f"{path}: QI attributes do not match the schema")
     beta = json_beta(obj, path)
-    seed = json_field(obj, "seed", int, path)
-    if seed < 0:
-        raise DataError(f"{path}: field 'seed' must be >= 0, got {seed}")
+    seed = json_seed(obj, path)
     curve_order = json_field(obj, "curve_order", int, path)
     try:
         _check_order(curve_order)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
+import math
 
 import pytest
 
@@ -44,6 +44,16 @@ def test_gen_data_deterministic(tmp_path):
     assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
 
 
+def _token(line: str, key: str) -> str:
+    return line.split(f"{key}=")[1].split()[0]
+
+
+def _largest_required_beta(out: str) -> str:
+    """The largest required_beta= token on the audit's class lines."""
+    tokens = [_token(line, "required_beta") for line in out.splitlines() if line.startswith("ec=")]
+    return max(tokens, key=lambda t: math.inf if t == "unbounded" else float(t))
+
+
 def test_generalize_and_audit(example_files, tmp_path, capsys):
     csv, schema = example_files
     release = tmp_path / "release.json"
@@ -64,8 +74,10 @@ def test_generalize_and_audit(example_files, tmp_path, capsys):
     audit_out = capsys.readouterr().out
     assert "achieved_beta=" in audit_out
     assert "classifier_accuracy=" in audit_out
-    achieved = float(audit_out.split("achieved_beta=")[1].split()[0])
-    assert achieved <= 2.0
+    achieved = _token(audit_out, "achieved_beta")
+    assert float(achieved) <= 2.0
+    # generalize and audit print the same achieved beta: the largest required beta of the classes.
+    assert _token(out, "achieved_beta") == achieved == _largest_required_beta(audit_out)
 
 
 def test_generalize_byte_identical_reruns(example_files, tmp_path):
@@ -222,6 +234,7 @@ def test_audit_reports_unbounded_on_leaky_release(example_files, tmp_path, capsy
     out = capsys.readouterr().out
     assert "achieved_beta=unbounded" in out
     assert "FAIL" in out
+    assert _token(out, "achieved_beta") == _largest_required_beta(out) == "unbounded"
 
 
 def test_audit_exits_three_on_tampered_release(example_files, tmp_path, capsys):
@@ -459,12 +472,13 @@ def _counts_past_int64(release):
     (lambda release: release.update(curve_order=999), "'curve_order'"),
     (lambda release: release.update(curve_order=-5), "'curve_order'"),
     (lambda release: release.update(seed=-1), "'seed'"),
+    (lambda release: release["sa"].update(attribute="salary"), "'attribute'"),
     (lambda release: release["classes"][0].update(size=0, sa={}), "class is empty"),
     (_counts_past_int64, "'total'"),
 ], ids=["nan-extent", "infinite-extent", "inverted-extent", "outside-domain", "wrong-label",
         "not-the-node-span", "leaf-out-of-range", "huge-extent", "counts-off-distribution",
-        "huge-count", "curve-order-too-large", "curve-order-negative", "negative-seed", "empty-class",
-        "total-past-int64"])
+        "huge-count", "curve-order-too-large", "curve-order-negative", "negative-seed", "wrong-sa-attribute",
+        "empty-class", "total-past-int64"])
 def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
     prefix = tmp_path / "synth"
     csv, schema = prefix.with_suffix(".csv"), prefix.with_suffix(".schema.json")
@@ -512,16 +526,20 @@ def test_table_that_is_not_the_source_exits_one(tmp_path, capsys, command, artif
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
-@pytest.mark.parametrize("doc, named", [
-    ({"kind": "perturbed-release"}, "'values'"),
-    ({"kind": "generalized-release", "values": ["a"]}, "perturbed-release"),
-], ids=["missing-values", "wrong-kind"])
-def test_malformed_distribution_names_field(example_files, tmp_path, capsys, doc, named):
+@pytest.mark.parametrize("tamper, named", [
+    (lambda doc: {"kind": "perturbed-release"}, "'values'"),
+    (lambda doc: {"kind": "generalized-release", "values": ["a"]}, "perturbed-release"),
+    (lambda doc: {**doc, "attribute": "salary"}, "'attribute'"),
+    (lambda doc: {**doc, "seed": -5}, "field 'seed' must be >= 0"),
+], ids=["missing-values", "wrong-kind", "wrong-sa-attribute", "negative-seed"])
+def test_malformed_distribution_names_field(example_files, tmp_path, capsys, tamper, named):
     csv, schema = example_files
     outdir = tmp_path / "pert"
     assert run(["perturb", "--input", str(csv), "--schema", str(schema),
                 "--beta", "2", "--seed", "1", "--out", str(outdir)]) == 0
-    (outdir / "distribution.json").write_text(json.dumps(doc), encoding="utf-8")
+    path = outdir / "distribution.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(tamper(doc)), encoding="utf-8")
     capsys.readouterr()
     code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
                 "--artifact", str(outdir), "--lambda", "1", "--queries", "5"])
@@ -694,9 +712,7 @@ def test_negative_seed_or_bad_curve_order_is_one_error_line(example_files, tmp_p
     csv, schema = example_files
     files = ["--input", str(csv), "--schema", str(schema)]
     args = {"gen-data": ["--rows", "50"], "queryeval": [*files, "--artifact", str(tmp_path)]}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run([command, *args.get(command, files), *flag, "--out", str(tmp_path / "out")])
+    code = run([command, *args.get(command, files), *flag, "--out", str(tmp_path / "out")])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
@@ -718,11 +734,8 @@ def test_tampered_transition_matrix_exits_one(example_files, tmp_path, capsys, t
     pm = outdir / "pm.txt"
     pm.write_text(tamper(pm.read_text(encoding="utf-8")), encoding="utf-8")
     capsys.readouterr()
-    # pytest would capture a warning that reaches stderr outside the test.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
-                    "--artifact", str(outdir), "--lambda", "1", "--queries", "5"])
+    code = run(["queryeval", "--input", str(csv), "--schema", str(schema),
+                "--artifact", str(outdir), "--lambda", "1", "--queries", "5"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

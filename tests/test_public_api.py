@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
 # The paper's basic beta-likeness, kept as part of the source model though
-# nothing calls it; ROADMAP item 4 asks the user whether it goes.
+# nothing calls it; ROADMAP item 5 asks the user whether it goes.
 UNCALLED = {"check_basic"}
 
 
