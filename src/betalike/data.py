@@ -323,6 +323,156 @@ class _Interner:
         return list(self.index), dense[np.concatenate(self.rows)] if self.rows else dense
 
 
+# Bytes per read of a plain table file (see `_plain_columns`). A chunk's
+# separator offsets take about twice its bytes; at 1M census rows, 512 KiB
+# loaded as fast as 1 MiB and traced a 13 MB peak instead of 17 MB.
+_CHUNK = 1 << 19
+
+# The longest field, in bytes, of a plain file. A column's keys in a chunk
+# are as wide as its longest field there, so one long field would widen
+# every row's key; longer fields go to `csv.reader`.
+_MAX_FIELD = 64
+
+# _KEEP[n]: the bits of a big-endian uint64 word's first n bytes.
+_KEEP = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+
+
+def _as_bytes(keys: np.ndarray, width: int) -> np.ndarray:
+    """Field keys as zero-padded `S{width}` strings; uint64 keys are their
+    bytes, big-endian."""
+    if keys.dtype.kind == "u":
+        keys = keys.astype(">u8").view("S8")
+    return keys.astype(f"S{width}")
+
+
+class _KeyInterner:
+    """One column's field keys interned chunk by chunk, as `_Interner` does
+    with strings: `sorted` holds the distinct keys in ascending order and
+    `ids` each one's id, numbered in the order chunks add them, so no
+    chunk's codes change when a later chunk adds keys; `codes` holds, per
+    chunk, each row's id in `code_dtype` of the keys so far."""
+
+    def __init__(self) -> None:
+        self.sorted = np.empty(0, dtype=np.uint64)
+        self.ids = np.empty(0, dtype=np.intp)
+        self.codes: list[np.ndarray] = []
+
+    def add(self, keys: np.ndarray) -> None:
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        if distinct.dtype != self.sorted.dtype:
+            width = max(distinct.itemsize, self.sorted.itemsize)
+            distinct, self.sorted = _as_bytes(distinct, width), _as_bytes(self.sorted, width)
+        pos = np.searchsorted(self.sorted, distinct)
+        if len(self.ids):
+            ids = np.take(self.ids, pos, mode="clip")
+            new = np.flatnonzero(np.take(self.sorted, pos, mode="clip") != distinct)
+        else:
+            ids, new = np.empty(len(distinct), dtype=np.intp), np.arange(len(distinct))
+        # Keys first seen in this chunk get the next ids, in key order.
+        ids[new] = np.arange(len(self.ids), len(self.ids) + len(new))
+        self.sorted = np.insert(self.sorted, pos[new], distinct[new])
+        self.ids = np.insert(self.ids, pos[new], ids[new])
+        self.codes.append(np.take(ids.astype(code_dtype(len(self.ids))), inverse))
+
+    def distinct(self) -> tuple[list[str], np.ndarray]:
+        """The distinct fields as `str`, by id, and each row's id; a
+        UnicodeDecodeError if a field is not UTF-8."""
+        keys = np.empty_like(self.sorted)
+        keys[self.ids] = self.sorted
+        keys = _as_bytes(keys, keys.itemsize)
+        if (keys.view(np.uint8) < 0x80).all():
+            values = keys.astype(f"U{keys.itemsize}").tolist()
+        else:
+            values = [key.decode("utf-8") for key in keys.tolist()]
+        return values, np.concatenate(self.codes, dtype=code_dtype(len(values)))
+
+
+def _field_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each field's bytes as a key that sorts as the bytes do: one uint64
+    holding them big-endian, zero-padded, or, in a column with a field past
+    8 bytes, an `S{8w}` string of w such words. `words[i]` is the word at
+    byte offset i of the chunk, which ends in 8 zero bytes; no field holds
+    a NUL byte, so padding is unambiguous."""
+    n_words = max(1, -(-int(lengths.max()) // 8))
+    parts = [words[np.minimum(starts + 8 * i, len(words) - 1)].astype(np.uint64)
+             & _KEEP[np.clip(lengths - 8 * i, 0, 8)] for i in range(n_words)]
+    if n_words == 1:
+        return parts[0]
+    return np.column_stack(parts).astype(">u8").view(f"S{8 * n_words}").ravel()
+
+
+def _add_lines(lines: bytes, columns: list[_KeyInterner]) -> bool:
+    """Intern one chunk of whole lines, each ended by a newline and free of
+    quote, CR and NUL bytes, into one `_KeyInterner` per column; False,
+    adding nothing, unless every line has exactly one comma fewer than
+    there are columns and no field is longer than `_MAX_FIELD` bytes or
+    `csv`'s limit."""
+    width = len(columns)
+    buf = np.zeros(len(lines) + 8, dtype=np.uint8)
+    buf[:len(lines)] = np.frombuffer(lines, dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    pattern = np.full(width, ord(","), dtype=np.uint8)
+    pattern[-1] = ord("\n")
+    if len(ends) % width or (buf[ends].reshape(-1, width) != pattern).any():
+        return False
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    if lengths.max() > min(_MAX_FIELD, csv.field_size_limit()):
+        return False
+    words = np.lib.stride_tricks.sliding_window_view(buf, 8).view(">u8")[:, 0]
+    starts, lengths = starts.reshape(-1, width), lengths.reshape(-1, width)
+    for j, column in enumerate(columns):
+        column.add(_field_keys(words, starts[:, j], lengths[:, j]))
+    return True
+
+
+def _line_chunks(fh):
+    """The bytes of a binary file in pieces of about `_CHUNK` bytes, each
+    cut after a newline; a last line without one gets one."""
+    rest: list[bytes] = []
+    while chunk := fh.read(_CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*rest, chunk[:cut]])
+            rest = [chunk[cut:]]
+        else:
+            rest.append(chunk)
+    if any(rest):
+        yield b"".join([*rest, b"\n"])
+
+
+def _plain_columns(path: Path, schema: DatasetSchema) -> dict[str, tuple[list, np.ndarray]] | None:
+    """The columns of a plain table file as `_Interner.distinct` gives them
+    (header name -> distinct values, each row's index into them), or None
+    if the file is not plain. A plain file is UTF-8 with a header that
+    `_header_error` accepts, at least one row, and only lines that
+    `_add_lines` takes; `csv.reader` reads such a file as the same fields."""
+    columns = None
+    with path.open("rb") as fh:
+        for lines in _line_chunks(fh):
+            if b'"' in lines or b"\r" in lines or b"\0" in lines:
+                return None
+            if columns is None:
+                line, _, lines = lines.partition(b"\n")
+                try:
+                    header = line.decode("utf-8").split(",")
+                except UnicodeDecodeError:
+                    return None
+                if _header_error(header, schema) is not None:
+                    return None
+                columns = [_KeyInterner() for _ in header]
+            if lines and not _add_lines(lines, columns):
+                return None
+    if columns is None or not columns[0].codes:
+        return None
+    try:
+        return {name: column.distinct() for name, column in zip(header, columns)}
+    except UnicodeDecodeError:
+        return None
+
+
 def _as_number(value) -> float:
     try:
         return float(value)
@@ -456,28 +606,11 @@ def _intern_records(records, header: list[str]) -> tuple[dict[str, _Interner], t
     return columns, None
 
 
-def load_table(path, schema: DatasetSchema, sa_order: tuple[str, ...] | None = None) -> Table:
-    """Read a comma-separated file with a header row matching the schema.
-
-    Blank lines are skipped; rows are numbered from 1 over the others. A
-    row with fewer fields than the header lacks its last columns; one with
-    more is an error. Rows after the first of another width are not read
-    into the table, but the file is still parsed to its end, so a CSV or
-    decoding error anywhere in it is the error reported.
-
-    `csv.reader`'s records are taken a block of `_BLOCK` at a time, so no
-    record outlives its block. Each column of a block is interned into a
-    dict mapping each distinct string to the row where it first appeared,
-    one dict operation per string, and one gather at the end turns those
-    rows into codes in first-appearance order. Each distinct string is then
-    parsed and checked once. Memory grows with the distinct values plus one
-    code per cell.
-
-    `sa_order` pins an explicit SA code order instead of interning by
-    frequency; it is how published perturbed tables are read back so their
-    codes stay aligned with the published transition matrix.
-    """
-    path = Path(path)
+def _csv_columns(path: Path, schema: DatasetSchema) -> tuple[dict[str, tuple[list, np.ndarray]],
+                                                             tuple[int, str] | None]:
+    """The columns of any table file, read by `csv.reader` and interned as
+    `_intern_records` does, and the fault of a whole row, if any; a CSV,
+    decoding or header error, or a file without rows, is a DataError."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -496,7 +629,43 @@ def load_table(path, schema: DatasetSchema, sa_order: tuple[str, ...] | None = N
     if not columns[header[0]].n and row_error is None:
         raise DataError(f"{path}: no rows")
     # Each column's blocks are freed as soon as its codes are gathered.
-    table = _table_from_columns(schema, {name: columns.pop(name).distinct() for name in header}, row_error)
+    return {name: columns.pop(name).distinct() for name in header}, row_error
+
+
+def load_table(path, schema: DatasetSchema, sa_order: tuple[str, ...] | None = None) -> Table:
+    """Read a comma-separated file with a header row matching the schema.
+
+    Blank lines are skipped; rows are numbered from 1 over the others. A
+    row with fewer fields than the header lacks its last columns; one with
+    more is an error. Rows after the first of another width are not read
+    into the table, but the file is still parsed to its end, so a CSV or
+    decoding error anywhere in it is the error reported.
+
+    A plain file is read with numpy and makes one Python string per
+    distinct value, not per cell. Plain means: UTF-8, no quote, CR or NUL
+    byte, a header the schema accepts, at least one row, no line blank or
+    of another width than the header, and no field over `_MAX_FIELD` (64)
+    bytes; a last line without a newline is allowed. Such a file is read
+    `_CHUNK` bytes at a time, cut after the last newline. Each field
+    becomes a key holding its bytes, one uint64 when no field of its
+    column in the chunk is longer than 8 bytes, and each column's keys are
+    interned chunk by chunk with `np.unique`; only the distinct keys are
+    decoded to `str`. Any other file, and so every CSV, decoding, header
+    or row-width error, goes through `csv.reader`, whose records are taken
+    a block of `_BLOCK` at a time and interned into a dict, one dict
+    operation per string. Either way each distinct string is then parsed
+    and checked once, by the same code, and memory grows with the distinct
+    values plus one code per cell.
+
+    `sa_order` pins an explicit SA code order instead of interning by
+    frequency; it is how published perturbed tables are read back so their
+    codes stay aligned with the published transition matrix.
+    """
+    path = Path(path)
+    columns, row_error = _plain_columns(path, schema), None
+    if columns is None:
+        columns, row_error = _csv_columns(path, schema)
+    table = _table_from_columns(schema, columns, row_error)
     if sa_order is None:
         return table
     # Values may be a subset of the declared order (randomization can drive a

@@ -35,32 +35,29 @@ def hilbert_indices(cells: np.ndarray, order: int):
     if n and (cells.min() < 0 or float(cells.max()) >= float(1 << order)):
         raise ValueError(f"cell coordinates must lie in [0, 2**{order})")
 
-    x = cells.astype(np.uint64).copy()
-    m_top = np.uint64(1 << (order - 1))
-    q = int(m_top)
-    while q > 1:
-        p = np.uint64(q - 1)
-        qq = np.uint64(q)
-        for i in range(d):
-            high = (x[:, i] & qq) != 0
+    # One contiguous copy per axis, so every pass below is a plain array op.
+    x = [np.array(cells[:, i], dtype=np.uint64) for i in range(d)]
+    one = np.uint64(1)
+    for b in range(order - 1, 0, -1):
+        p = np.uint64((1 << b) - 1)
+        for i, xi in enumerate(x):
+            # p where bit b of axis i is set, else 0.
+            flip = (xi >> np.uint64(b) & one) * p
             if i == 0:
-                x[:, 0] = np.where(high, x[:, 0] ^ p, x[:, 0])
+                xi ^= flip
             else:
-                # Bit set: invert the low bits of dim 0. Bit clear: exchange
-                # the low bits of dim 0 and dim i.
-                t = np.where(high, np.uint64(0), (x[:, 0] ^ x[:, i]) & p)
-                x[:, 0] = np.where(high, x[:, 0] ^ p, x[:, 0] ^ t)
-                x[:, i] ^= t
-        q >>= 1
+                # Bit set: invert the low bits of axis 0. Bit clear: exchange
+                # the low bits of axis 0 and axis i.
+                t = (x[0] ^ xi) & (flip ^ p)
+                x[0] ^= flip | t
+                xi ^= t
     for i in range(1, d):
-        x[:, i] ^= x[:, i - 1]
+        x[i] ^= x[i - 1]
     t = np.zeros(n, dtype=np.uint64)
-    q = int(m_top)
-    while q > 1:
-        high = (x[:, d - 1] & np.uint64(q)) != 0
-        t ^= np.where(high, np.uint64(q - 1), np.uint64(0))
-        q >>= 1
-    x ^= t[:, None]
+    for b in range(order - 1, 0, -1):
+        t ^= (x[d - 1] >> np.uint64(b) & one) * np.uint64((1 << b) - 1)
+    for xi in x:
+        xi ^= t
 
     # Interleave bit planes, most significant first, dimension 0 first.
     bit_positions = [(b, i) for b in range(order - 1, -1, -1) for i in range(d)]
@@ -70,7 +67,8 @@ def hilbert_indices(cells: np.ndarray, order: int):
         part = bit_positions[lo : lo + 64]
         acc = np.zeros(n, dtype=np.uint64)
         for b, i in part:
-            acc = (acc << np.uint64(1)) | ((x[:, i] >> np.uint64(b)) & np.uint64(1))
+            acc <<= one
+            acc |= x[i] >> np.uint64(b) & one
         keys = acc if keys is None else (keys.astype(object) << len(part)) | acc.astype(object)
     return keys
 

@@ -1,6 +1,6 @@
 """`load_table` and `save_table` against the whole-file reader and writer
 they replace: the same tables, the same error lines and the same bytes,
-whichever block a row falls in."""
+whichever block a row or chunk a byte falls in."""
 from __future__ import annotations
 
 import csv
@@ -233,6 +233,13 @@ def test_tables_whole_blocks_and_partial(tmp_path, n):
     assert table.n_rows == n
 
 
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_at_block_boundary_in_small_chunks(tmp_path, monkeypatch, fault, where):
+    monkeypatch.setattr(data, "_CHUNK", 64)
+    test_fault_at_block_boundary(tmp_path, fault, where)
+
+
 # ---------------------------------------------------------------------------
 # Small generated files read in blocks of 2 or 3 records.
 
@@ -274,6 +281,119 @@ def test_small_blocks_read_like_the_whole_file(tmp_path_factory, text, block, sa
 
 
 # ---------------------------------------------------------------------------
+# Plain files, read by the numpy path in chunks of a few bytes, and files
+# one change away from plain, which `csv.reader` reads.
+
+_LABELS = ["b", "8 bytes!", "9 bytes!!", "forty bytes " * 3 + "long", "ünï", "日本語"]
+NEAR_PLAIN = ["no-final-newline", "blank-line", "short-row", "long-row", "crlf", "quote", "invalid-utf-8",
+              "long-field"]
+
+
+def _label_schema():
+    return bl.DatasetSchema((
+        bl.Attribute("age", "qi", "numeric", lo=0, hi=99),
+        bl.Attribute("label", "qi", hierarchy=bl.Hierarchy({"name": "any", "children": _LABELS})),
+        bl.Attribute("kind", "sa"),
+    ))
+
+
+# Bad values are rare, so most files load and a lost or changed row shows.
+_PLAIN_FIELDS = {
+    "age": st.sampled_from(["5", "60", " 7", "1e1", "99", "-0"] * 10 + ["99.5", "x", ""]),
+    "label": st.sampled_from(_LABELS * 10 + ["nope"]),
+    # Empty, 8-, 9- and 40-byte fields, multibyte UTF-8, and characters that
+    # end a line for `str.splitlines` but not for `csv`.
+    "kind": st.one_of(st.sampled_from(["", "k", "8 bytes!", "9 bytes!!", "z" * 40, "é", "\x0b", "a\x85b", "\u2028"]),
+                      st.text(st.sampled_from("ab é日\x1c"), max_size=10)),
+}
+
+
+@st.composite
+def _plain_files(draw):
+    """(bytes, fault): a plain table file, or one made near-plain by `fault`."""
+    header = draw(st.permutations(["age", "label", "kind"]))
+    rows = draw(st.lists(st.fixed_dictionaries(_PLAIN_FIELDS), min_size=1, max_size=20))
+    lines = [",".join(row[name] for name in header).encode() for row in rows]
+    fault = draw(st.sampled_from([None] * len(NEAR_PLAIN) + NEAR_PLAIN))
+    at = draw(st.integers(0, len(lines) - 1))
+    cut = draw(st.integers(0, len(lines[at])))
+    if fault == "blank-line":
+        lines.insert(at, b"")
+    elif fault == "short-row":
+        lines[at] = lines[at].rpartition(b",")[0]
+    elif fault == "long-row":
+        lines[at] += b",x"
+    elif fault == "crlf":
+        lines[at] += b"\r"
+    elif fault == "long-field":
+        lines[at] += b"y" * (data._MAX_FIELD + 1)
+    elif fault in ("quote", "invalid-utf-8"):
+        lines[at] = lines[at][:cut] + (b'"' if fault == "quote" else b"\xff") + lines[at][cut:]
+    end = b"" if fault == "no-final-newline" else b"\n"
+    return b"\n".join([",".join(header).encode(), *lines]) + end, fault
+
+
+@given(file=_plain_files(), chunk=st.sampled_from([1, 5, 8, 9, 64]))
+@settings(max_examples=300, deadline=None)
+def test_plain_files_in_small_chunks_read_like_the_whole_file(tmp_path_factory, file, chunk):
+    text, fault = file
+    path = tmp_path_factory.mktemp("plain") / "t.csv"
+    path.write_bytes(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_CHUNK", chunk)
+        plain = data._plain_columns(path, _label_schema()) is not None
+        assert plain == (fault in (None, "no-final-newline"))
+        assert_same_outcome(path, _label_schema())
+
+
+@pytest.mark.parametrize("chunk", [64, data._CHUNK])
+@pytest.mark.parametrize("field, limit", [("x" * 200_000, None), ("é" * 70_000, None), ("x" * 20, 16), ("é" * 10, 16)],
+                         ids=["past-the-limit", "multibyte-within-it", "past-a-low-limit", "multibyte-within-a-low-limit"])
+def test_plain_field_against_the_csv_field_limit(tmp_path, monkeypatch, chunk, field, limit):
+    """The `csv` limit counts characters; a plain field with more bytes than
+    it goes to `csv.reader`, which refuses it only if it has more characters."""
+    records = GOOD.copy()
+    records[B] = f"5,red,{field}".encode()
+    monkeypatch.setattr(data, "_CHUNK", chunk)
+    default = csv.field_size_limit()
+    try:
+        csv.field_size_limit(limit or default)
+        outcome = assert_same_outcome(_write(tmp_path / "t.csv", records), _schema())
+        assert isinstance(outcome, str) == (len(field) > csv.field_size_limit())
+    finally:
+        csv.field_size_limit(default)
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader was asked to read a file the program wrote")
+
+
+@pytest.mark.parametrize("chunk", [4096, data._CHUNK])
+@pytest.mark.parametrize("case", ["zip", "perturbed", "long-labels"])
+def test_written_files_take_the_plain_path(tmp_path, monkeypatch, case, chunk):
+    labels = bl.Hierarchy({"name": "any", "children": [{"name": "non-ascii", "children": ["ä", "日本語ラベル"]},
+                                                       {"name": "long", "children": _LABELS[2:4]}]})
+    qi_spec = bl.default_qi_spec() + ((bl.Attribute("label", "qi", hierarchy=labels),) if case == "long-labels"
+                                      else (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),))
+    source = bl.generate_synthetic(3000, 50, qi_spec=qi_spec, seed=4, sa_freqs=bl.census_like_profile(50))
+    if case == "perturbed":
+        model = bl.build_model(bl.sa_distribution(source), 2.0)
+        source = bl.perturb(source, model, seed=3)
+        bl.save_perturbation(tmp_path / "p", source, model, seed=3)
+    else:
+        bl.save_table(source, tmp_path / "t.csv")
+    monkeypatch.setattr(data, "_CHUNK", chunk)
+    monkeypatch.setattr(csv, "reader", _no_csv_reader)
+    if case == "perturbed":
+        table, _ = bl.load_perturbation(tmp_path / "p", source.schema)
+    else:
+        table = bl.load_table(tmp_path / "t.csv", source.schema)
+    assert table.schema == source.schema and table.sa_values == source.sa_values
+    for a, b in zip((*table.qi_columns, table.sa_codes), (*source.qi_columns, source.sa_codes), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
 # Memory and the writer.
 
 
@@ -291,6 +411,22 @@ def test_load_peak_is_a_few_times_the_table(tmp_path):
     # before it kept only narrow codes.
     arrays = 8 * table.n_rows * (len(table.qi_codes) + 1)
     assert peak <= 4 * arrays, (peak, arrays)
+
+
+def test_load_peak_on_a_zip_table(tmp_path):
+    """A high-cardinality column: 86,444 distinct zip codes in 200k rows."""
+    qi_spec = bl.default_qi_spec() + (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),)
+    source = bl.generate_synthetic(200_000, 50, qi_spec=qi_spec, seed=2, sa_freqs=bl.census_like_profile(50))
+    path = tmp_path / "zip.csv"
+    bl.save_table(source, path)
+    tracemalloc.start()
+    try:
+        table = bl.load_table(path, source.schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = 8 * table.n_rows * (len(table.qi_codes) + 1)
+    assert peak <= 2 * arrays, (peak, arrays)
 
 
 def test_table_is_a_byte_per_cell_plus_its_distinct_values(tmp_path):
