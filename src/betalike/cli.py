@@ -38,6 +38,7 @@ from .likeness import LikenessError
 from .perturb import (
     PerturbationError,
     build_model,
+    check_qi_source,
     load_perturbation,
     perturb,
     posterior_margin,
@@ -197,6 +198,7 @@ def _cmd_queryeval(args) -> int:
     if artifact.is_dir():
         perturbed, model = load_perturbation(artifact, schema)
         check_source(table, model.dist)
+        check_qi_source(table, perturbed)
         reports = perturbation_reports(table, perturbed, model, workload)
     else:
         release = load_release(artifact, schema)

@@ -5,7 +5,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -70,26 +70,31 @@ def json_seed(obj: dict, where) -> int:
     return seed
 
 
-def check_sa_attribute(obj: dict, where, schema: DatasetSchema) -> None:
-    """obj["attribute"] must be a string naming the schema's SA attribute."""
-    name = json_field(obj, "attribute", str, where)
-    if name != schema.sa_attribute.name:
-        raise DataError(f"{where}: field 'attribute' is {name!r}, but the schema's "
-                        f"SA attribute is {schema.sa_attribute.name!r}")
+def distribution_to_obj(dist: Distribution, schema: DatasetSchema) -> dict:
+    """The SA distribution block both artifacts publish: the schema's SA
+    attribute name, then the distribution's values, counts and total."""
+    return {"attribute": schema.sa_attribute.name, "values": list(dist.values),
+            "counts": list(dist.counts), "total": dist.total}
 
 
-def distribution_from_obj(obj: dict, where) -> Distribution:
-    """The SA distribution an artifact stores as "values", "counts", "total";
-    the total must fit the int64 count arrays the artifact is read into."""
+def distribution_from_obj(obj: dict, where, schema: DatasetSchema) -> Distribution:
+    """The SA distribution an artifact stores as `distribution_to_obj`
+    writes it; the total must fit the int64 count arrays the artifact is
+    read into, and "attribute" must name the schema's SA attribute."""
     values = json_field(obj, "values", list, where, items=str)
     counts = json_field(obj, "counts", list, where, items=int)
     total = json_field(obj, "total", int, where)
     if total > 2**63 - 1:
         raise DataError(f"{where}: field 'total' must be at most 2**63 - 1, got {total}")
     try:
-        return Distribution(tuple(values), tuple(counts), total)
+        dist = Distribution(tuple(values), tuple(counts), total)
     except LikenessError as exc:
         raise DataError(f"{where}: {exc}") from None
+    name = json_field(obj, "attribute", str, where)
+    if name != schema.sa_attribute.name:
+        raise DataError(f"{where}: field 'attribute' is {name!r}, but the schema's "
+                        f"SA attribute is {schema.sa_attribute.name!r}")
+    return dist
 
 
 @dataclass(frozen=True)
@@ -632,7 +637,7 @@ def _csv_columns(path: Path, schema: DatasetSchema) -> tuple[dict[str, tuple[lis
     return {name: columns.pop(name).distinct() for name in header}, row_error
 
 
-def load_table(path, schema: DatasetSchema, sa_order: tuple[str, ...] | None = None) -> Table:
+def load_table(path, schema: DatasetSchema) -> Table:
     """Read a comma-separated file with a header row matching the schema.
 
     Blank lines are skipped; rows are numbered from 1 over the others. A
@@ -657,24 +662,15 @@ def load_table(path, schema: DatasetSchema, sa_order: tuple[str, ...] | None = N
     and checked once, by the same code, and memory grows with the distinct
     values plus one code per cell.
 
-    `sa_order` pins an explicit SA code order instead of interning by
-    frequency; it is how published perturbed tables are read back so their
-    codes stay aligned with the published transition matrix.
+    The SA codes are in the canonical order `Table` describes, whatever the
+    file; a perturbed table is put in its published order by
+    `load_perturbation`.
     """
     path = Path(path)
     columns, row_error = _plain_columns(path, schema), None
     if columns is None:
         columns, row_error = _csv_columns(path, schema)
-    table = _table_from_columns(schema, columns, row_error)
-    if sa_order is None:
-        return table
-    # Values may be a subset of the declared order (randomization can drive a
-    # rare value's count to zero), never a superset.
-    unknown = set(table.sa_values) - set(sa_order)
-    if unknown:
-        raise DataError(f"{path}: SA values {sorted(unknown)} not in the declared order")
-    remap = np.asarray([sa_order.index(v) for v in table.sa_values], dtype=code_dtype(len(sa_order)))
-    return replace(table, sa_codes=remap[table.sa_codes], sa_values=tuple(sa_order))
+    return _table_from_columns(schema, columns, row_error)
 
 
 def _num(x: float) -> int | float:

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, Table, check_sa_attribute, distribution_from_obj, json_beta, json_seed, load_table,
-                   read_json, save_table)
+from .data import (DataError, Table, code_dtype, distribution_from_obj, distribution_to_obj, json_beta, json_seed,
+                   load_table, read_json, save_table)
 from .likeness import Distribution, frequency_bound
 
 
@@ -189,6 +189,29 @@ _MATRIX_FILE = "pm.txt"
 _DIST_FILE = "distribution.json"
 
 
+def _in_published_order(table: Table, order: tuple[str, ...], path) -> Table:
+    """`table` with its SA codes renumbered to index `order`, the value order
+    a perturbation publishes, so that they stay aligned with its transition
+    matrix. The table's values may be a subset of `order` (randomization can
+    drive a rare value's count to zero), never a superset."""
+    unknown = set(table.sa_values) - set(order)
+    if unknown:
+        raise DataError(f"{path}: SA values {sorted(unknown)} not in the declared order")
+    remap = np.asarray([order.index(v) for v in table.sa_values], dtype=code_dtype(len(order)))
+    return replace(table, sa_codes=remap[table.sa_codes], sa_values=tuple(order))
+
+
+def check_qi_source(table: Table, perturbed: Table) -> None:
+    """A DataError unless `table` holds the QI columns of the perturbed
+    table, which `perturb` copies from its source unchanged. Values compare
+    by `==`, so a -0 in the source and the 0 written for it agree."""
+    for k, attr in enumerate(table.schema.qi_attributes):
+        if not (np.array_equal(table.qi_values[k], perturbed.qi_values[k])
+                and np.array_equal(table.qi_codes[k], perturbed.qi_codes[k])):
+            raise DataError(f"table is not the artifact's source: its {attr.name!r} column "
+                            "differs from the perturbed table's")
+
+
 def save_perturbation(outdir, perturbed: Table, model: PerturbationModel, seed: int) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -199,10 +222,7 @@ def save_perturbation(outdir, perturbed: Table, model: PerturbationModel, seed: 
         "kind": "perturbed-release",
         "beta": model.beta,
         "seed": seed,
-        "attribute": perturbed.schema.sa_attribute.name,
-        "values": list(model.dist.values),
-        "counts": list(model.dist.counts),
-        "total": model.dist.total,
+        **distribution_to_obj(model.dist, perturbed.schema),
     }
     (outdir / _DIST_FILE).write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
 
@@ -213,7 +233,8 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     the rebuilt one exactly (save_perturbation writes round-trip reprs).
     The seed must be >= 0 and the attribute the schema's SA attribute, and
     the perturbed table must hold the distribution's total of rows, as
-    `perturb` writes."""
+    `perturb` writes. The table's SA codes follow the published value order,
+    as the matrix's rows and columns do."""
     outdir = Path(outdir)
     dist_path = outdir / _DIST_FILE
     try:
@@ -222,10 +243,9 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
         raise DataError(f"{outdir}: not a perturbation artifact (missing {_DIST_FILE})") from None
     if not isinstance(obj, dict) or obj.get("kind") != "perturbed-release":
         raise DataError(f"{dist_path}: not a perturbed-release distribution")
-    dist = distribution_from_obj(obj, dist_path)
+    dist = distribution_from_obj(obj, dist_path, schema)
     beta = json_beta(obj, dist_path)
     json_seed(obj, dist_path)
-    check_sa_attribute(obj, dist_path, schema)
     matrix_path = outdir / _MATRIX_FILE
     try:
         with warnings.catch_warnings():
@@ -243,7 +263,7 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
             "distribution and beta determine"
         )
     table_path = outdir / _TABLE_FILE
-    table = load_table(table_path, schema, sa_order=dist.values)
+    table = _in_published_order(load_table(table_path, schema), dist.values, table_path)
     if table.n_rows != dist.total:
         raise DataError(f"{table_path}: {table.n_rows} rows, but {_DIST_FILE} "
                         f"publishes a total of {dist.total}")

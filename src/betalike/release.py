@@ -29,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, check_sa_attribute, code_dtype,
-                   distribution_from_obj, json_beta, json_field, json_seed, read_json)
+from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, code_dtype, distribution_from_obj,
+                   distribution_to_obj, json_beta, json_field, json_seed, read_json)
 from .hierarchy import HierarchyError
 from .hilbert import _check_order
 from .likeness import Distribution
@@ -150,8 +150,7 @@ def save_release(release: Release, path) -> None:
         "seed": release.seed,
         "curve_order": release.curve_order,
         "qi": [a.name for a in release.schema.qi_attributes],
-        "sa": {"attribute": release.schema.sa_attribute.name, "values": list(dist.values),
-               "counts": list(dist.counts), "total": dist.total},
+        "sa": distribution_to_obj(dist, release.schema),
     }
     extents = []
     for attr, (lo, hi, index) in zip(release.schema.qi_attributes, release.distinct_extents):
@@ -183,8 +182,7 @@ def load_release(path, schema: DatasetSchema) -> Release:
     if not isinstance(obj, dict) or obj.get("kind") != "generalized-release":
         raise DataError(f"{path}: not a generalized release file")
     sa = json_field(obj, "sa", dict, path)
-    dist = distribution_from_obj(sa, f"{path}: sa")
-    check_sa_attribute(sa, f"{path}: sa", schema)
+    dist = distribution_from_obj(sa, f"{path}: sa", schema)
     if [a.name for a in schema.qi_attributes] != json_field(obj, "qi", list, path, items=str):
         raise DataError(f"{path}: QI attributes do not match the schema")
     beta = json_beta(obj, path)

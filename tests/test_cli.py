@@ -384,6 +384,19 @@ DOMAIN = "attribute 'x': numeric domain needs finite lo < hi and a finite width 
     pytest.param(_numeric_qi(min=-1e308, max=1e308), DOMAIN, id="width-overflows"),
     pytest.param(_numeric_qi(weight=float("nan")), "attribute 'x': weight must be a finite number >= 0",
                  id="nan-weight"),
+    pytest.param({"attributes": [{"name": "x", "role": "key"}, {"name": "s", "role": "sa"}]},
+                 "attribute 'x': role must be 'qi' or 'sa'", id="role"),
+    pytest.param(_numeric_qi(kind="ordinal"), "attribute 'x': kind must be numeric or categorical", id="kind"),
+    pytest.param({"attributes": [{"name": "c", "role": "qi"}, {"name": "s", "role": "sa"}]},
+                 "attribute 'c': categorical QI needs a hierarchy", id="no-hierarchy"),
+    pytest.param({"attributes": [{"name": "s", "role": "sa"}]}, "schema needs at least one QI attribute",
+                 id="no-qi"),
+    pytest.param({"attributes": [*_numeric_qi()["attributes"], {"name": "x", "role": "qi", "kind": "numeric",
+                                                                 "min": 0, "max": 1}]},
+                 "duplicate attribute names in schema", id="duplicate-names"),
+    pytest.param({"attributes": [*_numeric_qi(weight=1)["attributes"], {"name": "y", "role": "qi",
+                                                                         "kind": "numeric", "min": 0, "max": 1}]},
+                 "either weight every QI attribute or none", id="partial-weights"),
 ])
 def test_malformed_schema_is_one_error_line(tmp_path, capsys, doc, message):
     schema = tmp_path / "bad.schema.json"
@@ -475,10 +488,14 @@ def _counts_past_int64(release):
     (lambda release: release["sa"].update(attribute="salary"), "'attribute'"),
     (lambda release: release["classes"][0].update(size=0, sa={}), "class is empty"),
     (_counts_past_int64, "'total'"),
+    (lambda release: release["classes"][0]["extents"].pop(), "needs one extent per QI attribute"),
+    (lambda release: release["classes"][0]["sa"].update(other=1), "unknown SA value 'other'"),
+    (lambda release: release["classes"][0].update(size=release["classes"][0]["size"] + 1),
+     "class size does not match its SA counts"),
 ], ids=["nan-extent", "infinite-extent", "inverted-extent", "outside-domain", "wrong-label",
         "not-the-node-span", "leaf-out-of-range", "huge-extent", "counts-off-distribution",
         "huge-count", "curve-order-too-large", "curve-order-negative", "negative-seed", "wrong-sa-attribute",
-        "empty-class", "total-past-int64"])
+        "empty-class", "total-past-int64", "missing-extent", "unknown-sa-value", "size-off-counts"])
 def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
     prefix = tmp_path / "synth"
     csv, schema = prefix.with_suffix(".csv"), prefix.with_suffix(".schema.json")
@@ -498,6 +515,88 @@ def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
     assert "release.json" in err and named in err
     # A field of the whole release is named as it stands; a class's fault names the class.
     assert "classes[0]" in err or named.startswith("'")
+
+
+def test_release_of_other_qi_attributes_is_one_error_line(tmp_path, capsys):
+    prefix = tmp_path / "synth"
+    common = ["--input", str(prefix.with_suffix(".csv")), "--schema", str(prefix.with_suffix(".schema.json"))]
+    path = tmp_path / "release.json"
+    assert run(["gen-data", "--rows", "300", "--sa-size", "5", "--seed", "2", "--out", str(prefix)]) == 0
+    assert run(["generalize", *common, "--out", str(path)]) == 0
+    release = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**release, "qi": release["qi"][::-1]}), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["audit", *common, "--release", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path}: QI attributes do not match the schema\n"
+
+
+def test_directory_without_a_distribution_is_one_error_line(example_files, tmp_path, capsys):
+    csv, schema = example_files
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run(["queryeval", "--input", str(csv), "--schema", str(schema), "--artifact", str(empty),
+                "--lambda", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {empty}: not a perturbation artifact (missing distribution.json)\n"
+
+
+@pytest.mark.parametrize("sa_size", [2, 3])
+def test_gen_data_too_few_values_for_the_census_profile_is_uniform(tmp_path, capsys, sa_size):
+    # Two values leave no middle tier; with three, the middle value's share
+    # would lie above the census maximum.
+    assert run(["gen-data", "--rows", "60", "--sa-size", str(sa_size), "--out", str(tmp_path / "t")]) == 0
+    stats = capsys.readouterr().out.splitlines()[0]
+    assert stats.endswith(f"min_freq={1 / sa_size:.6f} max_freq={1 / sa_size:.6f}")
+
+
+def test_gen_data_without_sa_values_is_one_error_line(tmp_path, capsys):
+    assert run(["gen-data", "--rows", "60", "--sa-size", "0", "--out", str(tmp_path / "t")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need m >= 1\n"
+    assert not list(tmp_path.iterdir())
+
+
+def _every_age_16(csv):
+    header, *rows = csv.read_text(encoding="utf-8").splitlines()
+    k = header.split(",").index("age")
+    rows = [",".join("16" if i == k else v for i, v in enumerate(row.split(","))) for row in rows]
+    csv.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
+def test_perturbation_rejects_a_table_with_other_qi_values(tmp_path, capsys):
+    source = tmp_path / "a"
+    common = ["--input", str(source.with_suffix(".csv")), "--schema", str(source.with_suffix(".schema.json"))]
+    query = ["queryeval", *common, "--artifact", str(tmp_path / "pert"), "--queries", "50"]
+    assert run(["gen-data", "--rows", "5000", "--seed", "1", "--out", str(source)]) == 0
+    assert run(["perturb", *common, "--out", str(tmp_path / "pert")]) == 0
+    capsys.readouterr()
+    assert run(query) == 0
+    assert capsys.readouterr().out.startswith("estimator=perturbed queries=50 dropped=0 ")
+    # The SA column and the row count still match; every query is dropped
+    # unless the QI columns are compared too.
+    _every_age_16(source.with_suffix(".csv"))
+    assert run(query) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: table is not the artifact's source: its 'age' column "
+                            "differs from the perturbed table's\n")
+
+
+def test_perturbation_source_may_write_a_zero_as_minus_zero(tmp_path, capsys):
+    # The perturbed table is written with "0" where its source said "-0".
+    schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=-3, hi=3), bl.Attribute("s", "sa")))
+    csv, schema_path = tmp_path / "t.csv", tmp_path / "t.schema.json"
+    rows = [f"{x},{s}" for s, n in (("a", 2), ("b", 3), ("c", 4)) for x in ("-0", "1", "-2", "3")
+            for _ in range(n)]
+    csv.write_text("x,s\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    bl.save_schema(schema, schema_path)
+    common = ["--input", str(csv), "--schema", str(schema_path)]
+    assert run(["perturb", *common, "--beta", "2", "--out", str(tmp_path / "pert")]) == 0
+    assert "\n0," in (tmp_path / "pert" / "perturbed.csv").read_text(encoding="utf-8")
+    assert run(["queryeval", *common, "--artifact", str(tmp_path / "pert"), "--lambda", "1",
+                "--queries", "5"]) == 0
 
 
 @pytest.mark.parametrize("command, artifact", [
@@ -531,7 +630,8 @@ def test_table_that_is_not_the_source_exits_one(tmp_path, capsys, command, artif
     (lambda doc: {"kind": "generalized-release", "values": ["a"]}, "perturbed-release"),
     (lambda doc: {**doc, "attribute": "salary"}, "'attribute'"),
     (lambda doc: {**doc, "seed": -5}, "field 'seed' must be >= 0"),
-], ids=["missing-values", "wrong-kind", "wrong-sa-attribute", "negative-seed"])
+    (lambda doc: {**doc, "counts": doc["counts"][::-1]}, "counts must be in ascending order"),
+], ids=["missing-values", "wrong-kind", "wrong-sa-attribute", "negative-seed", "descending-counts"])
 def test_malformed_distribution_names_field(example_files, tmp_path, capsys, tamper, named):
     csv, schema = example_files
     outdir = tmp_path / "pert"
@@ -652,7 +752,8 @@ def test_missing_input_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("weight,weight,age,disease\n50,50,30,flu\n", "duplicate column(s) ['weight']"),
     ("weight,age,disease\n50,30,flu\n51,31,flu,extra\n", "row 2: expected 3 fields, got 4"),
-], ids=["duplicate-column", "long-row"])
+    ("", "empty file"),
+], ids=["duplicate-column", "long-row", "empty-file"])
 def test_malformed_row_shape_exits_one(tmp_path, capsys, text, message):
     csv, schema = tmp_path / "t.csv", tmp_path / "s.json"
     csv.write_text(text, encoding="utf-8")

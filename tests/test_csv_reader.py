@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import betalike as bl
 from betalike import data
+from betalike.perturb import _in_published_order
 from conftest import table_from_qi_columns
 
 B = data._BLOCK
@@ -126,8 +127,14 @@ def _outcome(load, path, schema, sa_order=None):
         return str(exc)
 
 
+def _load_in_order(path, schema, sa_order=None):
+    """`load_table`, then the published SA order `load_perturbation` applies."""
+    table = bl.load_table(path, schema)
+    return table if sa_order is None else _in_published_order(table, sa_order, path)
+
+
 def assert_same_outcome(path, schema, sa_order=None):
-    got = _outcome(bl.load_table, path, schema, sa_order)
+    got = _outcome(_load_in_order, path, schema, sa_order)
     want = _outcome(reference_load, path, schema, sa_order)
     if isinstance(want, str):
         assert got == want

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import betalike as bl
 from betalike import data
 from betalike.data import code_dtype
+from betalike.perturb import _in_published_order
 
 from conftest import mixed_qi_tables, patient_schema, table1, table_from_qi_columns
 
@@ -112,11 +113,11 @@ def test_load_with_declared_sa_order(tmp_path):
     f = tmp_path / "t.csv"
     _write_csv(f, ["70,40,flu", "60,50,flu", "50,60,cold"])
     order = ("flu", "cold", "missing")
-    t = bl.load_table(f, patient_schema(), sa_order=order)
+    t = _in_published_order(bl.load_table(f, patient_schema()), order, f)
     assert t.sa_values == order
     assert t.sa_codes.tolist() == [0, 0, 1]
     with pytest.raises(bl.DataError, match="not in the declared order"):
-        bl.load_table(f, patient_schema(), sa_order=("flu", "other"))
+        _in_published_order(bl.load_table(f, patient_schema()), ("flu", "other"), f)
 
 
 def assert_sorted_qi_distinct(table):
@@ -137,7 +138,7 @@ def test_loaded_tables_carry_sorted_qi_values(tmp_path):
     assert_sorted_qi_distinct(t)
     assert t.qi_values[0].tolist() == [40.0, 50.0, 60.5] and t.qi_codes[0].tolist() == [1, 2, 1, 0, 2]
     assert t.qi_values[1].tolist() == [21.0, 30.0, 80.0] and t.qi_codes[1].tolist() == [1, 1, 1, 2, 0]
-    ordered = bl.load_table(f, patient_schema(), sa_order=("cold", "flu"))
+    ordered = _in_published_order(t, ("cold", "flu"), f)
     assert ordered.sa_values == ("cold", "flu")
     assert_sorted_qi_distinct(ordered)
     assert_sorted_qi_distinct(bl.table_from_rows(patient_schema(), [{"weight": 41, "age": 30, "disease": "x"}]))
@@ -195,7 +196,8 @@ def test_sa_codes_take_the_narrowest_dtype(tmp_path, m, dtype):
     f = tmp_path / "t.csv"
     bl.save_table(t, f)
     perturbed = bl.perturb(t, bl.build_model(bl.sa_distribution(t), 2.0), seed=1)
-    tables = (t, bl.load_table(f, t.schema), bl.load_table(f, t.schema, sa_order=t.sa_values), perturbed)
+    tables = (t, bl.load_table(f, t.schema), _in_published_order(bl.load_table(f, t.schema), t.sa_values, f),
+              perturbed)
     assert [table.sa_codes.dtype for table in tables] == [dtype] * 4
 
 
@@ -212,7 +214,7 @@ def test_derived_tables_share_the_source_qi_arrays(tmp_path, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(data, "_table_from_columns", spy)
-    ordered = bl.load_table(f, t.schema, sa_order=tuple(reversed(t.sa_values)))
+    ordered = _in_published_order(bl.load_table(f, t.schema), tuple(reversed(t.sa_values)), f)
     assert ordered.qi_values is built[0].qi_values and ordered.qi_codes is built[0].qi_codes
 
 
