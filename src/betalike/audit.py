@@ -64,8 +64,11 @@ def failing_classes(release: Release) -> list[int]:
     """Indices of the classes above the release's own beta (the exact check)."""
     bound = Bound(release.dist, release.beta)
     counts = release.class_counts
-    return [k for k, (row, size) in enumerate(zip(counts.tolist(), counts.sum(axis=1).tolist()))
-            if not bound.admits(row, size)]
+    sizes = counts.sum(axis=1)
+    # A class whose every count is below 1 - 1e-9 of its float cap times
+    # the class size passes; the bound decides the rest exactly.
+    near = (counts > sizes[:, None] * bound.caps() * (1.0 - 1e-9)).any(axis=1)
+    return [k for k in np.flatnonzero(near).tolist() if not bound.admits(counts[k].tolist(), int(sizes[k]))]
 
 
 def ec_audit_lines(release: Release) -> list[str]:
@@ -117,8 +120,12 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     naive-Bayes predictor built from those conditionals is evaluated over the
     original rows; under the model's bound its accuracy should sit near the
     top value's global frequency. It predicts once per distinct QI tuple, so
-    its memory is O(distinct tuples x m) plus O(rows), never rows x m, and
-    per QI attribute it holds one (distinct values x m) array at a time.
+    its memory is O(distinct tuples x m) plus O(rows), never rows x m.
+
+    The class spans cut each QI axis into segments, runs of values that
+    every class covers alike; the values of a segment share their hits, so
+    per QI attribute the audit holds one (segments x m) array and counts a
+    violation once per value of its segment. `pairs` counts values x m.
     """
     dist = release.dist
     check_source(table, dist)
@@ -139,29 +146,37 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     counts = release.class_counts.astype(float)    # `ufunc.at` is slow across dtypes
     log_scores = np.tile(np.log(p), (len(tuples), 1))
     for k, (attr, values) in enumerate(zip(table.schema.qi_attributes, table.qi_values)):
-        # +counts at each class span's first value, -counts past its last,
-        # summed down the values in place; float64 holds these counts
-        # exactly, and the buffer later takes log Pr[t | v_i] in place.
+        # A segment starts at 0 and at each span's first value and end;
+        # `segment` maps each value, and len(values), to its segment.
         first, end = table.value_spans(k, *release.class_extents[k])
-        hits = np.zeros((len(values) + 1, m))
-        np.add.at(hits, first, counts)
-        np.subtract.at(hits, end, counts)
-        hits = np.cumsum(hits, axis=0, out=hits)[:-1]             # (V, m)
+        cut = np.zeros(len(values) + 1, dtype=bool)
+        cut[0] = cut[-1] = cut[first] = cut[end] = True
+        segment = np.cumsum(cut) - 1
+        starts = np.flatnonzero(cut)
+        sizes = np.diff(starts)                                    # values per segment
+        # +counts at each class span's first segment, -counts past its last,
+        # summed down the segments in place; float64 holds these counts
+        # exactly, and the buffer later takes log Pr[t | v_i] in place.
+        hits = np.zeros((len(starts), m))
+        np.add.at(hits, segment[first], counts)
+        np.subtract.at(hits, segment[end], counts)
+        hits = np.cumsum(hits, axis=0, out=hits)[:-1]             # (segments, m)
         covered = hits.sum(axis=1)
         marginal = covered / dist.total                            # Pr[t]
-        pairs += hits.size
-        for lo in range(0, len(values), SCORE_CHUNK):
+        pairs += len(values) * m
+        for lo in range(0, len(hits), SCORE_CHUNK):
             ratio = hits[lo : lo + SCORE_CHUNK] / n_i[None, :]     # Pr[t | v_i]
             ratio /= marginal[lo : lo + SCORE_CHUNK, None]
             # ratio > bounds is hits / covered > f(p). A pair below 1 - 1e-9
             # of its float bound cannot break it; the bound decides the rest exactly.
-            for vi, si in zip(*np.nonzero(ratio > bounds[None, :] * (1.0 - 1e-9))):
-                violations += not bound.at([si]).admits([int(hits[lo + vi, si])], int(covered[lo + vi]))
-            vi, si = divmod(int(np.argmax(ratio)), m)
-            if ratio[vi, si] > worst[3]:
-                value = values[lo + vi]
+            for gi, si in zip(*np.nonzero(ratio > bounds[None, :] * (1.0 - 1e-9))):
+                if not bound.at([si]).admits([int(hits[lo + gi, si])], int(covered[lo + gi])):
+                    violations += int(sizes[lo + gi])
+            gi, si = divmod(int(np.argmax(ratio)), m)
+            if ratio[gi, si] > worst[3]:
+                value = values[starts[lo + gi]]
                 shown = attr.hierarchy.leaves[int(value)] if attr.kind == CATEGORICAL else float(value)
-                worst = (attr.name, shown, dist.values[si], float(ratio[vi, si]))
+                worst = (attr.name, shown, dist.values[si], float(ratio[gi, si]))
                 worst_bound = float(bounds[si])
             max_ratio = np.maximum(max_ratio, ratio.max(axis=0))
         # log Pr[t | v_i] is added to the tuples' scores a chunk at a time.
@@ -169,7 +184,7 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
         with np.errstate(divide="ignore"):
             np.log(log_cond, out=log_cond)
         for lo in range(0, len(tuples), SCORE_CHUNK):
-            log_scores[lo : lo + SCORE_CHUNK] += log_cond[tuples[lo : lo + SCORE_CHUNK, k]]
+            log_scores[lo : lo + SCORE_CHUNK] += log_cond[segment[tuples[lo : lo + SCORE_CHUNK, k]]]
         # Free the buffer before the next axis allocates its own.
         del hits, log_cond
 

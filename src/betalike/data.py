@@ -379,17 +379,64 @@ class _KeyInterner:
         self.ids = np.insert(self.ids, pos[new], ids[new])
         self.codes.append(np.take(ids.astype(code_dtype(len(self.ids))), inverse))
 
-    def distinct(self) -> tuple[list[str], np.ndarray]:
-        """The distinct fields as `str`, by id, and each row's id; a
-        UnicodeDecodeError if a field is not UTF-8."""
+    def distinct(self, numeric: bool) -> tuple[list[str] | _NumberKeys, np.ndarray]:
+        """The distinct fields, by id, and each row's id. A numeric
+        column's uint64 keys stay keys (`_NumberKeys`); any other fields
+        become `str`, a UnicodeDecodeError if one is not UTF-8."""
         keys = np.empty_like(self.sorted)
         keys[self.ids] = self.sorted
-        keys = _as_bytes(keys, keys.itemsize)
-        if (keys.view(np.uint8) < 0x80).all():
-            values = keys.astype(f"U{keys.itemsize}").tolist()
-        else:
-            values = [key.decode("utf-8") for key in keys.tolist()]
-        return values, np.concatenate(self.codes, dtype=code_dtype(len(values)))
+        codes = np.concatenate(self.codes, dtype=code_dtype(len(keys)))
+        return _NumberKeys(keys) if numeric and keys.dtype == np.uint64 else _decoded(keys), codes
+
+
+def _decoded(keys: np.ndarray) -> list[str]:
+    """Field keys as `str`; a UnicodeDecodeError if one is not UTF-8."""
+    keys = _as_bytes(keys, keys.itemsize)
+    if (keys.view(np.uint8) < 0x80).all():
+        return keys.astype(f"U{keys.itemsize}").tolist()
+    return [key.decode("utf-8") for key in keys.tolist()]
+
+
+# Eight ASCII '0' bytes.
+_ZEROS = 0x3030303030303030
+
+
+def _key_numbers(keys: np.ndarray) -> np.ndarray:
+    """What `float()` makes of the fields of uint64 keys, NaN where it
+    fails. A key of 1 to 8 ASCII digits is parsed in numpy: its '0' bytes
+    subtracted, the digits aligned to the right, and combined pairwise in
+    16-, 32- and then 64-bit lanes. Any other key is decoded and goes
+    through `float()`; a UnicodeDecodeError if it is not UTF-8."""
+    fields = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
+    # No field holds a NUL byte, so the nonzero bytes are the field.
+    n = np.count_nonzero(fields, axis=1)
+    digits = ((fields - ord("0") < 10) | (fields == 0)).all(axis=1) & (n > 0)
+    n = n[digits]
+    d = (keys[digits] - (_ZEROS & _KEEP[n])) >> (64 - 8 * n).astype(np.uint64)
+    d = (d >> 8 & 0x00FF00FF00FF00FF) * 10 + (d & 0x00FF00FF00FF00FF)
+    d = (d >> 16 & 0x0000FFFF0000FFFF) * 100 + (d & 0x0000FFFF0000FFFF)
+    d = (d >> 32) * 10000 + (d & 0xFFFFFFFF)
+    values = np.empty(len(keys))
+    values[digits] = d
+    others = np.flatnonzero(~digits)
+    values[others] = np.fromiter(map(_as_number, _decoded(keys[others])), dtype=float, count=len(others))
+    return values
+
+
+class _NumberKeys:
+    """A plain numeric column's distinct fields, by id, as uint64 keys:
+    `values` holds each one's number (`_key_numbers`), and item i is field
+    i as `str`, decoded only when an error message names it."""
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self.keys = keys
+        self.values = _key_numbers(keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> str:
+        return _decoded(self.keys[i : i + 1])[0]
 
 
 def _field_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -413,9 +460,13 @@ def _add_lines(lines: bytes, columns: list[_KeyInterner]) -> bool:
     there are columns and no field is longer than `_MAX_FIELD` bytes or
     `csv`'s limit."""
     width = len(columns)
+    # Offsets are int32, half the bytes of intp; a chunk of 1 GiB or more
+    # would hold a line longer than any plain file has.
+    if len(lines) >= 2**30:
+        return False
     buf = np.zeros(len(lines) + 8, dtype=np.uint8)
     buf[:len(lines)] = np.frombuffer(lines, dtype=np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n"))).astype(np.int32)
     pattern = np.full(width, ord(","), dtype=np.uint8)
     pattern[-1] = ord("\n")
     if len(ends) % width or (buf[ends].reshape(-1, width) != pattern).any():
@@ -424,6 +475,7 @@ def _add_lines(lines: bytes, columns: list[_KeyInterner]) -> bool:
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts
+    del ends
     if lengths.max() > min(_MAX_FIELD, csv.field_size_limit()):
         return False
     words = np.lib.stride_tricks.sliding_window_view(buf, 8).view(">u8")[:, 0]
@@ -449,8 +501,8 @@ def _line_chunks(fh):
 
 
 def _plain_columns(path: Path, schema: DatasetSchema) -> dict[str, tuple[list, np.ndarray]] | None:
-    """The columns of a plain table file as `_Interner.distinct` gives them
-    (header name -> distinct values, each row's index into them), or None
+    """The columns of a plain table file as `_KeyInterner.distinct` gives
+    them (header name -> distinct values, each row's index into them), or None
     if the file is not plain. A plain file is UTF-8 with a header that
     `_header_error` accepts, at least one row, and only lines that
     `_add_lines` takes; `csv.reader` reads such a file as the same fields."""
@@ -472,8 +524,9 @@ def _plain_columns(path: Path, schema: DatasetSchema) -> dict[str, tuple[list, n
                 return None
     if columns is None or not columns[0].codes:
         return None
+    numeric = {attr.name for attr in schema.qi_attributes if attr.kind == NUMERIC}
     try:
-        return {name: column.distinct() for name, column in zip(header, columns)}
+        return {name: column.distinct(name in numeric) for name, column in zip(header, columns)}
     except UnicodeDecodeError:
         return None
 
@@ -485,12 +538,13 @@ def _as_number(value) -> float:
         return math.nan
 
 
-def _checked(attr: Attribute, distinct: list) -> tuple[np.ndarray, np.ndarray]:
+def _checked(attr: Attribute, distinct: list | _NumberKeys) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct raw value parsed once: (its float, or its leaf index, or
     -1 for an SA without a declared hierarchy), and a mask of the values
     that fail the attribute's checks."""
     if attr.kind == NUMERIC:
-        values = np.fromiter(map(_as_number, distinct), dtype=float, count=len(distinct))
+        values = (distinct.values if isinstance(distinct, _NumberKeys)
+                  else np.fromiter(map(_as_number, distinct), dtype=float, count=len(distinct)))
         return values, ~((attr.lo <= values) & (values <= attr.hi))
     codes = np.full(len(distinct), -1, dtype=np.int64)
     bad = np.zeros(len(distinct), dtype=bool)
@@ -654,13 +708,14 @@ def load_table(path, schema: DatasetSchema) -> Table:
     `_CHUNK` bytes at a time, cut after the last newline. Each field
     becomes a key holding its bytes, one uint64 when no field of its
     column in the chunk is longer than 8 bytes, and each column's keys are
-    interned chunk by chunk with `np.unique`; only the distinct keys are
-    decoded to `str`. Any other file, and so every CSV, decoding, header
-    or row-width error, goes through `csv.reader`, whose records are taken
-    a block of `_BLOCK` at a time and interned into a dict, one dict
-    operation per string. Either way each distinct string is then parsed
-    and checked once, by the same code, and memory grows with the distinct
-    values plus one code per cell.
+    interned chunk by chunk with `np.unique`. A numeric column's distinct
+    keys of 1 to 8 ASCII digits are parsed in numpy (`_key_numbers`); only
+    the other distinct keys are decoded to `str`. Any other file, and so
+    every CSV, decoding, header or row-width error, goes through
+    `csv.reader`, whose records are taken a block of `_BLOCK` at a time
+    and interned into a dict, one dict operation per string. Either way
+    each distinct value is then parsed and checked once, by the same code,
+    and memory grows with the distinct values plus one code per cell.
 
     The SA codes are in the canonical order `Table` describes, whatever the
     file; a perturbed table is put in its published order by

@@ -325,11 +325,42 @@ def test_nb_audit_matches_brute_force(data):
         release = bl.generalize(table, beta, seed=data.draw(st.integers(0, 100)))
     else:
         release = _random_partition_release(table, beta, data)
+    _assert_nb_audit_matches_brute_force(release, table)
+
+
+def _assert_nb_audit_matches_brute_force(release, table):
     report = bl.nb_bound_audit(release, table)
     expected = brute_force_nb_audit(release, table)
     assert np.array_equal(report.bounds, expected.pop("bounds"))
     assert np.array_equal(report.max_ratio, expected.pop("max_ratio"))
     assert {key: getattr(report, key) for key in expected} == expected
+    return report
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_nb_audit_matches_brute_force_on_a_wide_axis(data):
+    # 61 values on the first axis and at most 7 classes, so the class spans
+    # cut it into segments of many values each.
+    spec = (Attribute("w", QI, NUMERIC, lo=0, hi=60), _qi_attribute(1, CATEGORICAL))[:data.draw(st.integers(1, 2))]
+    m = data.draw(st.integers(2, 5))
+    table = bl.generate_synthetic(data.draw(st.integers(20, 150)), m, qi_spec=spec,
+                                  skew=data.draw(st.sampled_from([0.0, 1.5])), seed=data.draw(st.integers(0, 2**16)))
+    release = _random_partition_release(table, data.draw(st.sampled_from([0.3, 2.0])), data)
+    _assert_nb_audit_matches_brute_force(release, table)
+
+
+def test_nb_audit_counts_a_leaky_segment_once_per_value():
+    # x in 0..29 holds only "a" and x in 30..60 only "b" and "c": the class
+    # of the low half puts "a" past its bound at each of its 30 values.
+    schema = bl.DatasetSchema((Attribute("x", QI, NUMERIC, lo=0, hi=60), Attribute("s", "sa")))
+    rows = ([{"x": x, "s": "a"} for x in range(30)]
+            + [{"x": x, "s": "bc"[x % 2]} for x in range(30, 61)] * 2)
+    table = bl.table_from_rows(schema, rows)
+    release = nb_release(table, [np.arange(30), np.arange(30, len(rows))], beta=1.0)
+    report = _assert_nb_audit_matches_brute_force(release, table)
+    assert report.violations == 30 and report.pairs == 61 * 3
+    assert report.worst[:3] == ("x", 0.0, "a")
 
 
 def test_nb_audit_memory_stays_with_distinct_values_and_classes():
@@ -363,7 +394,8 @@ def test_nb_audit_memory_on_a_zip_table():
     # Default QI plus a zip code: 20k rows over about 18k distinct zips and
     # nearly as many distinct tuples, m = 50. Holding steps, hits,
     # conditionals, ratios and their log of the zip axis at once peaked at
-    # 50.3 MB; the audit keeps two (values x m) arrays and the scores.
+    # 50.3 MB; the audit keeps one (segments x m) array per axis (175
+    # segments of the zip axis here) and the (tuples x m) scores.
     spec = bl.default_qi_spec() + (Attribute("zip", QI, NUMERIC, lo=0, hi=99999),)
     table = bl.generate_synthetic(20_000, 50, qi_spec=spec, seed=1, sa_freqs=bl.census_like_profile(50))
     release = bl.generalize(table, 4.0, seed=1)

@@ -173,6 +173,7 @@ FAULTS = {
     "short-row": b"5,red",
     "long-row": b"5,red,k0,extra",
     "not-utf-8": b"5,red,k\xff",
+    "not-utf-8-number": b"5\xff,red,k0",
     "oversized-field": b'5,red,"' + b"x" * 200_000 + b'"',
     "blank-lines": b"\n\n\n200,red,k0",
 }
@@ -192,7 +193,7 @@ def test_fault_at_block_boundary(tmp_path, fault, where):
     records[row] = FAULTS[fault]
     message = assert_same_outcome(_write(tmp_path / "t.csv", records), _schema())
     assert isinstance(message, str)
-    if fault not in ("not-utf-8", "oversized-field"):
+    if fault not in ("not-utf-8", "not-utf-8-number", "oversized-field"):
         assert message.startswith(f"row {row + 1}: ")
 
 
@@ -398,6 +399,62 @@ def test_written_files_take_the_plain_path(tmp_path, monkeypatch, case, chunk):
     assert table.schema == source.schema and table.sa_values == source.sa_values
     for a, b in zip((*table.qi_columns, table.sa_codes), (*source.qi_columns, source.sa_codes), strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Numeric fields: the plain path parses 1 to 8 ASCII digits from their keys
+# and sends any other field through `float()`, as `csv.reader`'s path does.
+
+DIGIT_FIELDS = ["0", "7", "42", "007", "0000", "12345", "0099999", "00000000", "99999999", "10000001"]
+FALLBACK_FIELDS = [" 7", "7 ", "+5", "-3", "1.5", "1e3", "1_0", "inf", "nan", "٣", "123456789", "0000000001"]
+# "/" and ":" are the bytes on either side of the ASCII digits.
+NOT_NUMBERS = ["x", "", "7x", "1.2.3", "٣x", "--1", "/3", "3:"]
+
+
+def _number_schema(hi):
+    return bl.DatasetSchema((bl.Attribute("n", "qi", "numeric", lo=-5, hi=hi), bl.Attribute("kind", "sa")))
+
+
+@pytest.mark.parametrize("hi", [1e8, 99], ids=["wide-domain", "narrow-domain"])
+@pytest.mark.parametrize("reader", ["plain", "csv"])
+@pytest.mark.parametrize("field", DIGIT_FIELDS + FALLBACK_FIELDS + NOT_NUMBERS)
+def test_number_fields_read_as_float_reads_them(tmp_path, field, reader, hi):
+    """A field on row 4 of 6: the table the reference reader builds, or its
+    error line with the row number."""
+    records = [f"{n},k{n % 2}".encode() for n in (3, 14, 15)]
+    records.insert(3, f"{field},k0".encode())
+    records += [b"92,k1", b"6,k0"]
+    # A quoted header name sends the file to `csv.reader`.
+    header = b"n,kind\n" if reader == "plain" else b'n,"kind"\n'
+    path = _write(tmp_path / "t.csv", records, header)
+    schema = _number_schema(hi)
+    assert (data._plain_columns(path, schema) is not None) == (reader == "plain")
+    outcome = assert_same_outcome(path, schema)
+    try:
+        number = float(field)
+    except ValueError:
+        assert outcome == f"row 4: cannot parse n={field!r} as a number"
+        return
+    if -5 <= number <= hi:
+        assert outcome.qi_columns[0][3] == number
+    else:
+        assert outcome == f"row 4: n={number:g} outside domain [-5, {hi:g}]"
+
+
+@pytest.mark.parametrize("chunk", [64, data._CHUNK])
+def test_digit_fields_of_every_length(tmp_path, monkeypatch, chunk):
+    """Random digit strings of 1 to 8 bytes, most with leading zeros, read
+    like the reference; one 9-digit field in the last chunk widens the
+    column's keys past a word."""
+    rng = np.random.default_rng(5)
+    fields = ["".join(map(str, rng.integers(0, 10, rng.integers(1, 9)))) for _ in range(3000)]
+    records = [f"{field},k{i % 3}".encode() for i, field in enumerate(fields)]
+    path = _write(tmp_path / "t.csv", records, b"n,kind\n")
+    wide = _write(tmp_path / "wide.csv", [*records, b"012345678,k0"], b"n,kind\n")
+    monkeypatch.setattr(data, "_CHUNK", chunk)
+    for file in (path, wide):
+        table = assert_same_outcome(file, _number_schema(1e8))
+        assert table.qi_columns[0][:3000].tolist() == list(map(float, fields))
 
 
 # ---------------------------------------------------------------------------
