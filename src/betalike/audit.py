@@ -144,7 +144,10 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     # tuple once, (T, m), and compare its prediction with each of its rows.
     tuples, inverse = table.qi_tuples
     counts = release.class_counts.astype(float)    # `ufunc.at` is slow across dtypes
-    log_scores = np.tile(np.log(p), (len(tuples), 1))
+    # The scores' columns run in reverse SA order, so that the first maximum
+    # is the highest code: among ties the more frequent value is predicted.
+    log_scores = np.empty((len(tuples), m))
+    log_scores[:] = np.log(p)[::-1]
     for k, (attr, values) in enumerate(zip(table.schema.qi_attributes, table.qi_values)):
         # A segment starts at 0 and at each span's first value and end;
         # `segment` maps each value, and len(values), to its segment.
@@ -184,12 +187,11 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
         with np.errstate(divide="ignore"):
             np.log(log_cond, out=log_cond)
         for lo in range(0, len(tuples), SCORE_CHUNK):
-            log_scores[lo : lo + SCORE_CHUNK] += log_cond[segment[tuples[lo : lo + SCORE_CHUNK, k]]]
+            log_scores[lo : lo + SCORE_CHUNK] += log_cond[segment[tuples[lo : lo + SCORE_CHUNK, k]], ::-1]
         # Free the buffer before the next axis allocates its own.
         del hits, log_cond
 
-    # Among ties prefer the more frequent value (highest code).
-    predictions = m - 1 - np.argmax(log_scores[:, ::-1], axis=1)
+    predictions = m - 1 - np.argmax(log_scores, axis=1)
     accuracy = float(np.mean(predictions[inverse] == table.sa_codes))
     return NbAuditReport(
         beta=release.beta,

@@ -7,7 +7,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -295,11 +295,11 @@ def _intern_sa(raw_codes: np.ndarray, raw_values: list[str]) -> tuple[np.ndarray
 # A field that a short record or a row dict lacks; it fails as a missing column.
 _MISSING = object()
 
-# Records per block read by `load_table` and rows per block written by
-# `save_table`. A block's record lists stay under CPython's default count
-# of 700 new objects per youngest-generation collection, so they are freed
-# before a collection can promote them; blocks of 16,384 made a 100k-row
-# load about 1.8 times slower.
+# Records per block read by `load_table`'s `csv.reader` path. A block's
+# record lists stay under CPython's default count of 700 new objects per
+# youngest-generation collection, so they are freed before a collection
+# can promote them; blocks of 16,384 made a 100k-row load about 1.8 times
+# slower.
 _BLOCK = 512
 
 
@@ -734,31 +734,94 @@ def _num(x: float) -> int | float:
     return int(x) if float(x).is_integer() else float(x)
 
 
-def save_table(table: Table, path) -> None:
-    """Write the table as CSV, columns in schema order. Each distinct value
-    of a QI column (`Table.qi_values`) is formatted once, and the labels are
-    gathered by `Table.qi_codes` and written a block of `_BLOCK` rows at a
-    time."""
-    path = Path(path)
+# Rows per block written by `save_table`. A block of census rows takes
+# about 0.5 MB of working arrays; blocks of 1,024 to 16,384 rows wrote 1M
+# census rows within 15% of each other.
+_WRITE_BLOCK = 4096
+
+# The byte lanes of a uint64 word.
+_LANES = np.arange(8)
+
+
+class _Lines(list):
+    """A file for `csv.writer` that keeps each line written to it."""
+
+    write = list.append
+
+
+def _fields(table: Table) -> list[tuple[list[bytes], np.ndarray]]:
+    """Per column in schema order, (fields, codes): each distinct label as
+    the file holds it, UTF-8 with its comma or, in the last column, its
+    newline, and each row's index into them. A number is written as
+    `str(_num(x))`, which holds no comma, quote or line break; any other
+    label as `csv.writer` writes a field."""
     qi_idx = {a.name: k for k, a in enumerate(table.schema.qi_attributes)}
+    last = len(table.schema.attributes) - 1
     columns = []
-    for attr in table.schema.attributes:
+    for j, attr in enumerate(table.schema.attributes):
+        sep = "\n" if j == last else ","
         if attr.role == SA:
             labels, codes = table.sa_values, table.sa_codes
         else:
             k = qi_idx[attr.name]
-            values = table.qi_values[k].tolist()
+            values, codes = table.qi_values[k].tolist(), table.qi_codes[k]
             if attr.kind == NUMERIC:
-                labels = [str(_num(x)) for x in values]
-            else:
-                labels = [attr.hierarchy.leaves[v] for v in values]
-            codes = table.qi_codes[k]
-        columns.append((np.asarray(labels, dtype=object), codes))
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([a.name for a in table.schema.attributes])
-        for start in range(0, table.n_rows, _BLOCK):
-            writer.writerows(zip(*(labels[codes[start:start + _BLOCK]] for labels, codes in columns)))
+                columns.append(([(str(_num(x)) + sep).encode() for x in values], codes))
+                continue
+            labels = [attr.hierarchy.leaves[v] for v in values]
+        # A label then an empty field is written as the field, then ",\n".
+        lines = _Lines()
+        csv.writer(lines, lineterminator="\n").writerows([label, ""] for label in labels)
+        columns.append(([(line[:-2] + sep).encode() for line in lines], codes))
+    return columns
+
+
+def save_table(table: Table, path) -> None:
+    """Write the table as CSV, columns in schema order, with the bytes
+    `csv.writer(lineterminator="\\n")` writes for its rows.
+
+    Each column's distinct labels are formatted once (`_fields`). The
+    fields of all columns are zero-padded to whole uint64 words and laid
+    end to end in one word array, beside a mask of the words' field bytes.
+    A block of `_WRITE_BLOCK` rows gathers its fields' words and masks in
+    file order by `Table.qi_codes` and `sa_codes`, drops the padding with
+    the mask and goes to the file in one write. Memory is the distinct
+    labels plus one block, whatever the number of rows.
+    """
+    path = Path(path)
+    fields, codes = zip(*_fields(table))
+    # Column j's field c is field bases[j] + c of the table; field f starts
+    # at word firsts[f] and spans spans[f] words.
+    bases = np.cumsum([0, *map(len, fields)]).tolist()
+    fields = list(chain.from_iterable(fields))
+    sizes = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    spans = (sizes + 7) // 8
+    firsts = np.cumsum(spans) - spans
+    words = np.frombuffer(b"".join(map(bytes.ljust, fields, (8 * spans).tolist(), repeat(b"\0"))), dtype=np.uint64)
+    del fields
+    # The bytes of its field left from each word on.
+    left = np.repeat(sizes + 8 * firsts, spans) - 8 * np.arange(len(words))
+    masks = (_LANES < left[:, None]).view(np.uint64).ravel()
+    del left
+    wide = len(words) > len(spans)
+    header = _Lines()
+    csv.writer(header, lineterminator="\n").writerow([a.name for a in table.schema.attributes])
+    with path.open("wb") as fh:
+        fh.write(header[0].encode())
+        for start in range(0, table.n_rows, _WRITE_BLOCK):
+            index = np.empty((min(_WRITE_BLOCK, table.n_rows - start), len(codes)), dtype=np.intp)
+            for j, column in enumerate(codes):
+                np.add(column[start:start + _WRITE_BLOCK], bases[j], out=index[:, j], dtype=np.intp)
+            index = index.ravel()
+            # With one word per field, its first word is its index; laying
+            # out every field word by word made 1M census rows 60% slower.
+            if wide:
+                # Each field's words in turn: word i of field f is firsts[f] + i.
+                span = spans[index]
+                at = np.cumsum(span) - span
+                index = np.repeat(firsts[index] - at, span)
+                index += np.arange(len(index))
+            fh.write(words[index].view(np.uint8)[masks[index].view(bool)])
 
 
 def sa_distribution(table: Table) -> Distribution:

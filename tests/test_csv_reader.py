@@ -402,6 +402,46 @@ def test_written_files_take_the_plain_path(tmp_path, monkeypatch, case, chunk):
 
 
 # ---------------------------------------------------------------------------
+# A written file with one byte replaced, inserted or deleted.
+
+
+@pytest.fixture(scope="module")
+def written_files(tmp_path_factory):
+    """Two files `save_table` wrote: a plain one, and one whose SA labels
+    are quoted, which `csv.reader` reads."""
+    rng = np.random.default_rng(8)
+    n = 12
+    files = {}
+    for name, sa_values in (("plain", ("k", "é", "", "x y")), ("quoted", ("k", "é", "p, q", 'say "hi"'))):
+        table = table_from_qi_columns(_label_schema(), (rng.integers(0, 100, n).astype(float),
+                                                       rng.integers(0, len(_LABELS), n)),
+                                      rng.integers(0, 4, n), sa_values)
+        path = tmp_path_factory.mktemp("written") / "t.csv"
+        bl.save_table(table, path)
+        assert (data._plain_columns(path, table.schema) is not None) == (name == "plain")
+        files[name] = path.read_bytes()
+    return files
+
+
+_BYTES = st.one_of(st.sampled_from(b',"\r\n\0\xff'), st.integers(0, 127))
+
+
+@given(name=st.sampled_from(["plain", "quoted"]), edit=st.sampled_from(["replace", "insert", "delete"]),
+       at=st.integers(0, 1 << 16), byte=_BYTES)
+@settings(max_examples=300, deadline=None)
+def test_written_file_with_one_byte_changed_reads_like_the_reference(tmp_path_factory, written_files, name, edit,
+                                                                      at, byte):
+    text = written_files[name]
+    i = at % (len(text) + (edit == "insert"))
+    new = bytes([byte])
+    text = {"replace": text[:i] + new + text[i + 1:], "insert": text[:i] + new + text[i:],
+            "delete": text[:i] + text[i + 1:]}[edit]
+    path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+    path.write_bytes(text)
+    assert_same_outcome(path, _label_schema())
+
+
+# ---------------------------------------------------------------------------
 # Numeric fields: the plain path parses 1 to 8 ASCII digits from their keys
 # and sends any other field through `float()`, as `csv.reader`'s path does.
 
@@ -503,11 +543,110 @@ def test_table_is_a_byte_per_cell_plus_its_distinct_values(tmp_path):
         assert arrays <= table.n_rows * (len(table.qi_codes) + 1) + distinct
 
 
-@pytest.mark.parametrize("block", [1, 3, 64, B])
-def test_save_in_blocks_writes_the_whole_table_bytes(tmp_path, monkeypatch, block):
-    table = bl.generate_synthetic(300, 7, seed=6, qi_spec=bl.default_qi_spec()
-                                  + (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),))
+def _zip_table(n):
+    return bl.generate_synthetic(n, 7, seed=6, qi_spec=bl.default_qi_spec()
+                                 + (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),))
+
+
+def _assert_saved_in_blocks_like_the_reference(tmp_path, monkeypatch, table, block):
     reference_save(table, tmp_path / "ref.csv")
-    monkeypatch.setattr(data, "_BLOCK", block)
+    monkeypatch.setattr(data, "_WRITE_BLOCK", block)
     bl.save_table(table, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# Each block size, the default too, cuts the table mid-block.
+BLOCKS = [1, 3, 64, data._WRITE_BLOCK]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_save_in_blocks_writes_the_whole_table_bytes(tmp_path, monkeypatch, block):
+    _assert_saved_in_blocks_like_the_reference(tmp_path, monkeypatch, _zip_table(data._WRITE_BLOCK + 300), block)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_save_in_blocks_lays_out_fields_of_several_words(tmp_path, monkeypatch, block):
+    table = replace(_zip_table(data._WRITE_BLOCK + 300),
+                    sa_values=("9 bytes!!", "", "forty bytes " * 3 + "long", "p, q", "k", "é" * 9, "x,\n"))
+    _assert_saved_in_blocks_like_the_reference(tmp_path, monkeypatch, table, block)
+
+
+# Numbers with long or exact forms, and labels of the bytes that `csv`
+# quotes, doubles or passes through, empty, spaced, and of 9 and 40 bytes.
+_NUMBERS = st.one_of(st.sampled_from([-0.0, 5e-324, 0.1 + 0.2, 2.0**53, 2.0**63, 1e16, 1e300, -1e300]),
+                     st.integers(-3, 12).map(float))
+_ALPHABET = st.sampled_from(',"\r\n\0\x0b\x85\u2028é日 a')
+_TEXT_LABELS = st.one_of(st.text(_ALPHABET, max_size=6), st.text(_ALPHABET, min_size=9, max_size=9),
+                         st.sampled_from(["", " lead", "trail ", " both ", "9 bytes!!", "forty bytes " * 3 + "long"]),
+                         st.text(_ALPHABET, min_size=40, max_size=40))
+
+
+@st.composite
+def _tables(draw):
+    """A table of 1 to 30 rows: two numeric QI columns, a categorical QI
+    column and an SA column over drawn labels, in a drawn column order."""
+    n = draw(st.integers(1, 30))
+    leaves = draw(st.lists(_TEXT_LABELS, min_size=1, max_size=6, unique=True))
+    sa_values = draw(st.lists(_TEXT_LABELS, min_size=1, max_size=6, unique=True))
+    attrs = [bl.Attribute("x", "qi", "numeric", lo=-1e300, hi=1e300),
+             bl.Attribute("leaf", "qi", hierarchy=bl.Hierarchy({"name": "any", "children": leaves})),
+             bl.Attribute("y", "qi", "numeric", lo=-1e300, hi=1e300),
+             bl.Attribute("s", "sa")]
+    schema = bl.DatasetSchema(tuple(draw(st.permutations(attrs))))
+    columns = {"x": draw(st.lists(_NUMBERS, min_size=n, max_size=n)),
+               "leaf": draw(st.lists(st.integers(0, len(leaves) - 1), min_size=n, max_size=n)),
+               "y": draw(st.lists(_NUMBERS, min_size=n, max_size=n))}
+    sa = draw(st.lists(st.integers(0, len(sa_values) - 1), min_size=n, max_size=n))
+    return table_from_qi_columns(schema, [columns[a.name] for a in schema.qi_attributes], sa, sa_values)
+
+
+@given(table=_tables(), block=st.integers(1, 32))
+@settings(max_examples=200, deadline=None)
+def test_saved_bytes_are_the_row_writers(tmp_path_factory, table, block):
+    path = tmp_path_factory.mktemp("save")
+    reference_save(table, path / "ref.csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_WRITE_BLOCK", block)
+        bl.save_table(table, path / "t.csv")
+    assert (path / "t.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+
+def _save_peak(table, path):
+    tracemalloc.start()
+    try:
+        bl.save_table(table, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_peak_does_not_grow_with_rows(tmp_path):
+    peaks = [_save_peak(bl.generate_synthetic(n, 50, seed=2, sa_freqs=bl.census_like_profile(50)), tmp_path / "t.csv")
+             for n in (200_000, 1_000_000)]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_save_peak_with_one_long_label(tmp_path):
+    """1,000 short leaves and one of 100,000 bytes, which about one row per
+    block holds: no field is padded to the longest label's width."""
+    leaves = [f"leaf {i}" for i in range(1000)] + ["x" * 100_000]
+    schema = bl.DatasetSchema((bl.Attribute("age", "qi", "numeric", lo=0, hi=99),
+                               bl.Attribute("leaf", "qi", hierarchy=bl.Hierarchy({"name": "any", "children": leaves})),
+                               bl.Attribute("kind", "sa")))
+    rng = np.random.default_rng(1)
+    n = 100_000
+    leaf = rng.integers(0, 1000, n)
+    leaf[::5000] = 1000
+    table = table_from_qi_columns(schema, (rng.integers(0, 100, n).astype(float), leaf), rng.integers(0, 3, n),
+                                  ("a", "b", "c"))
+    path = tmp_path / "t.csv"
+    peak = _save_peak(table, path)
+    reference_save(table, tmp_path / "ref.csv")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    distinct = sum(len(label.encode()) for label in leaves)
+    rows = path.read_bytes().split(b"\n")[1:-1]
+    block = max(sum(map(len, rows[i:i + data._WRITE_BLOCK])) + len(rows[i:i + data._WRITE_BLOCK])
+                for i in range(0, n, data._WRITE_BLOCK))
+    # The formatted labels, their words and masks, and a block's word
+    # indices, words, masks and bytes: 1.2 MB, 4.9 times the sum, here.
+    assert peak <= 6 * (distinct + block), (peak, distinct, block)
