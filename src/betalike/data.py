@@ -165,18 +165,27 @@ class DatasetSchema:
         return np.asarray([a.weight for a in qi], dtype=float)
 
 
+# `Table.prefix_cube` sums along an axis by adding whole slabs, one numpy
+# call each, when a slab holds at least this many cells, else by np.cumsum.
+_SLAB_CELLS = 256
+
+
 def code_dtype(k: int) -> np.dtype:
     """The narrowest unsigned dtype that holds the codes 0..k-1."""
     return np.min_scalar_type(max(k - 1, 0))
 
 
-def _distinct_codes(key: np.ndarray, radix: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_codes(key: np.ndarray, radix: float = math.inf,
+                    counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, codes): the sorted distinct values of `key` and each
     element's index into them, in `code_dtype`. Integer keys in [0, radix)
-    with radix <= len(key) are counted, not sorted, and are their own codes
-    when every one of 0..radix-1 occurs; other keys go through `np.unique`."""
+    with radix <= len(key) are counted (or `counts` holds each one's count),
+    not sorted, and are their own codes when every one of 0..radix-1 occurs;
+    other keys go through `np.unique`."""
     if radix <= len(key):
-        present = np.bincount(key, minlength=int(radix)) > 0
+        if counts is None:
+            counts = np.bincount(key, minlength=int(radix))
+        present = counts > 0
         distinct = np.flatnonzero(present)
         codes = key if len(distinct) == radix else (np.cumsum(present) - 1)[key]
     else:
@@ -198,7 +207,9 @@ class Table:
     because a table is never modified after it is built; one made with
     `dataclasses.replace` shares `qi_values` and `qi_codes` and starts with
     none of them. Curve keys and the naive-Bayes audit work once per
-    distinct QI tuple and gather by `qi_tuples`' row index.
+    distinct QI tuple and gather by `qi_tuples`' row index. When
+    `qi_tuples` counts the prefix cube's cells, the table keeps the counts
+    until `prefix_cube` takes them.
     """
 
     schema: DatasetSchema
@@ -226,22 +237,53 @@ class Table:
     @cached_property
     def qi_tuples(self) -> tuple[np.ndarray, np.ndarray]:
         """(tuples, inverse): the distinct rows of `qi_codes` in lexicographic
-        order, shaped (T, d), and each row's index into them in `code_dtype`."""
-        key = np.zeros(self.n_rows, dtype=np.int64)
-        radix = 1
-        for codes, size in zip(self.qi_codes, map(len, self.qi_values)):
-            # Mixed-radix keys keep lexicographic order; before the radix
-            # product leaves int64, re-densify the key to its distinct ranks.
-            if radix * size > np.iinfo(np.int64).max:
-                distinct, key = np.unique(key, return_inverse=True)
-                radix = len(distinct)
-            key = key * size + codes
-            radix *= size
-        distinct, inverse = _distinct_codes(key, radix)
-        tuples = np.empty((len(distinct), len(self.qi_codes)), dtype=np.result_type(*self.qi_codes))
-        for k, codes in enumerate(self.qi_codes):
-            tuples[inverse, k] = codes
+        order, shaped (T, d), and each row's index into them in `code_dtype`.
+
+        When the cells of the prefix cube's counts (distinct QI values x SA
+        codes) number at most the rows, one count over those cells finds the
+        distinct tuples, and the counts are kept for `prefix_cube`, which
+        then needs no pass over the rows."""
+        sizes = tuple(map(len, self.qi_values))
+        radix = math.prod(sizes)
+        # Mixed-radix keys keep lexicographic order.
+        mixed = True
+        if radix * self.m <= self.n_rows:
+            cells = self._cell_keys()
+            counts = np.bincount(cells, minlength=radix * self.m)
+            self.__dict__["_cell_counts"] = counts
+            distinct, inverse = _distinct_codes(cells // self.m, radix, counts.reshape(radix, self.m).sum(axis=1))
+        else:
+            key = np.zeros(self.n_rows, dtype=np.int64)
+            radix = 1
+            for codes, size in zip(self.qi_codes, sizes):
+                # Before the radix product leaves int64, re-densify the key
+                # to its distinct ranks.
+                if radix * size > np.iinfo(np.int64).max:
+                    distinct, key = np.unique(key, return_inverse=True)
+                    radix = len(distinct)
+                    mixed = False
+                key = key * size + codes
+                radix *= size
+            distinct, inverse = _distinct_codes(key, radix)
+        dtype = np.result_type(*self.qi_codes)
+        if mixed:
+            tuples = np.stack(np.unravel_index(distinct, sizes), axis=1).astype(dtype)
+        else:
+            tuples = np.empty((len(distinct), len(self.qi_codes)), dtype=dtype)
+            for k, codes in enumerate(self.qi_codes):
+                tuples[inverse, k] = codes
         return tuples, inverse
+
+    def _cell_keys(self) -> np.ndarray:
+        """Each row's cell among the distinct QI values x SA codes, numbered
+        in C order as `np.ravel_multi_index` numbers them, for at most 2**63
+        cells."""
+        shape = (*map(len, self.qi_values), self.m)
+        key = self.qi_codes[0].astype(np.uint32 if math.prod(shape) <= 2**32 else np.int64)
+        for codes, size in zip((*self.qi_codes[1:], self.sa_codes), shape[1:]):
+            key *= size
+            key += codes
+        return key
 
     @cached_property
     def prefix_cube(self) -> np.ndarray:
@@ -251,12 +293,20 @@ class Table:
         product of the distinct counts, so the query module reads it only
         for tables within its cell budget."""
         shape = (*map(len, self.qi_values), self.m)
-        counts = np.bincount(np.ravel_multi_index((*self.qi_codes, self.sa_codes), shape),
-                             minlength=math.prod(shape))
+        counts = self.__dict__.pop("_cell_counts", None)
+        if counts is None:
+            counts = np.bincount(self._cell_keys(), minlength=math.prod(shape))
         cube = np.zeros(tuple(n + 1 for n in shape[:-1]) + (self.m,), dtype=np.int64)
         cube[(slice(1, None),) * (len(shape) - 1)] = counts.reshape(shape)
         for axis in range(len(shape) - 1):
-            np.cumsum(cube, axis=axis, out=cube)
+            slabs = np.moveaxis(cube, axis, 0)
+            if slabs[0].size >= _SLAB_CELLS:
+                # Adding whole slabs runs at numpy's vector speed; np.cumsum
+                # along an outer axis is several times slower.
+                for i in range(1, len(slabs)):
+                    slabs[i] += slabs[i - 1]
+            else:
+                np.cumsum(cube, axis=axis, out=cube)
         return cube
 
     @cached_property
@@ -754,7 +804,8 @@ def _fields(table: Table) -> list[tuple[list[bytes], np.ndarray]]:
     the file holds it, UTF-8 with its comma or, in the last column, its
     newline, and each row's index into them. A number is written as
     `str(_num(x))`, which holds no comma, quote or line break; any other
-    label as `csv.writer` writes a field."""
+    label as `csv.writer` writes a field, quoted if it holds a comma, a
+    quote, a CR or an LF."""
     qi_idx = {a.name: k for k, a in enumerate(table.schema.qi_attributes)}
     last = len(table.schema.attributes) - 1
     columns = []
@@ -764,21 +815,30 @@ def _fields(table: Table) -> list[tuple[list[bytes], np.ndarray]]:
             labels, codes = table.sa_values, table.sa_codes
         else:
             k = qi_idx[attr.name]
-            values, codes = table.qi_values[k].tolist(), table.qi_codes[k]
+            codes = table.qi_codes[k]
             if attr.kind == NUMERIC:
-                columns.append(([(str(_num(x)) + sep).encode() for x in values], codes))
+                values = table.qi_values[k]
+                # Integral values below 2**63 print as their int64s do.
+                if (np.abs(values) < 2**63).all() and (np.trunc(values) == values).all():
+                    values = values.astype(np.int64).tolist()
+                else:
+                    values = map(_num, values.tolist())
+                columns.append(([(str(x) + sep).encode() for x in values], codes))
                 continue
-            labels = [attr.hierarchy.leaves[v] for v in values]
-        # A label then an empty field is written as the field, then ",\n".
+            labels = [attr.hierarchy.leaves[v] for v in table.qi_values[k].tolist()]
+        # A label then an empty field is written as the field, then ",\r\n".
+        # With CR in the line terminator, `csv.writer` quotes a label that
+        # holds a CR, as it quotes one that holds an LF.
         lines = _Lines()
-        csv.writer(lines, lineterminator="\n").writerows([label, ""] for label in labels)
-        columns.append(([(line[:-2] + sep).encode() for line in lines], codes))
+        csv.writer(lines, lineterminator="\r\n").writerows([label, ""] for label in labels)
+        columns.append(([(line[:-3] + sep).encode() for line in lines], codes))
     return columns
 
 
 def save_table(table: Table, path) -> None:
     """Write the table as CSV, columns in schema order, with the bytes
-    `csv.writer(lineterminator="\\n")` writes for its rows.
+    `csv.writer(lineterminator="\\r\\n")` writes for its rows, each line
+    ended by LF in place of CRLF.
 
     Each column's distinct labels are formatted once (`_fields`). The
     fields of all columns are zero-padded to whole uint64 words and laid
@@ -805,9 +865,9 @@ def save_table(table: Table, path) -> None:
     del left
     wide = len(words) > len(spans)
     header = _Lines()
-    csv.writer(header, lineterminator="\n").writerow([a.name for a in table.schema.attributes])
+    csv.writer(header, lineterminator="\r\n").writerow([a.name for a in table.schema.attributes])
     with path.open("wb") as fh:
-        fh.write(header[0].encode())
+        fh.write((header[0][:-2] + "\n").encode())
         for start in range(0, table.n_rows, _WRITE_BLOCK):
             index = np.empty((min(_WRITE_BLOCK, table.n_rows - start), len(codes)), dtype=np.intp)
             for j, column in enumerate(codes):

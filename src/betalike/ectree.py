@@ -46,4 +46,8 @@ def bi_split(partition: BucketPartition) -> np.ndarray:
             memo[node] = leaves
         return leaves
 
-    return leaves_of(tuple(b.size for b in partition.buckets))
+    leaves = leaves_of(tuple(b.size for b in partition.buckets))
+    # `leaves_of` refers to itself, so the memo would live on until the
+    # cycle collector runs; its arrays go now.
+    memo.clear()
+    return leaves

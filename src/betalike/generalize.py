@@ -6,6 +6,13 @@ records whose curve keys are nearest the anchor's. Buckets are consumed
 destructively in leaf order; the allocation tree's conservation property
 guarantees retrieval never starves.
 
+The leaf matrix fixes each class's anchor bucket and how many records that
+bucket holds when it is peeked, so every anchor position comes from one
+`rng.integers` call over those bounds. Each bucket's draws wait in a queue
+and go to it as one batch when it is next peeked, or after the last class:
+the order of draws within a bucket, and so every member row, is as if each
+class drew in turn.
+
 A bucket is stored as runs of equal curve keys, so a nearest draw costs
 Python work per run it touches, not per record, and it only logs the slot
 ranges it took; only the buckets that supply anchors ever rebuild a
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import array
 import bisect
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -50,11 +58,14 @@ class SortedBucket:
 
     A draw only logs what it took, one range of slots (positions in the
     sorted row array) per run step; `taken` expands the log into rows once
-    the draws are done. `peek_random` indexes the live records in the order
+    the draws are done. `peek(i)` indexes the live records in the order
     that swap-removing each taken record from a list of all of them leaves
     behind. A bucket builds that order and replays the log from where it
     last stopped when it is peeked, so buckets that never supply an anchor
     pay nothing for it.
+
+    `draw_nearest` takes a batch of (anchor key, count) draws and runs them
+    in one loop, so a batch costs one method call.
     """
 
     def __init__(self, keys: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> None:
@@ -119,48 +130,56 @@ class SortedBucket:
                 i += step
         return alive
 
-    def peek_random(self, rng: np.random.Generator) -> tuple[int, int]:
-        """(row, key) of a uniformly random live record; nothing is removed."""
-        alive = self._live_order()
-        i = alive[int(rng.integers(len(alive)))]
+    def peek(self, i: int) -> tuple[int, int]:
+        """(row, key) of live record `i` in swap-remove order, for `i` below
+        `len(self)`; nothing is removed."""
+        i = self._live_order()[i]
         return int(self._rows[i]), self._run_keys[bisect.bisect_right(self._starts, i) - 1]
 
-    def draw_nearest(self, anchor_key: int, count: int) -> None:
-        """Remove the `count` rows with keys nearest the anchor's; `taken`
-        returns them."""
-        if not 0 <= count <= self._size:
-            raise DataError(f"cannot draw {count} of {self._size} remaining records")
-        self._size -= count
-        anchor_key = int(anchor_key)
-        keys, lo, hi, log = self._run_keys, self._lo, self._hi, self._log
+    def draw_nearest(self, anchor_keys: Sequence[int], counts: Sequence[int]) -> None:
+        """For each anchor in turn, remove the `count` rows with keys nearest
+        it; `taken` returns them. A bad batch raises before any draw."""
+        if len(anchor_keys) != len(counts):
+            raise ValueError(f"{len(anchor_keys)} anchors for {len(counts)} counts")
+        total, least = sum(counts), min(counts, default=0)
+        if least < 0 or total > self._size:
+            raise DataError(f"cannot draw {least if least < 0 else total} of {self._size} remaining records")
+        self._size -= total
+        keys, lo, hi, append = self._run_keys, self._lo, self._hi, self._log.append
         prv, nxt, ceil = self._prv, self._nxt, self._ceil
         tail = len(keys)
-        right = self._find_ceil(bisect.bisect_left(keys, anchor_key))
-        left = prv[right]
-        while count:
-            if left != -1 and (right == tail or anchor_key - keys[left] <= keys[right] - anchor_key):
-                # Take from the top of the run below the anchor.
-                a, b = lo[left], hi[left]
-                if b - a > count:
-                    a = hi[left] = b - count
+        for anchor_key, count in zip(anchor_keys, counts):
+            if not count:
+                continue
+            anchor_key = int(anchor_key)
+            right = bisect.bisect_left(keys, anchor_key)
+            if ceil[right] != right:
+                right = self._find_ceil(right)
+            left = prv[right]
+            while count:
+                if left != -1 and (right == tail or anchor_key - keys[left] <= keys[right] - anchor_key):
+                    # Take from the top of the run below the anchor.
+                    a, b = lo[left], hi[left]
+                    if b - a > count:
+                        a = hi[left] = b - count
+                    else:
+                        p, nx = prv[left], nxt[left]
+                        nxt[p], prv[nx], ceil[left] = nx, p, left + 1
+                        left = p
+                    append(b - 1)
+                    append(a)
                 else:
-                    p, nx = prv[left], nxt[left]
-                    nxt[p], prv[nx], ceil[left] = nx, p, left + 1
-                    left = p
-                log.append(b - 1)
-                log.append(a)
-            else:
-                # Take from the bottom of the run at or above it.
-                a, b = lo[right], hi[right]
-                if b - a > count:
-                    b = lo[right] = a + count
-                else:
-                    p, nx = prv[right], nxt[right]
-                    nxt[p], prv[nx], ceil[right] = nx, p, right + 1
-                    right = nx
-                log.append(a)
-                log.append(b - 1)
-            count -= b - a
+                    # Take from the bottom of the run at or above it.
+                    a, b = lo[right], hi[right]
+                    if b - a > count:
+                        b = lo[right] = a + count
+                    else:
+                        p, nx = prv[right], nxt[right]
+                        nxt[p], prv[nx], ceil[right] = nx, p, right + 1
+                        right = nx
+                    append(a)
+                    append(b - 1)
+                count -= b - a
 
     def taken(self) -> np.ndarray:
         """The rows drawn so far, in draw order."""
@@ -179,10 +198,41 @@ class SortedBucket:
         return self._rows[np.cumsum(steps)]
 
 
+def _draw_classes(stores: list[SortedBucket], leaves: np.ndarray, seed: int) -> None:
+    """Draw class k's share of each bucket, `leaves[k]`, nearest its
+    anchor, for k in turn. Its lists are freed when it returns, before the
+    draws are scattered."""
+    # Class k's anchor bucket is its largest share (the first, on ties).
+    # When it is peeked, the classes before k have taken their shares of
+    # it, so the anchor's position is uniform below what they left.
+    anchors = leaves.argmax(axis=1)
+    live = np.empty(len(leaves), dtype=np.int64)
+    for b, store in enumerate(stores):
+        share = leaves[:, b]
+        at = anchors == b
+        live[at] = len(store) - (np.cumsum(share) - share)[at]
+    positions = np.random.default_rng(seed).integers(live).tolist()
+    # A bucket's draws wait until it is peeked, or the last class is drawn,
+    # and then go in one batch: shares[b][k:] from drawn[b] = k on.
+    shares = leaves.T.tolist()
+    drawn = [0] * len(stores)
+    anchor_keys = []
+    for k, (b, i) in enumerate(zip(anchors.tolist(), positions)):
+        store, first = stores[b], drawn[b]
+        store.draw_nearest(anchor_keys[first:], shares[b][first:k])
+        drawn[b] = k
+        anchor_keys.append(store.peek(i)[1])
+    for b, store in enumerate(stores):
+        store.draw_nearest(anchor_keys[drawn[b]:], shares[b][drawn[b]:])
+
+
 def generalize(table: Table, beta: float, seed: int = 0, curve_order: int = 16) -> Release:
     """Publish the table as equivalence classes honoring the beta budget.
 
-    Deterministic for a fixed (table, beta, seed, curve_order).
+    Deterministic for a fixed (table, beta, seed, curve_order): class k's
+    anchor is record `rng.integers(live)[k]` of its anchor bucket's live
+    order, where `live[k]` is what the classes before it left there, with
+    `rng = np.random.default_rng(seed)`.
     """
     partition = dp_partition(table, beta)
     dist = partition.dist
@@ -190,12 +240,7 @@ def generalize(table: Table, beta: float, seed: int = 0, curve_order: int = 16) 
     keys, codes = table_keys(table, curve_order)
     stores = [SortedBucket(keys, codes[b.rows], b.rows) for b in partition.buckets]
     del keys, codes, partition
-    rng = np.random.default_rng(seed)
-    for alloc in leaves.tolist():
-        _, anchor_key = stores[alloc.index(max(alloc))].peek_random(rng)
-        for store, a in zip(stores, alloc):
-            if a > 0:
-                store.draw_nearest(anchor_key, a)
+    _draw_classes(stores, leaves, seed)
     assert all(len(s) == 0 for s in stores)
     # Class k's members are its share of each bucket's draws, bucket after
     # bucket; bucket b's draws hold its classes' shares class after class.

@@ -17,8 +17,9 @@ query's predicates mapped to a span of each axis's distinct values by
 `Table.value_spans` (inclusive and exact, as a row mask compares). Within
 the cell budget the histograms are read from a prefix-sum cube over the
 table's distinct QI values x SA codes (Ho, Agrawal, Megiddo, Srikant,
-"Range Queries in OLAP Data Cubes", SIGMOD 1997). One pass over the rows
-builds the cube (`Table.prefix_cube`) on a table's first workload, and the
+"Range Queries in OLAP Data Cubes", SIGMOD 1997). The cube
+(`Table.prefix_cube`) is built on a table's first workload, from the cell
+counts `Table.qi_tuples` kept or else in one pass over the rows, and the
 table keeps it for its lifetime; each query then costs 2^d corner lookups
 per SA value, all queries at once. The cube is read only when it has at
 most CUBE_CELLS_PER_ROW cells per table row; a table with a

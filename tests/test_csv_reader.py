@@ -114,9 +114,15 @@ def reference_save(table, path):
             codes = table.qi_codes[k]
         columns.append(np.asarray(labels, dtype=object)[codes])
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([a.name for a in table.schema.attributes])
-        writer.writerows(zip(*columns))
+        # Each row as `csv.writer` writes it with a CRLF terminator, which
+        # makes it quote a CR as it quotes an LF, then ended by an LF.
+        line = io.StringIO()
+        writer = csv.writer(line, lineterminator="\r\n")
+        for row in chain([[a.name for a in table.schema.attributes]], zip(*columns)):
+            line.seek(0)
+            line.truncate()
+            writer.writerow(row)
+            fh.write(line.getvalue()[:-2] + "\n")
 
 
 def _outcome(load, path, schema, sa_order=None):
@@ -609,6 +615,50 @@ def test_saved_bytes_are_the_row_writers(tmp_path_factory, table, block):
         mp.setattr(data, "_WRITE_BLOCK", block)
         bl.save_table(table, path / "t.csv")
     assert (path / "t.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+
+def _cells(table):
+    """Each row's QI values and SA label, column by column."""
+    return [col.tolist() for col in table.qi_columns], [table.sa_values[c] for c in table.sa_codes.tolist()]
+
+
+@given(table=_tables())
+@settings(max_examples=100, deadline=None)
+def test_saved_tables_load_back(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("save") / "t.csv"
+    bl.save_table(table, path)
+    assert _cells(bl.load_table(path, table.schema)) == _cells(table)
+
+
+def test_labels_and_names_with_a_cr_are_quoted_and_load_back(tmp_path):
+    leaves = ["p\rq", "p\r\nq", "\r", "plain"]
+    schema = bl.DatasetSchema((bl.Attribute("x\ry", "qi", "numeric", lo=0, hi=9),
+                               bl.Attribute("leaf", "qi", hierarchy=bl.Hierarchy({"name": "any", "children": leaves})),
+                               bl.Attribute("s\r", "sa")))
+    sa_values = ("a\rb", "\rc", "d\r", "e\n\rf", "g")
+    table = table_from_qi_columns(schema, ([1.0, 2.0, 3.0, 4.0, 5.0], [0, 1, 2, 3, 0]), [0, 1, 2, 3, 4], sa_values)
+    path = tmp_path / "t.csv"
+    bl.save_table(table, path)
+    assert path.read_bytes().split(b"\n", 1)[0] == b'"x\ry",leaf,"s\r"'
+    assert b'1,"p\rq","a\rb"\n' in path.read_bytes()
+    assert _cells(bl.load_table(path, schema)) == _cells(table)
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0, 0.0, 1.0, -1.0, -12345.0, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53), 2.0**62, 2.0**63 - 1024],
+    [-0.0, 0.5, 1.0, -2.25, 2.0**53],
+    [0.0, 2.0**63, -(2.0**63)],
+    [1.0, 1e300, -1e300],
+])
+def test_numbers_write_as_their_python_forms(tmp_path, values):
+    """Integral columns below 2**63 print from int64s; the bytes are
+    `str(_num(x))`'s either way."""
+    schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=-1e300, hi=1e300), bl.Attribute("s", "sa")))
+    table = table_from_qi_columns(schema, (values,), [0] * len(values), ("a",))
+    reference_save(table, tmp_path / "ref.csv")
+    bl.save_table(table, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert b"-0," not in (tmp_path / "t.csv").read_bytes()
 
 
 def _save_peak(table, path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 
@@ -332,6 +333,54 @@ def _assert_qi_tuples_match_unique(table):
 @settings(max_examples=80, deadline=None)
 def test_qi_tuples_are_the_distinct_code_rows(table):
     _assert_qi_tuples_match_unique(table)
+
+
+def reference_cube(table):
+    """`Table.prefix_cube` as np.ravel_multi_index, np.bincount and np.cumsum
+    per axis build it."""
+    shape = (*map(len, table.qi_values), table.m)
+    counts = np.bincount(np.ravel_multi_index((*table.qi_codes, table.sa_codes), shape),
+                         minlength=int(np.prod(shape)))
+    cube = np.zeros(tuple(n + 1 for n in shape[:-1]) + (table.m,), dtype=np.int64)
+    cube[(slice(1, None),) * (len(shape) - 1)] = counts.reshape(shape)
+    for axis in range(len(shape) - 1):
+        cube = np.cumsum(cube, axis=axis)
+    return cube
+
+
+def _assert_cube_from_kept_and_own_counts(table):
+    # `fresh` has none of `table`'s derived arrays.
+    fresh = dataclasses.replace(table)
+    expected = reference_cube(table)
+    cells = int(np.prod([len(v) for v in table.qi_values])) * table.m
+    _assert_qi_tuples_match_unique(table)
+    assert ("_cell_counts" in vars(table)) == (cells <= table.n_rows)
+    for t in (table, fresh):
+        assert t.prefix_cube.dtype == np.int64 and np.array_equal(t.prefix_cube, expected)
+        assert "_cell_counts" not in vars(t)
+    _assert_qi_tuples_match_unique(fresh)
+
+
+# Slabs of every size, and none, add by slabs.
+@pytest.mark.parametrize("slab_cells", [0, 10**9], ids=["slabs", "cumsum"])
+@given(mixed_qi_tables(sa_values=("x", "y", "z")))
+@settings(max_examples=60, deadline=None)
+def test_prefix_cube_from_kept_or_own_counts(slab_cells, table):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_SLAB_CELLS", slab_cells)
+        _assert_cube_from_kept_and_own_counts(table)
+
+
+def test_qi_tuples_keep_the_cube_counts_when_the_cells_fit():
+    # 10 x 60 values x 5 SA codes is 3,000 cells, under the 5,000 rows. In
+    # the padded cube a slab across the first axis holds 61 x 5 cells, at
+    # least `_SLAB_CELLS`, and one across the second 11 x 5, fewer: one axis
+    # adds slabs and the other runs np.cumsum.
+    qi_spec = (bl.Attribute("a", "qi", "numeric", lo=0, hi=9), bl.Attribute("b", "qi", "numeric", lo=0, hi=59))
+    table = bl.generate_synthetic(5_000, 5, qi_spec=qi_spec, seed=3)
+    assert [len(v) for v in table.qi_values] == [10, 60]
+    assert 11 * 5 < data._SLAB_CELLS <= 61 * 5
+    _assert_cube_from_kept_and_own_counts(table)
 
 
 def test_qi_tuples_past_int64_radix():

@@ -113,7 +113,7 @@ def make_bucket(keys, rows=None):
 def draw_rows(bucket, anchor_key, count) -> list[int]:
     """The rows one nearest draw takes, read back from `taken`."""
     before = len(bucket.taken())
-    assert bucket.draw_nearest(anchor_key, count) is None
+    assert bucket.draw_nearest([anchor_key], [count]) is None
     return bucket.taken()[before:].tolist()
 
 
@@ -145,16 +145,46 @@ def test_draw_consumes_across_calls():
 def test_draw_overdraw_errors():
     b = make_bucket([10, 20])
     with pytest.raises(bl.DataError, match="cannot draw"):
-        b.draw_nearest(0, 3)
+        b.draw_nearest([0], [3])
 
 
 def test_draw_negative_count_errors():
     b = make_bucket([10, 20, 30, 40])
     with pytest.raises(bl.DataError, match="cannot draw"):
-        b.draw_nearest(5, -1)
+        b.draw_nearest([5], [-1])
     # The bucket is untouched: every row can still be drawn, each once.
     assert len(b) == 4 and len(b.taken()) == 0
     assert sorted(draw_rows(b, 5, 4)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("counts", [[1, -1, 1], [2, 2, 1], [0, 0, 5], [4, 1, -1]])
+def test_bad_batch_errors_before_any_draw(counts):
+    b = make_bucket([10, 20, 30, 40])
+    b.draw_nearest([0], [1])
+    with pytest.raises(bl.DataError, match="cannot draw"):
+        b.draw_nearest([5, 25, 45], counts)
+    # Only the first draw happened; the bad batch's first draws did not.
+    assert len(b) == 3 and b.taken().tolist() == [0]
+    assert draw_rows(b, 45, 3) == [3, 2, 1]
+
+
+def test_batch_needs_one_anchor_per_count():
+    b = make_bucket([10, 20, 30, 40])
+    with pytest.raises(ValueError, match="2 anchors for 1 counts"):
+        b.draw_nearest([5, 25], [1])
+    assert len(b) == 4 and len(b.taken()) == 0
+
+
+def test_batch_draws_as_its_draws_in_turn():
+    keys = [10, 10, 20, 30, 30, 30, 40, 50]
+    anchors, counts = [31, 12, 12, 99, 0], [2, 0, 3, 1, 2]
+    one = make_bucket(keys)
+    one.draw_nearest(anchors, counts)
+    each = make_bucket(keys)
+    for anchor, count in zip(anchors, counts):
+        draw_rows(each, anchor, count)
+    assert one.taken().tolist() == each.taken().tolist() == [5, 4, 1, 0, 2, 7, 3, 6]
+    assert len(one) == len(each) == 0
 
 
 def test_equal_keys_keep_row_order():
@@ -172,7 +202,8 @@ def test_taken_before_any_draw_is_empty():
         taken = b.taken()
         assert taken.dtype == np.int64 and taken.tolist() == []
     b = make_bucket([7, 7])
-    b.draw_nearest(7, 0)
+    b.draw_nearest([7], [0])
+    b.draw_nearest([], [])
     assert b.taken().tolist() == []
 
 
@@ -263,26 +294,32 @@ def bucket_scripts(draw):
 @given(bucket_scripts())
 @settings(max_examples=300, deadline=None)
 def test_run_buckets_match_the_per_record_reference(case):
+    """Each run of consecutive nearest draws goes to `SortedBucket` as one
+    batch, and to the reference one draw at a time."""
     keys, rows, script, seed = case
     new, ref = make_bucket(keys, rows), ReferenceBucket(keys, rows)
-    new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     peeked = int(keys[0]) if len(keys) else 0
     drawn = []
-    for op in script:
-        assert len(new) == len(ref)
-        if op[0] == "peek":
-            if len(ref) == 0:
-                continue
-            got = new.peek_random(new_rng)
-            assert got == ref.peek_random(ref_rng)
-            peeked = got[1]
-        else:
+    batch = ([], [])
+    for op in [*script, ("peek",)]:
+        if op[0] == "nearest":
             anchor = peeked if op[1] == "peeked" else op[1]
             count = int(op[2] * len(ref))
-            want = ref.draw_nearest(anchor, count).tolist()
-            assert draw_rows(new, anchor, count) == want
-            drawn += want
-    assert len(new) == len(ref)
+            drawn += ref.draw_nearest(anchor, count).tolist()
+            batch[0].append(anchor)
+            batch[1].append(count)
+            continue
+        before = len(new.taken())
+        assert new.draw_nearest(*batch) is None
+        assert new.taken()[before:].tolist() == drawn[before:]
+        batch = ([], [])
+        assert len(new) == len(ref)
+        if len(ref) == 0:
+            continue
+        # Every live position, in the reference's swap-remove order.
+        assert [new.peek(i) for i in range(len(new))] == [(ref._rows[j], ref._keys[j]) for j in ref._alive]
+        peeked = new.peek(int(rng.integers(len(new))))[1]
     assert new.taken().tolist() == drawn
 
 
@@ -311,6 +348,33 @@ def test_members_are_each_class_draws_in_order(table, beta, seed, order):
     release = bl.generalize(table, beta, seed=seed, curve_order=order)
     members = np.concatenate([ec.rows for ec in release.ecs]).tolist()
     assert members == reference_members(table, beta, seed, order)
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_one_integers_call_draws_the_per_call_sequence(seed):
+    # `generalize` draws every anchor position in one call; the classes'
+    # anchors equal per-class draws only while numpy's bounded integers
+    # give this.
+    bounds = [1, 2, 2**31, 2**32 + 5, 3, 1, 2**32, 2**32 - 1, 1, 7, 2**40, 2] * 20
+    one = np.random.default_rng(seed).integers(np.asarray(bounds, dtype=np.int64)).tolist()
+    rng = np.random.default_rng(seed)
+    assert one == [int(rng.integers(n)) for n in bounds]
+
+
+def test_generalize_draws_through_the_class(example2, monkeypatch):
+    # Tracers that time retrieval wrap these methods on the class.
+    calls = {"draw_nearest": 0, "peek": 0}
+    for name in calls:
+        method = getattr(bl.SortedBucket, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(bl.SortedBucket, name, counted)
+    release = bl.generalize(example2, 2.0, seed=7)
+    assert calls["peek"] == len(release.ecs)
+    assert calls["draw_nearest"] >= len(bl.dp_partition(example2, 2.0).buckets)
 
 
 def _golden_tables():
