@@ -125,7 +125,10 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     The class spans cut each QI axis into segments, runs of values that
     every class covers alike; the values of a segment share their hits, so
     per QI attribute the audit holds one (segments x m) array and counts a
-    violation once per value of its segment. `pairs` counts values x m.
+    violation once per value of its segment. The hits are counted, not
+    scattered: weighted bincounts of the class counts at each span's first
+    segment and past its last, summed down the segments. `pairs` counts
+    values x m.
     """
     dist = release.dist
     check_source(table, dist)
@@ -143,7 +146,7 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     # Rows with the same QI values get the same scores: score each distinct
     # tuple once, (T, m), and compare its prediction with each of its rows.
     tuples, inverse = table.qi_tuples
-    counts = release.class_counts.astype(float)    # `ufunc.at` is slow across dtypes
+    counts = release.class_counts.ravel().astype(float)    # bincount weights, class after class
     # The scores' columns run in reverse SA order, so that the first maximum
     # is the highest code: among ties the more frequent value is predicted.
     log_scores = np.empty((len(tuples), m))
@@ -158,11 +161,15 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
         starts = np.flatnonzero(cut)
         sizes = np.diff(starts)                                    # values per segment
         # +counts at each class span's first segment, -counts past its last,
-        # summed down the segments in place; float64 holds these counts
-        # exactly, and the buffer later takes log Pr[t | v_i] in place.
-        hits = np.zeros((len(starts), m))
-        np.add.at(hits, segment[first], counts)
-        np.subtract.at(hits, segment[end], counts)
+        # as weighted bincounts over the cells segment * m + SA code, then
+        # summed down the segments in place. Sums of integers below 2**53
+        # are exact in float64 in any order; the buffer later takes
+        # log Pr[t | v_i] in place.
+        cell = segment[first][:, None] * m + np.arange(m)
+        hits = np.bincount(cell.ravel(), weights=counts, minlength=len(starts) * m).reshape(-1, m)
+        np.add(segment[end][:, None] * m, np.arange(m), out=cell)
+        hits -= np.bincount(cell.ravel(), weights=counts, minlength=hits.size).reshape(-1, m)
+        del cell
         hits = np.cumsum(hits, axis=0, out=hits)[:-1]             # (segments, m)
         covered = hits.sum(axis=1)
         marginal = covered / dist.total                            # Pr[t]

@@ -6,8 +6,9 @@ bound of its rarest member (`Bound.admits(..., strict=True)`: exact integers
 on the linear branch, the float cap on the logarithmic one); classes drawing
 from buckets proportionally then keep every value inside its bound even in
 the worst-case composition. Dynamic programming over run endpoints minimizes
-the number of buckets. A bucket's rows are found from one per-row bucket
-index, in ascending order, without sorting the rows.
+the number of buckets. A bucket's rows are cut from one stable sort of the
+per-row bucket index, a radix sort for a uint8 or uint16 index, so each
+bucket's rows come out ascending.
 """
 from __future__ import annotations
 
@@ -84,15 +85,17 @@ def partition_spans(dist: Distribution, beta: float) -> list[tuple[int, int]]:
 def dp_partition(table: Table, beta: float) -> BucketPartition:
     """Partition the table into the minimum number of admissible buckets.
 
-    Each row's bucket index is gathered from its SA code, and each bucket's
-    rows are the positions holding its index, found already ascending.
+    Each row's bucket index is gathered from its SA code. One stable argsort
+    of that index lists the rows bucket after bucket, each bucket's rows
+    ascending, and the bucket sizes cut it into the buckets' rows.
     """
     dist = sa_distribution(table)
     spans = partition_spans(dist, beta)
     index = np.arange(len(spans), dtype=code_dtype(len(spans)))
     bucket_of = np.repeat(index, [hi - lo + 1 for lo, hi in spans])[table.sa_codes]
-    buckets = []
-    for i, (lo, hi) in enumerate(spans):
-        mass = sum(dist.counts[lo : hi + 1]) / dist.total
-        buckets.append(Bucket(lo, hi, np.flatnonzero(bucket_of == i), dist.freq(lo), mass))
-    return BucketPartition(tuple(buckets), dist, beta)
+    sizes = [sum(dist.counts[lo : hi + 1]) for lo, hi in spans]
+    rows = np.split(np.argsort(bucket_of, kind="stable"), np.cumsum(sizes[:-1]))
+    buckets = tuple(
+        Bucket(lo, hi, r, dist.freq(lo), size / dist.total) for (lo, hi), r, size in zip(spans, rows, sizes)
+    )
+    return BucketPartition(buckets, dist, beta)

@@ -350,6 +350,33 @@ def test_nb_audit_matches_brute_force_on_a_wide_axis(data):
     _assert_nb_audit_matches_brute_force(release, table)
 
 
+def _shared_ends_release(table):
+    """Twelve classes: ten start their first-axis span at 10, five of them
+    end it at 40 and five at 50, and all cover the whole second axis."""
+    groups = np.array_split(np.random.default_rng(5).permutation(table.n_rows), 12)
+    release = nb_release(table, [np.sort(g) for g in groups])
+    root = table.schema.qi_attributes[1].hierarchy.root
+    ecs = [EquivalenceClass(((10.0, 40.0 if i < 5 else 50.0) if i < 10 else ec.extents[0],
+                             (root.leaf_lo, root.leaf_hi)), ec.sa_counts)
+           for i, ec in enumerate(release.ecs)]
+    return Release(release.schema, release.dist, release.beta, 0, 16, tuple(ecs))
+
+
+@pytest.mark.parametrize("m, make_release", [
+    (4, _shared_ends_release),
+    (5, lambda table: nb_release(table, [np.arange(table.n_rows)])),
+    (1, lambda table: bl.generalize(table, 1.0, seed=7)),
+    (1, lambda table: nb_release(table, np.array_split(np.arange(table.n_rows), 4))),
+], ids=["shared-span-ends", "single-class", "one-sa-value", "one-sa-value-partition"])
+def test_nb_audit_matches_brute_force_where_span_ends_repeat(m, make_release):
+    # Classes whose spans share a first segment or an end put their counts
+    # on one cell of the hit deltas; and the edge cases of one class and of
+    # one SA value.
+    spec = (Attribute("w", QI, NUMERIC, lo=0, hi=60), _qi_attribute(1, CATEGORICAL))
+    table = bl.generate_synthetic(240, m, qi_spec=spec, skew=0.7, seed=m)
+    _assert_nb_audit_matches_brute_force(make_release(table), table)
+
+
 def test_nb_audit_counts_a_leaky_segment_once_per_value():
     # x in 0..29 holds only "a" and x in 30..60 only "b" and "c": the class
     # of the low half puts "a" past its bound at each of its 30 values.

@@ -144,13 +144,20 @@ def reference_bucket_rows(table, spans) -> list[list[int]]:
     return [np.sort(order[bounds[lo] : bounds[hi + 1]]).tolist() for lo, hi in spans]
 
 
-@pytest.mark.parametrize("m, beta", [(1, 1.0), (6, 0.5), (50, 4.0), (300, 0.3)])
-def test_bucket_rows_match_the_sorted_grouping(m, beta):
+# The last two: a 1-row table, and a beta so large that its one bucket takes
+# every row; past one SA value a bucket's mass of 1 exceeds every cap, so only
+# m = 1 gives a single bucket.
+@pytest.mark.parametrize("m, beta, n", [
+    (1, 1.0, 4_000), (6, 0.5, 4_000), (50, 4.0, 4_000), (300, 0.3, 4_000), (1, 1.0, 1), (1, 1e6, 4_000),
+], ids=["1-1.0", "6-0.5", "50-4.0", "300-0.3", "one-row", "one-bucket-of-every-row"])
+def test_bucket_rows_match_the_sorted_grouping(m, beta, n):
     # m = 300 gives more buckets than a uint8 bucket index can hold.
-    table = bl.generate_synthetic(4_000, m, skew=1.1, seed=m)
+    table = bl.generate_synthetic(n, m, skew=1.1, seed=m)
     part = bl.dp_partition(table, beta)
     spans = [(b.lo, b.hi) for b in part.buckets]
     assert [b.rows.tolist() for b in part.buckets] == reference_bucket_rows(table, spans)
     assert all(b.rows.dtype == np.int64 for b in part.buckets)
     if m == 300:
         assert len(part.buckets) > 256
+    if m == 1:
+        assert [b.size for b in part.buckets] == [n]
