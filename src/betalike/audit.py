@@ -6,8 +6,9 @@ the gain exceeds the logarithmic cap that no finite budget relaxes. The
 classifier-bound audit measures, per (QI value, SA value), how far apart the
 conditional and unconditional value probabilities are in the published
 classes, and runs the naive-Bayes predictor those conditionals support,
-scored once per distinct QI tuple (`Table.qi_tuples`). A class counts
-toward the QI values in its extent's span, as in the query cube.
+scored once per distinct QI tuple (`Table.qi_tuples`), a block of tuples
+at a time. A class counts toward the QI values in its extent's span, as in
+the query cube.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from .data import CATEGORICAL, DataError, Table, check_source
 from .likeness import Bound, LikenessError
 from .release import Release
 
-# Distinct QI tuples whose naive-Bayes scores are updated at once.
+# Distinct QI tuples scored at once: the audit's one (SCORE_CHUNK x m)
+# score buffer. Also the segments whose ratios are checked at once.
 SCORE_CHUNK = 4096
 
 
@@ -119,16 +121,19 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     A class "contains" a QI value when its generalized extent covers it. The
     naive-Bayes predictor built from those conditionals is evaluated over the
     original rows; under the model's bound its accuracy should sit near the
-    top value's global frequency. It predicts once per distinct QI tuple, so
-    its memory is O(distinct tuples x m) plus O(rows), never rows x m.
+    top value's global frequency. It predicts once per distinct QI tuple,
+    scoring SCORE_CHUNK tuples at a time, so its memory is
+    O((segments + SCORE_CHUNK) x m) plus O(rows), never rows x m or
+    distinct tuples x m (a zip column makes nearly every row a tuple).
 
     The class spans cut each QI axis into segments, runs of values that
     every class covers alike; the values of a segment share their hits, so
     per QI attribute the audit holds one (segments x m) array and counts a
     violation once per value of its segment. The hits are counted, not
     scattered: weighted bincounts of the class counts at each span's first
-    segment and past its last, summed down the segments. `pairs` counts
-    values x m.
+    segment and past its last, summed down the segments. Each axis keeps
+    its (segments x m) log conditionals, at most 2 x classes + 1 segments,
+    and a tuple's score adds them axis after axis. `pairs` counts values x m.
     """
     dist = release.dist
     check_source(table, dist)
@@ -143,14 +148,9 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
     worst_bound = float(bounds[0])
     violations = 0
     pairs = 0
-    # Rows with the same QI values get the same scores: score each distinct
-    # tuple once, (T, m), and compare its prediction with each of its rows.
-    tuples, inverse = table.qi_tuples
     counts = release.class_counts.ravel().astype(float)    # bincount weights, class after class
-    # The scores' columns run in reverse SA order, so that the first maximum
-    # is the highest code: among ties the more frequent value is predicted.
-    log_scores = np.empty((len(tuples), m))
-    log_scores[:] = np.log(p)[::-1]
+    # Per axis: each value's segment, and each segment's log Pr[t | v_i].
+    segments, log_conds = [], []
     for k, (attr, values) in enumerate(zip(table.schema.qi_attributes, table.qi_values)):
         # A segment starts at 0 and at each span's first value and end;
         # `segment` maps each value, and len(values), to its segment.
@@ -189,17 +189,29 @@ def nb_bound_audit(release: Release, table: Table) -> NbAuditReport:
                 worst = (attr.name, shown, dist.values[si], float(ratio[gi, si]))
                 worst_bound = float(bounds[si])
             max_ratio = np.maximum(max_ratio, ratio.max(axis=0))
-        # log Pr[t | v_i] is added to the tuples' scores a chunk at a time.
         log_cond = np.divide(hits, n_i[None, :], out=hits)
         with np.errstate(divide="ignore"):
             np.log(log_cond, out=log_cond)
-        for lo in range(0, len(tuples), SCORE_CHUNK):
-            log_scores[lo : lo + SCORE_CHUNK] += log_cond[segment[tuples[lo : lo + SCORE_CHUNK, k]], ::-1]
-        # Free the buffer before the next axis allocates its own.
-        del hits, log_cond
+        segments.append(segment)
+        log_conds.append(log_cond)
 
-    predictions = m - 1 - np.argmax(log_scores, axis=1)
-    accuracy = float(np.mean(predictions[inverse] == table.sa_codes))
+    # Rows with the same QI values get the same scores: score each distinct
+    # tuple once, a block of SCORE_CHUNK tuples at a time, and compare its
+    # prediction with each of its rows. The scores' columns run in reverse
+    # SA order, so that the first maximum is the highest code: among ties
+    # the more frequent value is predicted.
+    tuples, inverse = table.qi_tuples
+    predictions = np.empty(len(tuples), dtype=table.sa_codes.dtype)
+    log_p = np.log(p)[::-1]
+    for lo in range(0, len(tuples), SCORE_CHUNK):
+        block = tuples[lo : lo + SCORE_CHUNK]
+        log_scores = np.empty((len(block), m))
+        log_scores[:] = log_p
+        for k, (segment, log_cond) in enumerate(zip(segments, log_conds)):
+            log_scores += log_cond[segment[block[:, k]], ::-1]
+        predictions[lo : lo + SCORE_CHUNK] = m - 1 - np.argmax(log_scores, axis=1)
+    # The count of matches is exact, so this is the mean's float.
+    accuracy = float(np.count_nonzero(np.take(predictions, inverse) == table.sa_codes) / table.n_rows)
     return NbAuditReport(
         beta=release.beta,
         bounds=bounds,

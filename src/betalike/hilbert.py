@@ -99,4 +99,4 @@ def table_keys(table: Table, order: int):
     _check_order(order)
     _, inverse = table.qi_tuples
     keys, codes = _distinct_codes(hilbert_indices(quantize_table(table, order), order))
-    return keys, codes[inverse]
+    return keys, np.take(codes, inverse)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -74,6 +76,16 @@ def table_from_qi_columns(schema: bl.DatasetSchema, columns, sa_codes, sa_values
     return bl.Table(schema, tuple(values for values, _ in qi),
                     tuple(codes.astype(code_dtype(len(values))) for values, codes in qi),
                     np.asarray(sa_codes).astype(code_dtype(len(sa_values))), tuple(sa_values))
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def balanced_hierarchy(values: list[str], fanout: int, root_label: str = "any") -> bl.Hierarchy:

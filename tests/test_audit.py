@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +13,7 @@ from betalike.data import CATEGORICAL, NUMERIC, QI, Attribute
 from betalike.likeness import Bound
 from betalike.release import EquivalenceClass, Release
 
-from conftest import DISEASES, balanced_hierarchy, disease_table, table1
+from conftest import DISEASES, balanced_hierarchy, disease_table, table1, traced_peak
 
 
 def single_attr_schema():
@@ -328,9 +327,11 @@ def test_nb_audit_matches_brute_force(data):
     _assert_nb_audit_matches_brute_force(release, table)
 
 
-def _assert_nb_audit_matches_brute_force(release, table):
+def _assert_nb_audit_matches_brute_force(release, table, expected=None):
+    """The audit against `brute_force_nb_audit`, or against its `expected`
+    fields when the caller has computed them already."""
     report = bl.nb_bound_audit(release, table)
-    expected = brute_force_nb_audit(release, table)
+    expected = dict(expected or brute_force_nb_audit(release, table))
     assert np.array_equal(report.bounds, expected.pop("bounds"))
     assert np.array_equal(report.max_ratio, expected.pop("max_ratio"))
     assert {key: getattr(report, key) for key in expected} == expected
@@ -396,25 +397,22 @@ def test_nb_audit_memory_stays_with_distinct_values_and_classes():
     spec = (Attribute("zip", QI, NUMERIC, lo=0, hi=99999), Attribute("age", QI, NUMERIC, lo=16, hi=94))
     table = bl.generate_synthetic(20_000, 10, qi_spec=spec, skew=0.5, seed=1)
     release = bl.generalize(table, 4.0, seed=1)
-    tracemalloc.start()
-    try:
-        bl.nb_bound_audit(release, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert traced_peak(bl.nb_bound_audit, release, table) < 40 * 2**20
 
 
 def test_nb_audit_memory_stays_with_distinct_tuples(census_table, census_release_b4):
     # 100k rows over at most 79 x 2 x 17 distinct QI tuples, m = 50: scores
     # per row (rows x m float64) would need about 80 MB.
-    tracemalloc.start()
-    try:
-        bl.nb_bound_audit(census_release_b4, census_table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert traced_peak(bl.nb_bound_audit, census_release_b4, census_table) < 16 * 2**20
+
+
+def zip_release(n_rows):
+    """(release, table): the default QI plus a zip code, m = 50, at beta 4,
+    with the table's distinct tuples already found."""
+    spec = bl.default_qi_spec() + (Attribute("zip", QI, NUMERIC, lo=0, hi=99999),)
+    table = bl.generate_synthetic(n_rows, 50, qi_spec=spec, seed=1, sa_freqs=bl.census_like_profile(50))
+    table.qi_tuples
+    return bl.generalize(table, 4.0, seed=1), table
 
 
 def test_nb_audit_memory_on_a_zip_table():
@@ -422,15 +420,31 @@ def test_nb_audit_memory_on_a_zip_table():
     # nearly as many distinct tuples, m = 50. Holding steps, hits,
     # conditionals, ratios and their log of the zip axis at once peaked at
     # 50.3 MB; the audit keeps one (segments x m) array per axis (175
-    # segments of the zip axis here) and the (tuples x m) scores.
-    spec = bl.default_qi_spec() + (Attribute("zip", QI, NUMERIC, lo=0, hi=99999),)
-    table = bl.generate_synthetic(20_000, 50, qi_spec=spec, seed=1, sa_freqs=bl.census_like_profile(50))
-    release = bl.generalize(table, 4.0, seed=1)
-    table.qi_tuples
-    tracemalloc.start()
-    try:
-        bl.nb_bound_audit(release, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 25 * 2**20
+    # segments of the zip axis here) and one block of tuples' scores.
+    assert traced_peak(bl.nb_bound_audit, *zip_release(20_000)) < 25 * 2**20
+
+
+def test_nb_audit_memory_on_a_100k_zip_table():
+    # 100k rows and nearly as many distinct tuples: (tuples x m) float64
+    # scores alone take about 38 MB (a 42.7 MB peak). Scored a block at a
+    # time the audit peaks at about 7 MB.
+    assert traced_peak(bl.nb_bound_audit, *zip_release(100_000)) < 12 * 2**20
+
+
+def _report_fields(report):
+    return (report.beta, report.bounds.tobytes(), report.max_ratio.tobytes(), report.worst, report.worst_bound,
+            report.violations, report.pairs, report.accuracy, report.top_frequency, report.lines())
+
+
+@pytest.mark.parametrize("on_zip", [True, False], ids=["zip-20k", "census-100k"])
+def test_nb_audit_is_the_same_at_every_score_block(on_zip, census_release_b4, census_table, monkeypatch):
+    # Blocks of one tuple, of a few, and one block that ends just before,
+    # at or past the last tuple: every report equals the default one.
+    release, table = zip_release(20_000) if on_zip else (census_release_b4, census_table)
+    expected = brute_force_nb_audit(release, table)
+    default = _report_fields(_assert_nb_audit_matches_brute_force(release, table, expected))
+    n_tuples = len(table.qi_tuples[0])
+    for chunk in (1, 7, n_tuples - 1, n_tuples, n_tuples + 1):
+        monkeypatch.setattr(audit, "SCORE_CHUNK", chunk)
+        report = _assert_nb_audit_matches_brute_force(release, table, expected)
+        assert _report_fields(report) == default, chunk

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import tracemalloc
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 import betalike as bl
 from betalike import data
 from betalike.perturb import _in_published_order
-from conftest import table_from_qi_columns
+from conftest import table_from_qi_columns, traced_peak
 
 B = data._BLOCK
 
@@ -511,15 +510,10 @@ def test_load_peak_is_a_few_times_the_table(tmp_path):
     source = bl.generate_synthetic(200_000, 50, seed=2, sa_freqs=bl.census_like_profile(50))
     path = tmp_path / "census.csv"
     bl.save_table(source, path)
-    tracemalloc.start()
-    try:
-        table = bl.load_table(path, source.schema)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(bl.load_table, path, source.schema)
     # The bytes of the float64 QI columns and int64 SA codes the table held
     # before it kept only narrow codes.
-    arrays = 8 * table.n_rows * (len(table.qi_codes) + 1)
+    arrays = 8 * source.n_rows * (len(source.qi_codes) + 1)
     assert peak <= 4 * arrays, (peak, arrays)
 
 
@@ -529,13 +523,8 @@ def test_load_peak_on_a_zip_table(tmp_path):
     source = bl.generate_synthetic(200_000, 50, qi_spec=qi_spec, seed=2, sa_freqs=bl.census_like_profile(50))
     path = tmp_path / "zip.csv"
     bl.save_table(source, path)
-    tracemalloc.start()
-    try:
-        table = bl.load_table(path, source.schema)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    arrays = 8 * table.n_rows * (len(table.qi_codes) + 1)
+    peak = traced_peak(bl.load_table, path, source.schema)
+    arrays = 8 * source.n_rows * (len(source.qi_codes) + 1)
     assert peak <= 2 * arrays, (peak, arrays)
 
 
@@ -661,17 +650,9 @@ def test_numbers_write_as_their_python_forms(tmp_path, values):
     assert b"-0," not in (tmp_path / "t.csv").read_bytes()
 
 
-def _save_peak(table, path):
-    tracemalloc.start()
-    try:
-        bl.save_table(table, path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_save_peak_does_not_grow_with_rows(tmp_path):
-    peaks = [_save_peak(bl.generate_synthetic(n, 50, seed=2, sa_freqs=bl.census_like_profile(50)), tmp_path / "t.csv")
+    peaks = [traced_peak(bl.save_table, bl.generate_synthetic(n, 50, seed=2, sa_freqs=bl.census_like_profile(50)),
+                         tmp_path / "t.csv")
              for n in (200_000, 1_000_000)]
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
@@ -690,7 +671,7 @@ def test_save_peak_with_one_long_label(tmp_path):
     table = table_from_qi_columns(schema, (rng.integers(0, 100, n).astype(float), leaf), rng.integers(0, 3, n),
                                   ("a", "b", "c"))
     path = tmp_path / "t.csv"
-    peak = _save_peak(table, path)
+    peak = traced_peak(bl.save_table, table, path)
     reference_save(table, tmp_path / "ref.csv")
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
     distinct = sum(len(label.encode()) for label in leaves)

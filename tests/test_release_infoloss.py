@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import betalike as bl
 from betalike.data import NUMERIC, DataError
 from betalike.release import EquivalenceClass
 
-from conftest import DISEASE_HIERARCHY, balanced_hierarchy, mixed_qi_tables, release_to_obj
+from conftest import DISEASE_HIERARCHY, balanced_hierarchy, mixed_qi_tables, release_to_obj, traced_peak
 
 
 def cat_schema():
@@ -276,13 +275,7 @@ def test_generalize_peak_memory():
     # with the buckets still held, peaked at 17.6 MB here; the batched
     # build after freeing them peaks at about 13.9 MB.
     table = bl.generate_synthetic(200_000, 50, seed=1, sa_freqs=bl.census_like_profile(50))
-    tracemalloc.start()
-    try:
-        bl.generalize(table, 4.0, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 17 * 2**20
+    assert traced_peak(bl.generalize, table, 4.0, 1) < 17 * 2**20
 
 
 # -- save_release against the object form ----------------------------------------
