@@ -7,25 +7,34 @@ hierarchy node covering them, the lowest common ancestor, whose label exists
 only in the file: `save_release` writes `Hierarchy.lca(lo, hi).label` and
 `load_release` accepts no other. The overall SA distribution and the run
 parameters are embedded so a release file is auditable on its own.
+
+A release holds its classes as arrays, and only so: `class_counts`
+(classes x m int64), per QI attribute a float `lo` and `hi` array
+(`class_extents`), and the member rows class after class, or none for a
+loaded release. `build_ec` computes them in one batched pass and
+`load_release` reads them a field at a time over all classes; neither makes
+an object per class. `Release.ecs` shows class k as an `EquivalenceClass`
+view made on access, and a `Release` built from `EquivalenceClass` objects
+turns them into the arrays once. A release is immutable: its arrays, and
+those it caches (`sa_prefix`, `distinct_extents`), are read-only.
+
 `load_release` rejects a file `generalize` could not have written: an SA
 attribute the schema does not name, a negative seed, a curve order `hilbert`
 would refuse, an extent outside the schema domain or not a hierarchy node,
-an empty class, or class counts that do not add up to the distribution. A
-release is immutable, so the class arrays the estimators and the audit read
-(`class_counts` and its `sa_prefix`, `class_extents` and their distinct
-pairs, `distinct_extents`) are cached, never invalidated. `build_ec` builds
-all classes in one batched pass, and `save_release` writes the file's fixed
-layout from the class arrays.
+an empty class, or class counts that do not add up to the distribution. Its
+error names the lowest-numbered faulty class and that class's first fault,
+in the order a class is read. `save_release` writes the file's fixed layout
+from the class arrays.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
+from collections.abc import Sequence
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +47,10 @@ from .likeness import Distribution
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceClass:
+    """One class as a `Release` is built from it and as `Release.ecs` shows
+    it, a view over the release's arrays: read-only `sa_counts` and `rows`
+    (None when the release holds no member rows) and float extents."""
+
     extents: tuple[tuple[float, float], ...]
     sa_counts: np.ndarray
     rows: np.ndarray | None = None
@@ -47,36 +60,87 @@ class EquivalenceClass:
         return int(self.sa_counts.sum())
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Classes(Sequence):
+    """A release's classes as read-only arrays: `counts` (classes, m) int64,
+    `extents` per QI attribute a float (lo, hi) pair of arrays, and the
+    member rows class after class, class k's being `rows[bounds[k]:bounds[k +
+    1]]` (both None when unknown). Item k is class k as an `EquivalenceClass`
+    view, made on access; a slice is a tuple of them."""
+
+    def __init__(self, counts: np.ndarray, extents, rows: np.ndarray | None = None, ends=None) -> None:
+        self.counts = _frozen(counts)
+        # Float whatever the column's dtype: `distinct_extents` reads the bits as float64.
+        self.extents = tuple((_frozen(np.asarray(lo, dtype=float)), _frozen(np.asarray(hi, dtype=float)))
+                             for lo, hi in extents)
+        # A view, so freezing it leaves the caller's array as it was.
+        self.rows = None if rows is None else _frozen(rows.view())
+        self.bounds = None if rows is None else _frozen(np.concatenate([[0], ends]))
+
+    @classmethod
+    def of(cls, ecs: Sequence[EquivalenceClass], m: int, axes: int) -> _Classes:
+        """The arrays of `ecs`; member rows only if every class has them."""
+        counts = np.asarray([ec.sa_counts for ec in ecs], dtype=np.int64).reshape(-1, m)
+        shape = (len(ecs), axes, 2)
+        bounds = chain.from_iterable(chain.from_iterable(ec.extents for ec in ecs))
+        pairs = np.fromiter(bounds, dtype=float, count=math.prod(shape)).reshape(shape)
+        rows = ends = None
+        if ecs and all(ec.rows is not None for ec in ecs):
+            rows = np.concatenate([ec.rows for ec in ecs])
+            ends = np.cumsum([len(ec.rows) for ec in ecs])
+        return cls(counts, pairs.transpose(1, 2, 0).copy(), rows, ends)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
+        k = range(len(self))[k]
+        rows = None if self.rows is None else self.rows[self.bounds[k]:self.bounds[k + 1]]
+        extents = tuple((float(lo[k]), float(hi[k])) for lo, hi in self.extents)
+        return EquivalenceClass(extents, self.counts[k], rows)
+
+
 @dataclass(frozen=True, eq=False)
 class Release:
+    """A generalized table as published. `ecs` may be given as any sequence
+    of `EquivalenceClass`; it is held as the class arrays, once."""
+
     schema: DatasetSchema
     dist: Distribution
     beta: float
     seed: int
     curve_order: int
-    ecs: tuple[EquivalenceClass, ...]
+    ecs: Sequence[EquivalenceClass]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.ecs, _Classes):
+            classes = _Classes.of(tuple(self.ecs), self.dist.m, len(self.schema.qi_attributes))
+            object.__setattr__(self, "ecs", classes)
 
     @property
     def n_rows(self) -> int:
         return int(self.class_counts.sum())
 
-    @cached_property
+    @property
     def class_counts(self) -> np.ndarray:
         """(classes, m) int64: each class's SA counts."""
-        return np.asarray([ec.sa_counts for ec in self.ecs], dtype=np.int64).reshape(-1, self.dist.m)
+        return self.ecs.counts
 
     @cached_property
     def sa_prefix(self) -> np.ndarray:
         """(m + 1, classes) float64: row s holds each class's count of SA codes below s."""
-        return np.vstack([np.zeros(len(self.class_counts)), np.cumsum(self.class_counts, axis=1).T])
+        return _frozen(np.vstack([np.zeros(len(self.class_counts)), np.cumsum(self.class_counts, axis=1).T]))
 
-    @cached_property
+    @property
     def class_extents(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per QI attribute, float (lo, hi) over the classes; categorical: the leaf span."""
-        shape = (len(self.ecs), len(self.schema.qi_attributes), 2)
-        bounds = chain.from_iterable(chain.from_iterable(ec.extents for ec in self.ecs))
-        pairs = np.fromiter(bounds, dtype=float, count=math.prod(shape)).reshape(shape)
-        return tuple(tuple(axis) for axis in pairs.transpose(1, 2, 0).copy())
+        return self.ecs.extents
 
     @cached_property
     def distinct_extents(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -92,16 +156,17 @@ class Release:
                                                         for bound in (lo, hi))
             pairs, index = np.unique(lo_codes * len(hi_bits) + hi_codes, return_inverse=True)
             lo_code, hi_code = divmod(pairs, len(hi_bits))
-            out.append((lo_bits[lo_code].view(float), hi_bits[hi_code].view(float), index))
+            out.append(tuple(map(_frozen, (lo_bits[lo_code].view(float), hi_bits[hi_code].view(float), index))))
         return tuple(out)
 
 
-def build_ec(table: Table, rows: np.ndarray, sizes) -> tuple[EquivalenceClass, ...]:
+def build_ec(table: Table, rows: np.ndarray, sizes) -> Sequence[EquivalenceClass]:
     """The classes whose members are consecutive runs of `rows`, the k-th
-    `sizes[k]` long, with tight QI extents and SA counts: one `bincount` of
-    class * m + SA code, `reduceat` over QI codes, ordered as `qi_values`, and
-    one `Hierarchy.lca` per distinct member leaf span, whose node span each
-    class with that span takes. Each class's rows are a slice of `rows`."""
+    `sizes[k]` long, with tight QI extents and SA counts, as arrays: one
+    `bincount` of class * m + SA code, `reduceat` over QI codes, ordered as
+    `qi_values`, and one `Hierarchy.lca` per distinct member leaf span, whose
+    node span each class with that span takes. The classes keep a read-only
+    view of `rows`."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if (sizes <= 0).any():
         raise DataError("cannot generalize an empty class")
@@ -114,7 +179,7 @@ def build_ec(table: Table, rows: np.ndarray, sizes) -> tuple[EquivalenceClass, .
     key = table.sa_codes[rows].astype(dtype)
     key += np.repeat(np.arange(0, n * m, m, dtype=dtype), sizes)
     counts = np.bincount(key, minlength=n * m).reshape(n, m)
-    columns = []
+    extents = []
     for attr, values, codes in zip(table.schema.qi_attributes, table.qi_values, table.qi_codes):
         member = codes[rows]
         lo, hi = values[np.minimum.reduceat(member, starts)], values[np.maximum.reduceat(member, starts)]
@@ -122,10 +187,9 @@ def build_ec(table: Table, rows: np.ndarray, sizes) -> tuple[EquivalenceClass, .
             leaves = attr.hierarchy.n_leaves
             spans, index = np.unique(lo * leaves + hi, return_inverse=True)
             nodes = [attr.hierarchy.lca(*divmod(span, leaves)) for span in spans.tolist()]
-            lo, hi = np.asarray([(node.leaf_lo, node.leaf_hi) for node in nodes], dtype=float)[index].T
-        columns.append(zip(lo.tolist(), hi.tolist()))
-    return tuple(EquivalenceClass(extents, class_counts, rows[a:b])
-                 for extents, class_counts, a, b in zip(zip(*columns), counts, starts.tolist(), ends.tolist()))
+            lo, hi = np.asarray([(node.leaf_lo, node.leaf_hi) for node in nodes], dtype=float)[index].T.copy()
+        extents.append((lo, hi))
+    return _Classes(counts, extents, rows, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +239,170 @@ def save_release(release: Release, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+_MISSING = object()
+
+
+def _typed(values: list, kind, items=None) -> np.ndarray:
+    """Which of `values` `json_field` takes as a `kind` (a list holding only
+    `items`, if given); `_MISSING` is none."""
+    kinds = set(kind) if isinstance(kind, tuple) else {kind}
+    if set(map(type, values)) <= kinds and (items is None
+                                            or set(map(type, chain.from_iterable(values))) <= {items}):
+        return np.ones(len(values), dtype=bool)
+    return np.fromiter((type(v) in kinds and (items is None or all(type(x) is items for x in v)) for v in values),
+                       dtype=bool, count=len(values))
+
+
+def _field_error(obj: dict, key: str, kind, where, items=None) -> str:
+    """The error `json_field` gives obj[key]."""
+    try:
+        json_field(obj, key, kind, where, items)
+    except DataError as exc:
+        return str(exc)
+    raise AssertionError(f"{where}: field {key!r} is a JSON {kind}")
+
+
+def _counts(values: list, most: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, counts): which of `values` are JSON integers from 0 to `most`
+    (below 2**63), and each as an int64, -1 where it is not one."""
+    try:
+        if set(map(type, values)) <= {int}:
+            counts = np.fromiter(values, dtype=np.int64, count=len(values))
+            return (counts >= 0) & (counts <= most), counts
+    except OverflowError:
+        pass
+    counts = np.fromiter((v if type(v) is int and 0 <= v <= most else -1 for v in values),
+                         dtype=np.int64, count=len(values))
+    return counts >= 0, counts
+
+
+def _numeric_fault(attr, lo, hi) -> str | None:
+    # Compared before any float conversion, which a huge JSON integer overflows.
+    if not (attr.lo <= lo <= hi <= attr.hi and math.isfinite(lo) and math.isfinite(hi)):
+        return f"needs finite {attr.lo:g} <= lo <= hi <= {attr.hi:g}, got lo={lo!r}, hi={hi!r}"
+    return None
+
+
+def _node_fault(attr, label, lo, hi) -> str | None:
+    try:
+        node = attr.hierarchy.lca(lo, hi)
+    except HierarchyError as exc:
+        return str(exc)
+    if (label, lo, hi) != (node.label, node.leaf_lo, node.leaf_hi):
+        return (f"label {label!r} with leaves [{lo}, {hi}] is not the hierarchy node {node.label!r} "
+                f"[{node.leaf_lo}, {node.leaf_hi}] covering them")
+    return None
+
+
+class _ClassChecks:
+    """The checks of a release's classes, each a mask over the classes and
+    the error of class k, added in the order a class is read. The file's
+    error is the first failing check of its lowest-numbered failing class.
+    No error function refers back to the checks, so once read they free
+    the parsed file at once, not at the next cycle collection."""
+
+    def __init__(self, n: int) -> None:
+        self.n, self.checks = n, []
+
+    def add(self, failing, error) -> None:
+        self.checks.append((np.asarray(failing, dtype=bool), error))
+
+    def field(self, objs: list, key: str, kind, name, items=None) -> tuple[list, np.ndarray]:
+        """Each object's `key` (`_MISSING` where absent) and which of them are
+        the `kind` that `json_field` takes."""
+        values = list(map(dict.get, objs, repeat(key), repeat(_MISSING)))
+        typed = _typed(values, kind, items)
+        self.add(~typed, lambda k: _field_error(objs[k], key, kind, name(k), items))
+        return values, typed
+
+    def value_fault(self, fault, name, typed, *columns) -> None:
+        """`fault(*values) -> message or None` of the `typed` classes' field
+        values, called once per distinct tuple of values: equal tuples fail
+        alike, and a failing class's message shows its own values."""
+        keys = list(zip(*columns))
+        failing = {key for key in set(compress(keys, typed.tolist())) if fault(*key) is not None}
+        mask = np.zeros(self.n, dtype=bool)
+        if failing:
+            mask = [ok and key in failing for ok, key in zip(typed.tolist(), keys)]
+        self.add(mask, lambda k: f"{name(k)}: {fault(*keys[k])}")
+
+    def raise_first(self) -> None:
+        failing = np.zeros(self.n, dtype=bool)
+        for mask, _ in self.checks:
+            failing |= mask
+        if failing.any():
+            k = int(failing.argmax())
+            raise DataError(next(error(k) for mask, error in self.checks if mask[k]))
+
+
+def _read_classes(classes: list, path: Path, schema: DatasetSchema,
+                  dist: Distribution) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """(counts, extents) of the release's `classes`, read a field at a time
+    over all of them. A class is checked as it is read: its extents, each QI
+    attribute's in schema order (field types, then the range or hierarchy
+    node), its SA counts in key order (a known value, then the count), and
+    its size (type, match, not empty). Then the per-value sums must give the
+    distribution's counts; a sum that may pass 2**63 is taken in Python ints,
+    which no file can wrap."""
+    n, m, qi = len(classes), dist.m, schema.qi_attributes
+    checks = _ClassChecks(n)
+
+    def name(k):
+        return f"{path}: classes[{k}]"
+    raw, listed = checks.field(classes, "extents", list, name, items=dict)
+    raw = [e if ok else () for e, ok in zip(raw, listed.tolist())]
+    sized = np.fromiter(map(len, raw), dtype=np.int64, count=n) == len(qi)
+    checks.add(listed & ~sized, lambda k: f"{name(k)}: needs one extent per QI attribute")
+    blank = ({},) * len(qi)
+    rows = [e if ok else blank for e, ok in zip(raw, sized.tolist())]
+    bounds = []
+    for axis, attr in enumerate(qi):
+        objs = [row[axis] for row in rows]
+        def at(k, attr=attr):
+            return f"{name(k)}: extent {attr.name}"
+        if attr.kind == NUMERIC:
+            (lo, lo_ok), (hi, hi_ok) = (checks.field(objs, key, (int, float), at) for key in ("lo", "hi"))
+            checks.value_fault(partial(_numeric_fault, attr), at, lo_ok & hi_ok, lo, hi)
+        else:
+            fields = (("label", str), ("leaf_lo", int), ("leaf_hi", int))
+            (label, label_ok), (lo, lo_ok), (hi, hi_ok) = (checks.field(objs, key, t, at) for key, t in fields)
+            checks.value_fault(partial(_node_fault, attr), at, label_ok & lo_ok & hi_ok, label, lo, hi)
+        bounds.append((lo, hi))
+    sa, sa_ok = checks.field(classes, "sa", dict, name)
+    objs = [d if ok else {} for d, ok in zip(sa, sa_ok.tolist())]
+    lengths = np.fromiter(map(len, objs), dtype=np.int64, count=n)
+    firsts = np.cumsum(lengths) - lengths
+    values = list(chain.from_iterable(objs))
+    index = {v: i for i, v in enumerate(dist.values)}
+    codes = np.fromiter(map(index.get, values, repeat(-1)), dtype=np.int64, count=len(values))
+    counted, counts = _counts(list(chain.from_iterable(map(dict.values, objs))), dist.total)
+    faulty = (codes < 0) | ~counted
+    owner = np.repeat(np.arange(n), lengths)
+
+    def sa_error(k):
+        j = firsts[k] + int(faulty[firsts[k]:firsts[k] + lengths[k]].argmax())
+        if codes[j] < 0:
+            return f"{name(k)}: unknown SA value {values[j]!r}"
+        return f"{name(k)}: count of {values[j]!r} must be an integer from 0 to {dist.total}"
+    checks.add(np.bincount(owner[faulty], minlength=n) > 0, sa_error)
+    matrix = np.zeros((n, m), dtype=np.int64)
+    fine = ~faulty
+    matrix.ravel()[(owner * m + codes)[fine]] = counts[fine]
+    # Each count is below 2**63, but their sums need not be.
+    exact = matrix.astype(object) if matrix.sum(dtype=float) >= 2**62 else matrix
+    sums = exact.sum(axis=1).tolist()
+    size, _ = checks.field(classes, "size", int, name)
+    checks.add([s != t for s, t in zip(size, sums)],
+               lambda k: f"{name(k)}: class size does not match its SA counts")
+    checks.add([t == 0 for t in sums], lambda k: f"{name(k)}: class is empty")
+    checks.raise_first()
+    for value, total, expected in zip(dist.values, exact.sum(axis=0).tolist(), dist.counts):
+        if total != expected:
+            raise DataError(f"{path}: field 'classes': counts of {value!r} sum to {total}, "
+                            f"but 'sa' field 'counts' gives {expected}")
+    return matrix, [(np.array(lo, dtype=float), np.array(hi, dtype=float)) for lo, hi in bounds]
+
+
 def load_release(path, schema: DatasetSchema) -> Release:
     """Read a release file back into an auditable object (no member rows)."""
     path = Path(path)
@@ -192,52 +420,6 @@ def load_release(path, schema: DatasetSchema) -> Release:
         _check_order(curve_order)
     except DataError as exc:
         raise DataError(f"{path}: field 'curve_order': {exc}") from None
-    index = {v: i for i, v in enumerate(dist.values)}
-    # Sizes and per-value sums are added as Python ints, which no file can wrap.
-    totals = [0] * dist.m
-    ecs = []
-    for k, cls in enumerate(json_field(obj, "classes", list, path, items=dict)):
-        where = f"{path}: classes[{k}]"
-        raw_extents = json_field(cls, "extents", list, where, items=dict)
-        if len(raw_extents) != len(schema.qi_attributes):
-            raise DataError(f"{where}: needs one extent per QI attribute")
-        extents = []
-        for attr, ext in zip(schema.qi_attributes, raw_extents):
-            at = f"{where}: extent {attr.name}"
-            if attr.kind == NUMERIC:
-                lo, hi = (json_field(ext, key, (int, float), at) for key in ("lo", "hi"))
-                # Compared before any float conversion, which a huge JSON integer overflows.
-                if not (attr.lo <= lo <= hi <= attr.hi and math.isfinite(lo) and math.isfinite(hi)):
-                    raise DataError(f"{at}: needs finite {attr.lo:g} <= lo <= hi <= {attr.hi:g}, "
-                                    f"got lo={lo!r}, hi={hi!r}")
-            else:
-                fields = (("label", str), ("leaf_lo", int), ("leaf_hi", int))
-                label, lo, hi = (json_field(ext, key, kind, at) for key, kind in fields)
-                try:
-                    node = attr.hierarchy.lca(lo, hi)
-                except HierarchyError as exc:
-                    raise DataError(f"{at}: {exc}") from None
-                if (label, lo, hi) != (node.label, node.leaf_lo, node.leaf_hi):
-                    raise DataError(f"{at}: label {label!r} with leaves [{lo}, {hi}] is not the "
-                                    f"hierarchy node {node.label!r} [{node.leaf_lo}, {node.leaf_hi}] "
-                                    "covering them")
-            extents.append((float(lo), float(hi)))
-        counts = [0] * dist.m
-        for value, c in json_field(cls, "sa", dict, where).items():
-            if value not in index:
-                raise DataError(f"{where}: unknown SA value {value!r}")
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c <= dist.total:
-                raise DataError(f"{where}: count of {value!r} must be an integer from 0 to {dist.total}")
-            counts[index[value]] = c
-            totals[index[value]] += c
-        size = sum(counts)
-        if size != json_field(cls, "size", int, where):
-            raise DataError(f"{where}: class size does not match its SA counts")
-        if size == 0:
-            raise DataError(f"{where}: class is empty")
-        ecs.append(EquivalenceClass(tuple(extents), np.asarray(counts, dtype=np.int64), None))
-    for value, total, expected in zip(dist.values, totals, dist.counts):
-        if total != expected:
-            raise DataError(f"{path}: field 'classes': counts of {value!r} sum to {total}, "
-                            f"but 'sa' field 'counts' gives {expected}")
-    return Release(schema, dist, beta, seed, curve_order, tuple(ecs))
+    classes = json_field(obj, "classes", list, path, items=dict)
+    counts, extents = _read_classes(classes, path, schema, dist)
+    return Release(schema, dist, beta, seed, curve_order, _Classes(counts, extents))

@@ -238,38 +238,37 @@ def brute_force_nb_audit(release, table):
     p = dist.freqs()
     n_i = np.asarray(dist.counts, dtype=float)
     bound = Bound(dist, release.beta)
+    one_value = [bound.at([si]) for si in range(m)]
     bounds = bound.caps() / p
     worst, worst_bound = ("", 0.0, "", 0.0), float(bounds[0])
-    max_ratio = np.zeros(m)
+    max_ratio = [0.0] * m
     violations = pairs = 0
     log_scores = np.tile(np.log(p), (table.n_rows, 1))
     for k, attr in enumerate(table.schema.qi_attributes):
-        col = table.qi_columns[k].tolist()
-        values = sorted(set(col))
-        hits = np.zeros((len(values), m), dtype=np.int64)
-        for vi, v in enumerate(values):
-            for ec in release.ecs:
-                lo, hi = ec.extents[k]
-                if lo <= v <= hi:
-                    hits[vi] += ec.sa_counts
+        col = table.qi_columns[k]
+        values = np.unique(col)
+        lo, hi = release.class_extents[k]
+        # hits[v] adds the counts of each class whose extent holds v.
+        covers = (lo[None, :] <= values[:, None]) & (values[:, None] <= hi[None, :])
+        hits = covers.astype(np.int64) @ release.class_counts
         covered = hits.sum(axis=1)
         cond = hits / n_i[None, :]
         ratio = cond / (covered / dist.total)[:, None]
-        for vi, v in enumerate(values):
+        for v, hit, size, row in zip(values.tolist(), hits.tolist(), covered.tolist(), ratio.tolist()):
             for si in range(m):
                 pairs += 1
-                violations += not bound.at([si]).admits([int(hits[vi, si])], int(covered[vi]))
-                max_ratio[si] = max(max_ratio[si], ratio[vi, si])
-                if ratio[vi, si] > worst[3]:
+                violations += not one_value[si].admits([hit[si]], size)
+                max_ratio[si] = max(max_ratio[si], row[si])
+                if row[si] > worst[3]:
                     shown = attr.hierarchy.leaves[int(v)] if attr.kind == CATEGORICAL else float(v)
-                    worst = (attr.name, shown, dist.values[si], float(ratio[vi, si]))
+                    worst = (attr.name, shown, dist.values[si], row[si])
                     worst_bound = float(bounds[si])
         with np.errstate(divide="ignore"):
-            log_scores += np.log(cond)[[values.index(v) for v in col]]
+            log_scores += np.log(cond)[np.searchsorted(values, col)]
     # Ties go to the more frequent value, the higher code.
-    predictions = [max(range(m), key=lambda s: (row[s], s)) for row in log_scores.tolist()]
-    accuracy = sum(int(a == b) for a, b in zip(predictions, table.sa_codes)) / table.n_rows
-    return {"bounds": bounds, "max_ratio": max_ratio, "worst": worst, "worst_bound": worst_bound,
+    predictions = [max(zip(row, range(m)))[1] for row in log_scores.tolist()]
+    accuracy = sum(int(a == b) for a, b in zip(predictions, table.sa_codes.tolist())) / table.n_rows
+    return {"bounds": bounds, "max_ratio": np.asarray(max_ratio), "worst": worst, "worst_bound": worst_bound,
             "violations": violations, "pairs": pairs, "accuracy": accuracy}
 
 

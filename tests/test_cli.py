@@ -444,9 +444,9 @@ def test_malformed_release_names_field(example_files, tmp_path, capsys):
     assert "release.json" in err and "'sa'" in err
 
 
-def _set_extent(k, **fields):
+def _set_extent(k, cls=0, **fields):
     def tamper(release):
-        release["classes"][0]["extents"][k].update(fields)
+        release["classes"][cls]["extents"][k].update(fields)
     return tamper
 
 
@@ -468,6 +468,18 @@ def _counts_past_int64(release):
     for cls in release["classes"]:
         cls["size"] *= scale
         cls["sa"] = {value: c * scale for value, c in cls["sa"].items()}
+
+
+def _sums_wrap_int64(release):
+    """Five classes hold 2**62 more of the top value, and its count 2**62
+    more: each class adds up, but the value's sum over the classes is 2**64
+    past its count, which int64 arithmetic would wrap to exactly the count."""
+    top = release["sa"]["values"][-1]
+    release["sa"]["counts"][-1] += 2**62
+    release["sa"]["total"] += 2**62
+    for cls in release["classes"][:5]:
+        cls["sa"][top] = cls["sa"].get(top, 0) + 2**62
+        cls["size"] += 2**62
 
 
 @pytest.mark.parametrize("tamper, named", [
@@ -492,11 +504,22 @@ def _counts_past_int64(release):
     (lambda release: release["classes"][0]["sa"].update(other=1), "unknown SA value 'other'"),
     (lambda release: release["classes"][0].update(size=release["classes"][0]["size"] + 1),
      "class size does not match its SA counts"),
+    (_sums_wrap_int64, "'classes'"),
 ], ids=["nan-extent", "infinite-extent", "inverted-extent", "outside-domain", "wrong-label",
         "not-the-node-span", "leaf-out-of-range", "huge-extent", "counts-off-distribution",
         "huge-count", "curve-order-too-large", "curve-order-negative", "negative-seed", "wrong-sa-attribute",
-        "empty-class", "total-past-int64", "missing-extent", "unknown-sa-value", "size-off-counts"])
+        "empty-class", "total-past-int64", "missing-extent", "unknown-sa-value", "size-off-counts",
+        "sums-wrap-int64"])
 def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
+    err = _audit_tampered_release(tmp_path, capsys, tamper)
+    assert "release.json" in err and named in err
+    # A field of the whole release is named as it stands; a class's fault names the class.
+    assert "classes[0]" in err or named.startswith("'")
+
+
+def _audit_tampered_release(tmp_path, capsys, tamper) -> str:
+    """The one error line `audit` prints for a generalized release of 300
+    rows (five SA values, at least five classes) once `tamper` changed it."""
     prefix = tmp_path / "synth"
     csv, schema = prefix.with_suffix(".csv"), prefix.with_suffix(".schema.json")
     path = tmp_path / "release.json"
@@ -505,6 +528,7 @@ def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
     assert run(["generalize", "--input", str(csv), "--schema", str(schema),
                 "--beta", "4", "--seed", "1", "--out", str(path)]) == 0
     release = json.loads(path.read_text(encoding="utf-8"))
+    assert len(release["classes"]) >= 5
     tamper(release)
     path.write_text(json.dumps(release), encoding="utf-8")
     capsys.readouterr()
@@ -512,9 +536,43 @@ def test_inconsistent_release_names_field(tmp_path, capsys, tamper, named):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "release.json" in err and named in err
-    # A field of the whole release is named as it stands; a class's fault names the class.
-    assert "classes[0]" in err or named.startswith("'")
+    return err
+
+
+def _tampers(*tampers):
+    def tamper(release):
+        for t in tampers:
+            t(release)
+    return tamper
+
+
+def _set_sa(cls, **counts):
+    def tamper(release):
+        release["classes"][cls]["sa"].update(counts)
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (_set_extent(0, cls=3, lo=60, hi=50), "classes[3]: extent age: needs finite"),
+    (_tampers(_set_extent(0, cls=3, lo=None), lambda release: release["classes"][1].update(size=0)),
+     "classes[1]: class size does not match its SA counts"),
+    (_tampers(_set_sa(2, other=1), _set_extent(1, cls=2, label="male", leaf_lo=0, leaf_hi=1)),
+     "classes[2]: extent sex: label 'male'"),
+    (_tampers(_set_sa(4, other=1), _set_extent(2, cls=4, hi="x")),
+     "classes[4]: extent education: field 'hi' must be a JSON number"),
+    (_tampers(lambda release: release["classes"][1]["extents"].pop(), _set_extent(0, cls=1, lo=-5)),
+     "classes[1]: needs one extent per QI attribute"),
+    # The first faulty SA entry in key order: an unknown value after a bad count.
+    (lambda release: release["classes"][2].update(sa={**{k: -1 for k in release["classes"][2]["sa"]},
+                                                        "other": 1}),
+     "classes[2]: count of "),
+    (lambda release: release["classes"][2].update(sa={"other": -1, **release["classes"][2]["sa"]}),
+     "classes[2]: unknown SA value 'other'"),
+], ids=["later-class", "first-of-two-classes", "extent-before-unknown-value", "field-type-before-unknown-value",
+        "extent-count-before-range", "bad-count-before-unknown-value", "unknown-value-before-its-count"])
+def test_release_error_names_the_first_fault_of_the_first_faulty_class(tmp_path, capsys, tamper, named):
+    err = _audit_tampered_release(tmp_path, capsys, tamper)
+    assert named in err
 
 
 def test_release_of_other_qi_attributes_is_one_error_line(tmp_path, capsys):

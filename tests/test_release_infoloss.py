@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import math
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import betalike as bl
-from betalike.data import NUMERIC, DataError
+from betalike.audit import failing_classes
+from betalike.data import NUMERIC, QI, Attribute, DataError
 from betalike.release import EquivalenceClass
 
 from conftest import DISEASE_HIERARCHY, balanced_hierarchy, mixed_qi_tables, release_to_obj, traced_peak
+from test_generalize import _golden_tables
 
 
 def cat_schema():
@@ -276,6 +281,126 @@ def test_generalize_peak_memory():
     # build after freeing them peaks at about 13.9 MB.
     table = bl.generate_synthetic(200_000, 50, seed=1, sa_freqs=bl.census_like_profile(50))
     assert traced_peak(bl.generalize, table, 4.0, 1) < 17 * 2**20
+
+
+# -- the class arrays of a release ---------------------------------------------
+
+@pytest.mark.parametrize("name", ["census", "zip", "census-100k", "zip-100k"])
+def test_class_arrays_equal_the_per_class_build(name, census_table):
+    # The golden tables, and a census and a zip table with about 1k classes each.
+    if name == "census-100k":
+        table = census_table
+    elif name == "zip-100k":
+        spec = bl.default_qi_spec() + (Attribute("zip", QI, NUMERIC, lo=0, hi=99999),)
+        table = bl.generate_synthetic(100_000, 50, seed=1, sa_freqs=bl.census_like_profile(50), qi_spec=spec)
+    else:
+        table = _golden_tables()[name]
+    release = bl.generalize(table, 4.0, seed=1)
+    want = [build_ec_per_class(table, ec.rows) for ec in release.ecs]
+    assert len(want) >= (1000 if "-" in name else 10)
+    assert release.class_counts.dtype == np.int64
+    assert np.array_equal(release.class_counts, [ec.sa_counts for ec in want])
+    for k, (lo, hi) in enumerate(release.class_extents):
+        assert lo.dtype == hi.dtype == float
+        assert (lo.tolist(), hi.tolist()) == tuple(map(list, zip(*(ec.extents[k] for ec in want))))
+    rows = np.concatenate([ec.rows for ec in release.ecs])
+    assert np.array_equal(np.sort(rows), np.arange(table.n_rows))
+    assert [len(ec.rows) for ec in release.ecs] == release.class_counts.sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_integer_qi_values_give_float_extents(tmp_path, dtype):
+    # A table built from `np.unique` of an integer column has integer
+    # numeric `qi_values`; its release is the float table's, file and all.
+    table = bl.generate_synthetic(2_000, 10, seed=1)
+    ints = dataclasses.replace(table, qi_values=tuple(
+        v.astype(dtype) if a.kind == NUMERIC else v for a, v in zip(table.schema.qi_attributes, table.qi_values)))
+    want, release = bl.generalize(table, 2.0, seed=1), bl.generalize(ints, 2.0, seed=1)
+    for (lo, hi), (want_lo, want_hi) in zip(release.class_extents, want.class_extents):
+        assert lo.dtype == hi.dtype == np.float64
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    bl.save_release(want, tmp_path / "float.json")
+    bl.save_release(release, tmp_path / "int.json")
+    assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+    loaded = bl.load_release(tmp_path / "int.json", table.schema)
+    for (lo, hi), (want_lo, want_hi) in zip(loaded.class_extents, want.class_extents):
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+def _arrays(release):
+    """Every array a release holds or caches, and those its class views show."""
+    ec = release.ecs[-1]
+    views = [ec.sa_counts] + ([] if ec.rows is None else [ec.rows])
+    return [release.class_counts, *chain.from_iterable(release.class_extents), release.sa_prefix,
+            *chain.from_iterable(release.distinct_extents), *views]
+
+
+def test_release_arrays_are_read_only(tmp_path):
+    table = bl.generate_synthetic(2_000, 10, seed=1)
+    release = bl.generalize(table, 2.0, seed=1)
+    path = tmp_path / "r.json"
+    bl.save_release(release, path)
+    achieved = bl.achieved_beta(release)
+    for r in (release, bl.load_release(path, table.schema)):
+        for a in _arrays(r):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    assert bl.achieved_beta(release) == achieved
+    # The rows given to build_ec stay the caller's to write.
+    rows = np.arange(table.n_rows)
+    bl.build_ec(table, rows, [table.n_rows])
+    rows[0] = 1
+
+
+def test_replaced_classes_are_what_the_release_reads(census_release_b4):
+    # The pattern the benchmark's self-test uses to break a release: its
+    # first class holds only one value.
+    release = census_release_b4
+    ec = release.ecs[0]
+    counts = np.zeros_like(ec.sa_counts)
+    counts[int(np.argmax(ec.sa_counts))] = ec.size
+    broken = dataclasses.replace(release, ecs=(EquivalenceClass(ec.extents, counts, ec.rows),) + release.ecs[1:])
+    assert np.array_equal(broken.class_counts, np.vstack([counts, release.class_counts[1:]]))
+    assert [lo.tolist() for lo, _ in broken.class_extents] == [lo.tolist() for lo, _ in release.class_extents]
+    assert np.array_equal(np.concatenate([c.rows for c in broken.ecs]), np.concatenate([c.rows for c in release.ecs]))
+    assert failing_classes(release) == []
+    assert failing_classes(broken) == [0]
+    assert math.isinf(bl.achieved_beta(broken))
+    # A release rebuilt from its own views holds the same arrays.
+    same = dataclasses.replace(release, ecs=list(release.ecs))
+    assert all(np.array_equal(a, b) for a, b in zip(_arrays(same), _arrays(release)))
+
+
+def test_load_release_leaves_no_reference_cycle(tmp_path, example2):
+    # A cycle through the loader's checks would keep the parsed file alive
+    # until the next cycle collection, and raise a process's peak memory.
+    path = tmp_path / "r.json"
+    bl.save_release(bl.generalize(example2, 2.0, seed=1), path)
+    gc.collect()
+    gc.disable()
+    try:
+        bl.load_release(path, example2.schema)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_release_without_classes_or_rows():
+    schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=0, hi=10), bl.Attribute("s", "sa")))
+    dist = bl.Distribution(("a", "b"), (1, 2), 3)
+    empty = bl.Release(schema, dist, 1.0, 0, 16, ())
+    assert len(empty.ecs) == 0 and empty.ecs[:] == () and list(empty.ecs) == []
+    assert empty.class_counts.shape == (0, 2) and empty.n_rows == 0
+    with pytest.raises(IndexError):
+        empty.ecs[0]
+    ecs = [EquivalenceClass(((0, 4),), np.array([1, 0])), EquivalenceClass(((5, 10),), np.array([0, 2]))]
+    release = bl.Release(schema, dist, 1.0, 0, 16, ecs)
+    assert release.class_counts.tolist() == [[1, 0], [0, 2]]
+    assert [(lo.tolist(), hi.tolist()) for lo, hi in release.class_extents] == [([0.0, 5.0], [4.0, 10.0])]
+    last = release.ecs[-1]
+    assert last.extents == ((5.0, 10.0),) and last.sa_counts.tolist() == [0, 2] and last.rows is None
+    assert [ec.size for ec in release.ecs[::-1]] == [2, 1]
+    assert bl.ail(release) == pytest.approx((1 * 0.4 + 2 * 0.5) / 3)
 
 
 # -- save_release against the object form ----------------------------------------
