@@ -39,15 +39,32 @@ def read_json(path):
 _JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer", (int, float): "number"}
 
 
+def _is_a(value, kind) -> bool:
+    """The JSON type rule: an instance of `kind` (a type, or a tuple of
+    types) that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def json_types(values: list, kind, items=None) -> np.ndarray:
+    """Which of `values` are a JSON `kind` (a list holding only `items`, if
+    given), by `_is_a`. One look at the set of their types settles it when
+    each value, and each item, has exactly an expected type."""
+    kinds = set(kind) if isinstance(kind, tuple) else {kind}
+    if set(map(type, values)) <= kinds and (items is None
+                                            or set(map(type, chain.from_iterable(values))) <= {items}):
+        return np.ones(len(values), dtype=bool)
+    return np.fromiter((_is_a(v, kind) and (items is None or json_types(v, items).all()) for v in values),
+                       dtype=bool, count=len(values))
+
+
 def json_field(obj: dict, key: str, kind, where, items=None):
-    """obj[key] when it is a `kind` (a list holding only `items`, if given);
-    otherwise a DataError naming `where` (the file) and the field."""
+    """obj[key] when it is a `kind` (a list holding only `items`, if given,
+    as `json_types` decides); otherwise a DataError naming `where` (the
+    file) and the field."""
     if key not in obj:
         raise DataError(f"{where}: missing field {key!r}")
     value = obj[key]
-    def is_a(v, t) -> bool:
-        return isinstance(v, t) and not isinstance(v, bool)
-    if not is_a(value, kind) or items is not None and not all(is_a(v, items) for v in value):
+    if not _is_a(value, kind) or items is not None and not json_types(value, items).all():
         expected = _JSON_NAMES[kind] + (f" of {_JSON_NAMES[items]}s" if items is not None else "")
         raise DataError(f"{where}: field {key!r} must be a JSON {expected}")
     return value
@@ -481,9 +498,6 @@ class _NumberKeys:
     def __init__(self, keys: np.ndarray) -> None:
         self.keys = keys
         self.values = _key_numbers(keys)
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
     def __getitem__(self, i: int) -> str:
         return _decoded(self.keys[i : i + 1])[0]

@@ -21,25 +21,27 @@ those it caches (`sa_prefix`, `distinct_extents`), are read-only.
 `load_release` rejects a file `generalize` could not have written: an SA
 attribute the schema does not name, a negative seed, a curve order `hilbert`
 would refuse, an extent outside the schema domain or not a hierarchy node,
-an empty class, or class counts that do not add up to the distribution. Its
-error names the lowest-numbered faulty class and that class's first fault,
-in the order a class is read. `save_release` writes the file's fixed layout
-from the class arrays.
+an empty class, or class counts that do not add up to the distribution.
+Reading a field at a time over all classes, it only marks the faulty ones;
+`_check_class` then reads the lowest-numbered marked class again and raises
+its first fault. Both passes share `_check_extent`, `_counts` and the JSON
+type rule, so each rule is written once.
+`save_release` writes the file's fixed layout from the class arrays.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from collections.abc import Sequence
 from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .data import (NUMERIC, DataError, DatasetSchema, Table, _num, code_dtype, distribution_from_obj,
-                   distribution_to_obj, json_beta, json_field, json_seed, read_json)
+from .data import (CATEGORICAL, NUMERIC, DataError, DatasetSchema, Table, _num, code_dtype, distribution_from_obj,
+                   distribution_to_obj, json_beta, json_field, json_seed, json_types, read_json)
 from .hierarchy import HierarchyError
 from .hilbert import _check_order
 from .likeness import Distribution
@@ -239,29 +241,6 @@ def save_release(release: Release, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-_MISSING = object()
-
-
-def _typed(values: list, kind, items=None) -> np.ndarray:
-    """Which of `values` `json_field` takes as a `kind` (a list holding only
-    `items`, if given); `_MISSING` is none."""
-    kinds = set(kind) if isinstance(kind, tuple) else {kind}
-    if set(map(type, values)) <= kinds and (items is None
-                                            or set(map(type, chain.from_iterable(values))) <= {items}):
-        return np.ones(len(values), dtype=bool)
-    return np.fromiter((type(v) in kinds and (items is None or all(type(x) is items for x in v)) for v in values),
-                       dtype=bool, count=len(values))
-
-
-def _field_error(obj: dict, key: str, kind, where, items=None) -> str:
-    """The error `json_field` gives obj[key]."""
-    try:
-        json_field(obj, key, kind, where, items)
-    except DataError as exc:
-        return str(exc)
-    raise AssertionError(f"{where}: field {key!r} is a JSON {kind}")
-
-
 def _counts(values: list, most: int) -> tuple[np.ndarray, np.ndarray]:
     """(ok, counts): which of `values` are JSON integers from 0 to `most`
     (below 2**63), and each as an int64, -1 where it is not one."""
@@ -276,126 +255,110 @@ def _counts(values: list, most: int) -> tuple[np.ndarray, np.ndarray]:
     return counts >= 0, counts
 
 
-def _numeric_fault(attr, lo, hi) -> str | None:
-    # Compared before any float conversion, which a huge JSON integer overflows.
-    if not (attr.lo <= lo <= hi <= attr.hi and math.isfinite(lo) and math.isfinite(hi)):
-        return f"needs finite {attr.lo:g} <= lo <= hi <= {attr.hi:g}, got lo={lo!r}, hi={hi!r}"
-    return None
+# The fields `_check_extent` reads, with their JSON kinds, per attribute kind; the last two are (lo, hi).
+_EXTENT_FIELDS = {NUMERIC: (("lo", (int, float)), ("hi", (int, float))),
+                  CATEGORICAL: (("label", str), ("leaf_lo", int), ("leaf_hi", int))}
 
 
-def _node_fault(attr, label, lo, hi) -> str | None:
+def _check_extent(attr, ext: dict, at) -> None:
+    """The first fault of one class's extent of `attr`, named `at`, as a
+    DataError: a field's type, then the range or the hierarchy node."""
+    if attr.kind == NUMERIC:
+        lo, hi = json_field(ext, "lo", (int, float), at), json_field(ext, "hi", (int, float), at)
+        # Compared before any float conversion, which a huge JSON integer overflows.
+        if not (attr.lo <= lo <= hi <= attr.hi and math.isfinite(lo) and math.isfinite(hi)):
+            raise DataError(f"{at}: needs finite {attr.lo:g} <= lo <= hi <= {attr.hi:g}, got lo={lo!r}, hi={hi!r}")
+        return
+    label = json_field(ext, "label", str, at)
+    lo, hi = json_field(ext, "leaf_lo", int, at), json_field(ext, "leaf_hi", int, at)
     try:
         node = attr.hierarchy.lca(lo, hi)
     except HierarchyError as exc:
-        return str(exc)
+        raise DataError(f"{at}: {exc}") from None
     if (label, lo, hi) != (node.label, node.leaf_lo, node.leaf_hi):
-        return (f"label {label!r} with leaves [{lo}, {hi}] is not the hierarchy node {node.label!r} "
-                f"[{node.leaf_lo}, {node.leaf_hi}] covering them")
-    return None
+        raise DataError(f"{at}: label {label!r} with leaves [{lo}, {hi}] is not the hierarchy node "
+                        f"{node.label!r} [{node.leaf_lo}, {node.leaf_hi}] covering them")
 
 
-class _ClassChecks:
-    """The checks of a release's classes, each a mask over the classes and
-    the error of class k, added in the order a class is read. The file's
-    error is the first failing check of its lowest-numbered failing class.
-    No error function refers back to the checks, so once read they free
-    the parsed file at once, not at the next cycle collection."""
-
-    def __init__(self, n: int) -> None:
-        self.n, self.checks = n, []
-
-    def add(self, failing, error) -> None:
-        self.checks.append((np.asarray(failing, dtype=bool), error))
-
-    def field(self, objs: list, key: str, kind, name, items=None) -> tuple[list, np.ndarray]:
-        """Each object's `key` (`_MISSING` where absent) and which of them are
-        the `kind` that `json_field` takes."""
-        values = list(map(dict.get, objs, repeat(key), repeat(_MISSING)))
-        typed = _typed(values, kind, items)
-        self.add(~typed, lambda k: _field_error(objs[k], key, kind, name(k), items))
-        return values, typed
-
-    def value_fault(self, fault, name, typed, *columns) -> None:
-        """`fault(*values) -> message or None` of the `typed` classes' field
-        values, called once per distinct tuple of values: equal tuples fail
-        alike, and a failing class's message shows its own values."""
-        keys = list(zip(*columns))
-        failing = {key for key in set(compress(keys, typed.tolist())) if fault(*key) is not None}
-        mask = np.zeros(self.n, dtype=bool)
-        if failing:
-            mask = [ok and key in failing for ok, key in zip(typed.tolist(), keys)]
-        self.add(mask, lambda k: f"{name(k)}: {fault(*keys[k])}")
-
-    def raise_first(self) -> None:
-        failing = np.zeros(self.n, dtype=bool)
-        for mask, _ in self.checks:
-            failing |= mask
-        if failing.any():
-            k = int(failing.argmax())
-            raise DataError(next(error(k) for mask, error in self.checks if mask[k]))
+def _check_class(cls: dict, at: str, qi, dist: Distribution) -> None:
+    """The first fault of one class, named `at`, as a DataError, in the
+    order a class is read: its extents, each QI attribute's in schema order;
+    its SA entries in key order (a known value, then its count); its size
+    (type, match, not empty)."""
+    extents = json_field(cls, "extents", list, at, items=dict)
+    if len(extents) != len(qi):
+        raise DataError(f"{at}: needs one extent per QI attribute")
+    for attr, ext in zip(qi, extents):
+        _check_extent(attr, ext, f"{at}: extent {attr.name}")
+    sa = json_field(cls, "sa", dict, at)
+    known = set(dist.values)
+    for value, ok in zip(sa, _counts(list(sa.values()), dist.total)[0].tolist()):
+        if value not in known:
+            raise DataError(f"{at}: unknown SA value {value!r}")
+        if not ok:
+            raise DataError(f"{at}: count of {value!r} must be an integer from 0 to {dist.total}")
+    total = sum(sa.values())
+    if json_field(cls, "size", int, at) != total:
+        raise DataError(f"{at}: class size does not match its SA counts")
+    if total == 0:
+        raise DataError(f"{at}: class is empty")
 
 
 def _read_classes(classes: list, path: Path, schema: DatasetSchema,
                   dist: Distribution) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """(counts, extents) of the release's `classes`, read a field at a time
-    over all of them. A class is checked as it is read: its extents, each QI
-    attribute's in schema order (field types, then the range or hierarchy
-    node), its SA counts in key order (a known value, then the count), and
-    its size (type, match, not empty). Then the per-value sums must give the
-    distribution's counts; a sum that may pass 2**63 is taken in Python ints,
-    which no file can wrap."""
+    over all of them into a mask of the faulty ones; the lowest-numbered
+    is read again by `_check_class`, whose error is the file's. Then the
+    per-value sums must give the distribution's counts; a sum that may pass
+    2**63 is taken in Python ints, which no file can wrap."""
     n, m, qi = len(classes), dist.m, schema.qi_attributes
-    checks = _ClassChecks(n)
-
-    def name(k):
-        return f"{path}: classes[{k}]"
-    raw, listed = checks.field(classes, "extents", list, name, items=dict)
-    raw = [e if ok else () for e, ok in zip(raw, listed.tolist())]
-    sized = np.fromiter(map(len, raw), dtype=np.int64, count=n) == len(qi)
-    checks.add(listed & ~sized, lambda k: f"{name(k)}: needs one extent per QI attribute")
+    raw = list(map(dict.get, classes, repeat("extents")))
+    # Any other `extents` reads as empty objects, whose missing fields mark the class.
     blank = ({},) * len(qi)
-    rows = [e if ok else blank for e, ok in zip(raw, sized.tolist())]
+    rows = [e if ok and len(e) == len(qi) else blank for e, ok in zip(raw, json_types(raw, list, dict).tolist())]
+    failing = np.zeros(n, dtype=bool)
     bounds = []
     for axis, attr in enumerate(qi):
+        fields = _EXTENT_FIELDS[attr.kind]
         objs = [row[axis] for row in rows]
-        def at(k, attr=attr):
-            return f"{name(k)}: extent {attr.name}"
-        if attr.kind == NUMERIC:
-            (lo, lo_ok), (hi, hi_ok) = (checks.field(objs, key, (int, float), at) for key in ("lo", "hi"))
-            checks.value_fault(partial(_numeric_fault, attr), at, lo_ok & hi_ok, lo, hi)
-        else:
-            fields = (("label", str), ("leaf_lo", int), ("leaf_hi", int))
-            (label, label_ok), (lo, lo_ok), (hi, hi_ok) = (checks.field(objs, key, t, at) for key, t in fields)
-            checks.value_fault(partial(_node_fault, attr), at, label_ok & lo_ok & hi_ok, label, lo, hi)
-        bounds.append((lo, hi))
-    sa, sa_ok = checks.field(classes, "sa", dict, name)
-    objs = [d if ok else {} for d, ok in zip(sa, sa_ok.tolist())]
+        columns = [list(map(dict.get, objs, repeat(key))) for key, _ in fields]
+        typed = np.logical_and.reduce([json_types(column, kind) for column, (_, kind) in zip(columns, fields)])
+        failing |= ~typed
+        # Each distinct extent is checked once. Only typed fields are keyed: a
+        # list or an object is not hashable.
+        keys, ok = list(zip(*columns)), typed.tolist()
+        faulty = set()
+        for key, ext in dict(zip(compress(keys, ok), compress(objs, ok))).items():
+            try:
+                _check_extent(attr, ext, "")
+            except DataError:
+                faulty.add(key)
+        if faulty:
+            failing |= np.fromiter((t and key in faulty for t, key in zip(ok, keys)), dtype=bool, count=n)
+        bounds.append(columns[-2:])
+    sa = list(map(dict.get, classes, repeat("sa")))
+    is_dict = json_types(sa, dict)
+    failing |= ~is_dict
+    objs = [d if ok else {} for d, ok in zip(sa, is_dict.tolist())]
     lengths = np.fromiter(map(len, objs), dtype=np.int64, count=n)
-    firsts = np.cumsum(lengths) - lengths
-    values = list(chain.from_iterable(objs))
     index = {v: i for i, v in enumerate(dist.values)}
-    codes = np.fromiter(map(index.get, values, repeat(-1)), dtype=np.int64, count=len(values))
+    codes = np.fromiter(map(index.get, chain.from_iterable(objs), repeat(-1)), dtype=np.int64, count=lengths.sum())
     counted, counts = _counts(list(chain.from_iterable(map(dict.values, objs))), dist.total)
-    faulty = (codes < 0) | ~counted
+    fine = (codes >= 0) & counted
     owner = np.repeat(np.arange(n), lengths)
-
-    def sa_error(k):
-        j = firsts[k] + int(faulty[firsts[k]:firsts[k] + lengths[k]].argmax())
-        if codes[j] < 0:
-            return f"{name(k)}: unknown SA value {values[j]!r}"
-        return f"{name(k)}: count of {values[j]!r} must be an integer from 0 to {dist.total}"
-    checks.add(np.bincount(owner[faulty], minlength=n) > 0, sa_error)
+    failing |= np.bincount(owner[~fine], minlength=n) > 0
     matrix = np.zeros((n, m), dtype=np.int64)
-    fine = ~faulty
     matrix.ravel()[(owner * m + codes)[fine]] = counts[fine]
     # Each count is below 2**63, but their sums need not be.
     exact = matrix.astype(object) if matrix.sum(dtype=float) >= 2**62 else matrix
     sums = exact.sum(axis=1).tolist()
-    size, _ = checks.field(classes, "size", int, name)
-    checks.add([s != t for s, t in zip(size, sums)],
-               lambda k: f"{name(k)}: class size does not match its SA counts")
-    checks.add([t == 0 for t in sums], lambda k: f"{name(k)}: class is empty")
-    checks.raise_first()
+    size = list(map(dict.get, classes, repeat("size")))
+    failing |= ~json_types(size, int)
+    failing |= np.fromiter((s != t or t == 0 for s, t in zip(size, sums)), dtype=bool, count=n)
+    if failing.any():
+        k = int(failing.argmax())
+        _check_class(classes[k], f"{path}: classes[{k}]", qi, dist)
+        raise AssertionError(f"{path}: classes[{k}] is marked faulty but shows no fault")
     for value, total, expected in zip(dist.values, exact.sum(axis=0).tolist(), dist.counts):
         if total != expected:
             raise DataError(f"{path}: field 'classes': counts of {value!r} sum to {total}, "

@@ -568,8 +568,20 @@ def _set_sa(cls, **counts):
      "classes[2]: count of "),
     (lambda release: release["classes"][2].update(sa={"other": -1, **release["classes"][2]["sa"]}),
      "classes[2]: unknown SA value 'other'"),
+    # A list or an object where a later class has a scalar: named like any other fault.
+    (_set_extent(0, cls=3, lo=[1]), "classes[3]: extent age: field 'lo' must be a JSON number\n"),
+    (_tampers(_set_extent(0, cls=3, lo=60, hi=50), _set_extent(0, cls=4, lo=[1])),
+     "classes[3]: extent age: needs finite"),
+    (_set_extent(1, cls=3, label={}), "classes[3]: extent sex: field 'label' must be a JSON string\n"),
+    (lambda release: release["classes"][3]["sa"].update(dict.fromkeys(release["classes"][3]["sa"], [1])),
+     "classes[3]: count of "),
+    (lambda release: release["classes"][3].update(size={}),
+     "classes[3]: field 'size' must be a JSON integer\n"),
+    (lambda release: release["classes"][3].update(sa=[1]), "classes[3]: field 'sa' must be a JSON object\n"),
 ], ids=["later-class", "first-of-two-classes", "extent-before-unknown-value", "field-type-before-unknown-value",
-        "extent-count-before-range", "bad-count-before-unknown-value", "unknown-value-before-its-count"])
+        "extent-count-before-range", "bad-count-before-unknown-value", "unknown-value-before-its-count",
+        "list-as-lo", "range-before-a-later-list", "object-as-label", "list-as-count", "object-as-size",
+        "list-as-sa"])
 def test_release_error_names_the_first_fault_of_the_first_faulty_class(tmp_path, capsys, tamper, named):
     err = _audit_tampered_release(tmp_path, capsys, tamper)
     assert named in err

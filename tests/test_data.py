@@ -467,12 +467,55 @@ def test_load_rejects_malformed_row_shapes(tmp_path, text, message):
 @pytest.mark.parametrize("data, message", [
     (b"weight,age,disease\n70,40,\xff\n", "can't decode byte 0xff"),
     (b'weight,age,disease\n70,40,"' + b"x" * 200_000 + b'"\n', "field larger than field limit"),
-], ids=["not-utf-8", "oversized-field"])
+    # Plain but for its header line, so the file falls to `csv.reader`.
+    (b"weight,age,dis\xffease\n70,40,flu\n", "can't decode byte 0xff"),
+], ids=["not-utf-8", "oversized-field", "not-utf-8-header"])
 def test_unreadable_file_is_a_data_error(tmp_path, data, message):
     f = tmp_path / "bad.csv"
     f.write_bytes(data)
     with pytest.raises(bl.DataError, match=f"^{re.escape(str(f))}: .*{message}"):
         bl.load_table(f, patient_schema())
+
+
+def test_sa_labels_apart_only_in_trailing_nuls_stay_apart(tmp_path):
+    # Fixed-width numpy `S` or `U` keys would drop the NULs and merge them.
+    schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=0, hi=9), bl.Attribute("s", "sa")))
+    counts = {"a": 3, "a\0": 2, "a\0\0": 4}
+    rows = [{"x": i % 5, "s": s} for i, s in enumerate(s for s, c in counts.items() for _ in range(c))]
+    f = tmp_path / "nul.csv"
+    bl.save_table(bl.table_from_rows(schema, rows), f)
+    assert data._plain_columns(f, schema) is None
+    t = bl.load_table(f, schema)
+    assert dict(zip(t.sa_values, np.bincount(t.sa_codes).tolist())) == counts
+
+
+_JSON_VALUES = [True, 1, 1.0, np.float64(1.5), "a", [1, "a"], [1, 2], [True], [], {}, None]
+
+
+@pytest.mark.parametrize("kind, items", [(int, None), ((int, float), None), (str, None), (list, None),
+                                         (list, int), (dict, None)])
+def test_json_field_and_json_types_agree(kind, items):
+    def accepted(value):
+        try:
+            data.json_field({"v": value}, "v", kind, "f", items)
+        except bl.DataError as exc:
+            assert str(exc).startswith("f: field 'v' must be a JSON ")
+            return False
+        return True
+    expected = [accepted(v) for v in _JSON_VALUES]
+    assert data.json_types(_JSON_VALUES, kind, items).tolist() == expected
+    # Exactly typed values take the set-of-types path; each alone must agree with the mixed list.
+    assert [data.json_types([v], kind, items)[0] for v in _JSON_VALUES] == expected
+
+
+def test_json_types_rule():
+    def is_a(value, kind, items=None) -> bool:
+        return bool(data.json_types([value], kind, items)[0])
+    assert not is_a(True, int) and not is_a(True, (int, float))
+    assert is_a(1.0, (int, float)) and not is_a(1.0, int)
+    assert is_a(np.float64(1.5), (int, float))
+    assert not is_a([1, "a"], list, int) and is_a([1, 2], list, int) and is_a([], list, int)
+    assert not any(is_a(None, kind) for kind in (int, (int, float), str, list, dict))
 
 
 def test_rows_take_the_file_validation_path():
