@@ -26,6 +26,10 @@ class LikenessError(ValueError):
     pass
 
 
+class InternalAuditError(RuntimeError):
+    """A freshly built artifact breaks a guarantee its builder owes."""
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Overall SA distribution: values in ascending frequency order.

@@ -15,7 +15,6 @@ have the same form (Agrawal & Haritsa, ICDE 2005).
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .data import (DataError, Table, code_dtype, distribution_from_obj, distribution_to_obj, json_beta, json_seed,
                    load_table, read_json, save_table)
-from .likeness import Distribution, frequency_bound
+from .likeness import Distribution, InternalAuditError, frequency_bound
 
 
 class PerturbationError(ValueError):
@@ -70,9 +69,9 @@ class PerturbationModel:
 def build_model(dist: Distribution, beta: float) -> PerturbationModel:
     """Derive retention probabilities and the transition matrix for `dist`.
 
-    Raises when the domain is too small or when heterogeneous ratio bounds
-    push some retention probability to zero or below, in which case no
-    uniform-replacement scheme of this form exists.
+    Raises PerturbationError when the domain is too small or heterogeneous
+    ratio bounds push some retention to zero or below (no uniform-replacement
+    scheme of this form exists), InternalAuditError when the model fails its checks.
     """
     m = dist.m
     if m < 2:
@@ -88,7 +87,7 @@ def build_model(dist: Distribution, beta: float) -> PerturbationModel:
             "are too heterogeneous for uniform replacement at this beta"
         )
     if (retention > 1.0).any():
-        raise PerturbationError("retention probability above 1; inconsistent model")
+        raise InternalAuditError("retention probability above 1; inconsistent model")
     off = (1.0 - retention) / m
     matrix = np.tile(off, (m, 1))
     matrix[np.diag_indices(m)] = retention + off
@@ -104,20 +103,21 @@ def _check_model(model: PerturbationModel) -> None:
     matrix = model.matrix
     col_sums = matrix.sum(axis=0)
     if np.abs(col_sums - 1.0).max() > 1e-12:
-        raise PerturbationError("transition matrix columns must sum to 1")
+        raise InternalAuditError("transition matrix columns must sum to 1")
     # Diagonal dominance: staying on any value is strictly likelier than any
     # cross transition, whichever pair is compared.
     diag = np.diag(matrix)
     off_max = float(np.where(np.eye(m, dtype=bool), -np.inf, matrix).max())
     if not diag.min() > off_max - 1e-15:
-        raise PerturbationError("diagonal transition probabilities must dominate")
+        raise InternalAuditError("diagonal transition probabilities must dominate")
     # Worst-case transition ratio per protected value i, over all (j, v):
     # matrix[v, i] / matrix[v, j] maximized by the smallest entry of row v.
     scaled = matrix / matrix.min(axis=1)[:, None]
     if (scaled.max(axis=0) > model.ratio_bounds + 1e-9).any():
-        raise PerturbationError("transition ratio bound violated")
-    if posterior_margin(model) < -1e-9:
-        raise PerturbationError("posterior confidence exceeds the frequency bound")
+        raise InternalAuditError("transition ratio bound violated")
+    margin = posterior_margin(model)
+    if margin < -1e-9:
+        raise InternalAuditError(f"posterior bound exceeded by {-margin:.3g}")
 
 
 def perturb(table: Table, model: PerturbationModel, seed: int = 0) -> Table:
@@ -212,12 +212,16 @@ def check_qi_source(table: Table, perturbed: Table) -> None:
                             "differs from the perturbed table's")
 
 
+def _matrix_bytes(model: PerturbationModel) -> bytes:
+    """`pm.txt`: one matrix row per line, each entry its round-trip repr."""
+    return "".join(" ".join(map(repr, row)) + "\n" for row in model.matrix.tolist()).encode()
+
+
 def save_perturbation(outdir, perturbed: Table, model: PerturbationModel, seed: int) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_table(perturbed, outdir / _TABLE_FILE)
-    lines = [" ".join(repr(float(x)) for x in row) for row in model.matrix]
-    (outdir / _MATRIX_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (outdir / _MATRIX_FILE).write_bytes(_matrix_bytes(model))
     obj = {
         "kind": "perturbed-release",
         "beta": model.beta,
@@ -229,8 +233,8 @@ def save_perturbation(outdir, perturbed: Table, model: PerturbationModel, seed: 
 
 def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     """Read a published artifact back. The model is rebuilt from the
-    published distribution and beta, and the published matrix must equal
-    the rebuilt one exactly (save_perturbation writes round-trip reprs).
+    published distribution and beta, and `pm.txt` must be the bytes
+    save_perturbation writes for it.
     The seed must be >= 0 and the attribute the schema's SA attribute, and
     the perturbed table must hold the distribution's total of rows, as
     `perturb` writes. The table's SA codes follow the published value order,
@@ -246,18 +250,9 @@ def load_perturbation(outdir, schema) -> tuple[Table, PerturbationModel]:
     dist = distribution_from_obj(obj, dist_path, schema)
     beta = json_beta(obj, dist_path)
     json_seed(obj, dist_path)
-    matrix_path = outdir / _MATRIX_FILE
-    try:
-        with warnings.catch_warnings():
-            # An empty file fails the shape check below; numpy's warning would add a line.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            matrix = np.loadtxt(matrix_path, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{matrix_path}: not a transition matrix ({exc})") from None
-    if matrix.shape != (dist.m, dist.m):
-        raise DataError(f"{matrix_path}: transition matrix shape {matrix.shape} does not match m={dist.m}")
     model = build_model(dist, float(beta))
-    if not np.array_equal(matrix, model.matrix):
+    matrix_path = outdir / _MATRIX_FILE
+    if matrix_path.read_bytes() != _matrix_bytes(model):
         raise DataError(
             f"{matrix_path}: transition matrix differs from the one the published "
             "distribution and beta determine"

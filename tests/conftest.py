@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,26 @@ def combinable(d: bl.Distribution, b: int, e: int, beta: float) -> bool:
     mass must stay strictly below the bound of value b, the rarest of the
     run: the per-run check `partition_spans` makes, kept as its oracle."""
     return Bound(d, beta).at([b]).admits([sum(d.counts[b : e + 1])], d.total, strict=True)
+
+
+def brute_force_min_buckets(d: bl.Distribution, beta: float) -> int:
+    """The fewest contiguous runs of combinable values that cover the
+    domain, by trying every set of cuts: the oracle of `partition_spans`."""
+    m = d.m
+    comb = {(b, e): combinable(d, b, e, beta) for b in range(m) for e in range(b, m)}
+    best = m
+    for cuts in itertools.product((False, True), repeat=m - 1):
+        start, ok, n_buckets = 0, True, 0
+        for e in range(m):
+            if e == m - 1 or cuts[e]:
+                if not comb[start, e]:
+                    ok = False
+                    break
+                n_buckets += 1
+                start = e + 1
+        if ok:
+            best = min(best, n_buckets)
+    return best
 
 
 def release_to_obj(release: bl.Release) -> dict:

@@ -5,7 +5,6 @@ Each test pins its tolerances explicitly and prints a one-line verdict, so
 """
 from __future__ import annotations
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ import pytest
 import betalike as bl
 from betalike.likeness import Distribution
 
-from conftest import combinable, disease_table
+from conftest import brute_force_min_buckets, disease_table
 
 
 def _report(n, detail):
@@ -67,27 +66,6 @@ def test_c02_privacy_soundness_sweep():
 
 # -- 3 ----------------------------------------------------------------------
 
-def _brute_force_buckets(dist: Distribution, beta: float) -> int:
-    m = dist.m
-    comb = [
-        [combinable(dist, b, e, beta) if e >= b else False for e in range(m)]
-        for b in range(m)
-    ]
-    best = m
-    for cuts in itertools.product((False, True), repeat=m - 1):
-        lo, count, feasible = 0, 0, True
-        for e in range(m):
-            if e == m - 1 or cuts[e]:
-                if not comb[lo][e]:
-                    feasible = False
-                    break
-                count += 1
-                lo = e + 1
-        if feasible and count < best:
-            best = count
-    return best
-
-
 def test_c03_dp_matches_exhaustive_partitioning():
     rng = np.random.default_rng(2024)
     checked = 0
@@ -96,7 +74,7 @@ def test_c03_dp_matches_exhaustive_partitioning():
         counts = tuple(sorted(int(c) for c in rng.integers(1, 60, size=m)))
         dist = Distribution(tuple(f"v{i}" for i in range(m)), counts, sum(counts))
         for beta in (0.5, 1.0, 2.0, 4.0):
-            assert len(bl.partition_spans(dist, beta)) == _brute_force_buckets(dist, beta)
+            assert len(bl.partition_spans(dist, beta)) == brute_force_min_buckets(dist, beta)
             checked += 1
     _report(3, f"bucket counts equal exhaustive search on {checked} instances")
 

@@ -77,6 +77,14 @@ def test_achieved_beta_consistency(example2):
         )
 
 
+def test_no_achieved_beta_without_classes_or_for_an_empty_class():
+    dist = bl.Distribution(("a", "b"), (4, 6), 10)
+    with pytest.raises(bl.DataError, match="^release has no classes$"):
+        bl.achieved_beta(release_from_counts(dist, []))
+    with pytest.raises(bl.LikenessError, match="^class is empty$"):
+        bl.achieved_beta(release_from_counts(dist, [[4, 6], [0, 0]]))
+
+
 def test_audit_lines_format(example2):
     rel = bl.generalize(example2, 2.0, seed=1)
     lines = bl.ec_audit_lines(rel)

@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
 import betalike as bl
 from betalike.likeness import Distribution
 
-from conftest import combinable
+from conftest import brute_force_min_buckets, combinable
 
 
 def dist(counts):
@@ -51,27 +49,6 @@ def test_single_value_domain_single_bucket():
     part = bl.dp_partition(bl.table_from_rows(schema, rows), 1.0)
     assert len(part.buckets) == 1
     assert part.buckets[0].size == 7
-
-
-def brute_force_min_buckets(d: Distribution, beta: float) -> int:
-    m = d.m
-    comb = {}
-    for b in range(m):
-        for e in range(b, m):
-            comb[b, e] = combinable(d, b, e, beta)
-    best = m
-    for cuts in itertools.product([False, True], repeat=m - 1):
-        start, ok, n_buckets = 0, True, 0
-        for e in range(m):
-            if e == m - 1 or cuts[e]:
-                if not comb[start, e]:
-                    ok = False
-                    break
-                n_buckets += 1
-                start = e + 1
-        if ok:
-            best = min(best, n_buckets)
-    return best
 
 
 def test_dp_matches_brute_force():

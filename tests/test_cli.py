@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
@@ -769,13 +770,25 @@ def test_internal_audit_breach_exits_two(example_files, tmp_path, capsys, monkey
 
 def test_perturb_posterior_breach_exits_two(example_files, tmp_path, capsys, monkeypatch):
     csv, schema = example_files
-    import betalike.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "posterior_margin", lambda model: -1e-6)
+    # The package attribute betalike.perturb is the function, not the module.
+    monkeypatch.setattr(sys.modules["betalike.perturb"], "posterior_margin", lambda model: -1e-6)
     code = run(["perturb", "--input", str(csv), "--schema", str(schema),
                 "--beta", "2", "--seed", "1", "--out", str(tmp_path / "pert")])
     assert code == 2
     assert "posterior bound exceeded by 1e-06" in capsys.readouterr().err
     assert not (tmp_path / "pert").exists()
+
+
+def test_queryeval_on_a_model_that_fails_its_checks_exits_two(example_files, tmp_path, capsys, monkeypatch):
+    csv, schema = example_files
+    files = ["--input", str(csv), "--schema", str(schema)]
+    assert run(["perturb", *files, "--beta", "2", "--seed", "1", "--out", str(tmp_path / "pert")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys.modules["betalike.perturb"], "posterior_margin", lambda model: -1e-6)
+    code = run(["queryeval", *files, "--artifact", str(tmp_path / "pert"), "--lambda", "1", "--queries", "5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: posterior bound exceeded by 1e-06\n"
 
 
 def test_perturb_prints_margin_on_the_cap(tmp_path, capsys):
@@ -787,6 +800,29 @@ def test_perturb_prints_margin_on_the_cap(tmp_path, capsys):
                 "--schema", str(prefix.with_suffix(".schema.json")),
                 "--beta", "2", "--seed", "1", "--out", str(tmp_path / "pert")]) == 0
     assert "\nposterior_margin=-0.000000\n" in capsys.readouterr().out
+
+
+def test_gen_data_appends_its_suffixes_to_the_prefix(tmp_path, capsys):
+    for prefix in ("run.1", "run.2"):
+        out = tmp_path / prefix
+        assert run(["gen-data", "--rows", "50", "--sa-size", "5", "--seed", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"\nwrote {out}.csv and {out}.schema.json\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.1.csv", "run.1.schema.json", "run.2.csv", "run.2.schema.json"]
+
+
+@pytest.mark.parametrize("out", [".", "", "..", "sub/", "sub/.."])
+def test_gen_data_rejects_an_out_that_names_no_file(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    # Rejected before any row is generated.
+    import betalike.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "generate_synthetic", None)
+    assert run(["gen-data", "--rows", "50", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out must end in a file name prefix, got {out!r}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
 @pytest.mark.parametrize("skew", ["nan", "-1"])

@@ -219,6 +219,14 @@ def test_derived_tables_share_the_source_qi_arrays(tmp_path, monkeypatch):
     assert ordered.qi_values is built[0].qi_values and ordered.qi_codes is built[0].qi_codes
 
 
+def test_sa_distribution_needs_canonical_code_order():
+    # Skewed, so that reversing the codes puts the counts in descending order.
+    table = bl.generate_synthetic(200, 5, seed=1, skew=1.0)
+    reversed_codes = (table.m - 1 - table.sa_codes).astype(table.sa_codes.dtype)
+    with pytest.raises(bl.DataError, match="^table SA codes are not in canonical frequency order; "):
+        bl.sa_distribution(dataclasses.replace(table, sa_codes=reversed_codes))
+
+
 def test_sa_distribution_single_value():
     schema = patient_schema()
     rows = [{"weight": 50, "age": 30, "disease": "flu"} for _ in range(4)]
@@ -300,6 +308,17 @@ def test_schema_round_trip(tmp_path, example2):
     schema = bl.load_schema(f)
     assert [a.name for a in schema.attributes] == ["weight", "age", "disease"]
     assert schema.qi_attributes[0].lo == 40
+
+
+def test_schema_round_trip_keeps_qi_weights(tmp_path):
+    schema = bl.DatasetSchema((
+        bl.Attribute("x", "qi", "numeric", lo=0, hi=1, weight=0.25),
+        bl.Attribute("y", "qi", "numeric", lo=0, hi=1, weight=0.75),
+        bl.Attribute("s", "sa"),
+    ))
+    f = tmp_path / "schema.json"
+    bl.save_schema(schema, f)
+    assert [a.weight for a in bl.load_schema(f).attributes] == [0.25, 0.75, None]
 
 
 def test_schema_validation():

@@ -75,6 +75,11 @@ def test_order_validation():
         bl.hilbert_indices(np.zeros((1, 2), dtype=np.uint64), 32)
 
 
+def test_cells_must_be_two_dimensional():
+    with pytest.raises(ValueError, match=r"^cells must be an \(n, d\) array$"):
+        bl.hilbert_indices(np.arange(4), 2)
+
+
 def test_cell_range_validation():
     with pytest.raises(ValueError, match="coordinates"):
         bl.hilbert_indices(np.array([[0, 4]]), 2)

@@ -90,6 +90,18 @@ def test_check_enhanced_rejects_certainty():
         assert not bl.check_enhanced(d, [4, 0], beta=beta)
 
 
+def test_distribution_and_class_counts_are_checked():
+    with pytest.raises(bl.LikenessError, match="^values and counts must align and be non-empty$"):
+        Distribution(("a", "b"), (1,), 1)
+    with pytest.raises(bl.LikenessError, match="^every value must have a positive count$"):
+        Distribution(("a", "b"), (0, 2), 2)
+    d = dist([2, 3, 5])
+    with pytest.raises(bl.LikenessError, match="^class counts must align with the 3 SA values$"):
+        bl.check_enhanced(d, [2, 3], beta=1.0)
+    with pytest.raises(bl.LikenessError, match="^class counts must be nonnegative$"):
+        bl.check_enhanced(d, [2, -1, 5], beta=1.0)
+
+
 def test_check_enhanced_identity_distribution():
     d = dist([2, 3, 5])
     assert bl.check_enhanced(d, [2, 3, 5], beta=0.001)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import betalike as bl
-from betalike.likeness import Distribution
+from betalike.likeness import Distribution, InternalAuditError
 from betalike.perturb import PerturbationModel, _check_model, posterior_margin
 
 from conftest import table_from_qi_columns
@@ -118,8 +118,22 @@ def test_posterior_margin_is_the_smallest_gap_to_the_bound():
     matrix[np.diag_indices(4)] = alpha + off
     model = PerturbationModel(dist, 1.0, np.full(4, 2.0), 0.1, alpha, matrix, 1.0)
     assert posterior_margin(model) < -1e-9
-    with pytest.raises(bl.PerturbationError, match="posterior"):
+    with pytest.raises(InternalAuditError, match="posterior"):
         _check_model(replace(model, ratio_bounds=np.full(4, np.inf)))
+
+
+def test_check_model_names_each_broken_invariant():
+    model = bl.build_model(uniform_dist(3), 2.0)
+    _check_model(model)
+    # Every column sums to 1 and the diagonal is the smallest entry.
+    swapped = np.full((3, 3), 0.4) - 0.2 * np.eye(3)
+    for broken, message in [
+        (replace(model, matrix=model.matrix * 1.01), "transition matrix columns must sum to 1"),
+        (replace(model, matrix=swapped), "diagonal transition probabilities must dominate"),
+        (replace(model, ratio_bounds=np.ones(3)), "transition ratio bound violated"),
+    ]:
+        with pytest.raises(InternalAuditError, match=f"^{message}$"):
+            _check_model(broken)
 
 
 def test_posterior_uniform_symmetry():

@@ -403,6 +403,18 @@ def test_release_without_classes_or_rows():
     assert bl.ail(release) == pytest.approx((1 * 0.4 + 2 * 0.5) / 3)
 
 
+def test_a_release_without_classes_has_no_ail_and_does_not_load_back(tmp_path):
+    schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=0, hi=10), bl.Attribute("s", "sa")))
+    empty = bl.Release(schema, bl.Distribution(("a", "b"), (1, 2), 3), 1.0, 0, 16, ())
+    with pytest.raises(DataError, match="^release has no classes$"):
+        bl.ail(empty)
+    path = tmp_path / "r.json"
+    bl.save_release(empty, path)
+    with pytest.raises(DataError) as info:
+        bl.load_release(path, schema)
+    assert str(info.value) == f"{path}: field 'classes': counts of 'a' sum to 0, but 'sa' field 'counts' gives 1"
+
+
 # -- save_release against the object form ----------------------------------------
 
 NUMBERS = [-3.5, -1, 0, 0.1, 0.25, 1 / 3, 2, 1e16, 12345.678]
