@@ -27,11 +27,11 @@ high-cardinality QI column (say a zip code) never builds one and is
 counted from its QI codes in SA order (`Table.rows_by_sa`): per query, one
 unsigned compare per constrained axis and one sum per SA code's rows.
 
-The generalized estimator works once per distinct class extent: each
-predicate's overlap fractions are computed over the distinct (lo, hi) pairs
-of its axis (`Release.distinct_extents`) and gathered by class, a chunk of
-queries at a time. The perturbed estimator reconstructs every query's
-observed SA histogram in one closed-form call (`perturb.reconstruct`).
+Counts and estimates read one box per query, the per-axis intersection of
+its predicates (`_query_boxes`). The generalized estimator works once per
+distinct class extent (`Release.distinct_extents`), a chunk of queries at a
+time. The perturbed estimator reconstructs every query's observed SA
+histogram in one closed-form call (`perturb.reconstruct`).
 """
 from __future__ import annotations
 
@@ -53,7 +53,8 @@ from .release import Release
 class AggregateQuery:
     """Conjunctive predicates: per chosen QI attribute an interval over its
     axis (numeric range, or contiguous leaf-rank range), plus an SA interval
-    over the ascending-frequency value order. All intervals are inclusive."""
+    over the ascending-frequency value order. All intervals are inclusive;
+    predicates on one axis mean their intersection."""
 
     qi: tuple[tuple[int, float, float], ...]
     sa_lo: int
@@ -125,12 +126,9 @@ def _cube_shape(table: Table) -> tuple[int, ...] | None:
     return shape if math.prod(shape) <= CUBE_CELLS_PER_ROW * table.n_rows else None
 
 
-def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarray:
-    """(queries, m) int64: per query, the SA histogram of the rows matching
-    its QI predicates (the SA range is not applied)."""
-    d = len(table.qi_codes)
-    # Per axis, the intersection of the query's predicates on it; an
-    # unconstrained axis keeps (-inf, inf), and a NaN bound matches no row.
+def _query_boxes(workload: Sequence[AggregateQuery], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, queries) float64 bounds: per axis, the intersection of each query's
+    predicates on it. An unconstrained axis keeps (-inf, inf); NaN stays NaN."""
     preds = np.asarray([(k, i, lo, hi) for i, q in enumerate(workload) for k, lo, hi in q.qi],
                        dtype=float).reshape(-1, 4)
     at = (preds[:, 0].astype(np.intp), preds[:, 1].astype(np.intp))
@@ -138,6 +136,14 @@ def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarr
     q_hi = np.full((d, len(workload)), np.inf)
     np.maximum.at(q_lo, at, preds[:, 2])
     np.minimum.at(q_hi, at, preds[:, 3])
+    return q_lo, q_hi
+
+
+def _qi_histograms(table: Table, workload: Sequence[AggregateQuery]) -> np.ndarray:
+    """(queries, m) int64: per query, the SA histogram of the rows matching
+    its QI predicates (the SA range is not applied)."""
+    d = len(table.qi_codes)
+    q_lo, q_hi = _query_boxes(workload, d)
     spans = [table.value_spans(k, q_lo[k], q_hi[k]) for k in range(d)]
     if _cube_shape(table) is None:
         return _row_histograms(table, spans, len(workload))
@@ -231,31 +237,24 @@ def _overlap_fractions(kind: str, lo: np.ndarray, hi: np.ndarray,
 
 def _generalized_estimates(release: Release, workload: Sequence[AggregateQuery]) -> np.ndarray:
     """Uniform-spread estimate of every query, as float64: per class, the
-    SA-matching count times the product of per-axis overlap fractions with
-    the class extent. Queries that constrain the same axes in the same
-    order are taken together, a chunk at a time: per predicate, the
-    overlap fractions are computed over the distinct extents of its axis and
-    gathered by class, and each query's factors multiply in its own
-    predicate order. The SA match comes from `Release.sa_prefix`, and each
-    query ends in one dot product."""
+    SA-matching count (`Release.sa_prefix`) times the overlap fractions of
+    the query's box with the class extent, multiplied in axis order. Each
+    axis's fractions are computed over its distinct extents and gathered by
+    class, a chunk of queries at a time; an unconstrained axis gives 1."""
     cum = release.sa_prefix
     kinds = [attr.kind for attr in release.schema.qi_attributes]
+    q_lo, q_hi = _query_boxes(workload, len(kinds))
     first, end = (span.tolist() for span in _sa_spans(workload, release.dist.m))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, query in enumerate(workload):
-        groups.setdefault(tuple(k for k, _, _ in query.qi), []).append(i)
     out = np.empty(len(workload))
-    for axes, members in groups.items():
-        for start in range(0, len(members), _QUERY_CHUNK):
-            chunk = members[start : start + _QUERY_CHUNK]
-            frac = np.ones((len(chunk), cum.shape[1]))
-            for j, k in enumerate(axes):
-                q_lo, q_hi = np.asarray([workload[i].qi[j][1:] for i in chunk], dtype=float).T
-                lo, hi, index = release.distinct_extents[k]
-                fracs = _overlap_fractions(kinds[k], lo, hi, q_lo, q_hi)
-                frac *= np.take(fracs, index, axis=1)
-            for i, row in zip(chunk, frac):
-                out[i] = np.dot(cum[end[i]] - cum[first[i]], row)
+    for start in range(0, len(workload), _QUERY_CHUNK):
+        chunk = slice(start, min(start + _QUERY_CHUNK, len(workload)))
+        frac = np.ones((chunk.stop - start, cum.shape[1]))
+        for k, kind in enumerate(kinds):
+            lo, hi, index = release.distinct_extents[k]
+            fracs = _overlap_fractions(kind, lo, hi, q_lo[k, chunk], q_hi[k, chunk])
+            frac *= np.take(fracs, index, axis=1)
+        for i, row in enumerate(frac, start):
+            out[i] = np.dot(cum[end[i]] - cum[first[i]], row)
     return out
 
 

@@ -3,7 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -993,3 +996,28 @@ def test_closed_stdout_exits_quietly(example_files, tmp_path, capsys, monkeypatc
     code = run(["audit", "--release", str(release), "--input", str(csv), "--schema", str(schema)])
     assert code == EXIT_BROKEN_PIPE == 141
     assert capsys.readouterr().err == ""
+
+
+def test_console_entry_point_exits_141_on_a_closed_pipe(tmp_path):
+    # The `betalike` script is `cli.main`. It runs here as a process whose
+    # stdout is a real pipe, and the reader closes it after one line.
+    table = bl.generate_synthetic(200_000, 50, seed=1, sa_freqs=bl.census_like_profile(50))
+    csv, schema, release = tmp_path / "t.csv", tmp_path / "t.schema.json", tmp_path / "r.json"
+    bl.save_table(table, csv)
+    bl.save_schema(table.schema, schema)
+    bl.save_release(bl.generalize(table, 4.0, seed=1), release)
+    # Block-buffered stdout, as a shell pipe gives, so output is still
+    # pending when the reader goes away.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    audit = [sys.executable, "-m", "betalike.cli", "audit", "--release", str(release),
+             "--input", str(csv), "--schema", str(schema)]
+    done = subprocess.run(audit, env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout) > 1 << 17             # more than a pipe buffer holds
+    with subprocess.Popen(audit, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == EXIT_BROKEN_PIPE
+    assert err == b""

@@ -31,6 +31,11 @@ def test_ratio_bound_values():
     rho = 0.3
     assert (rho / rho) * (1 - rho) / (1 - rho) == 1.0
     assert bl.ratio_bound(0.3, 2.0) > 1.0
+    # A value that every row holds leaves no posterior room above its prior.
+    for beta in (0.5, 4.0):
+        with pytest.raises(bl.PerturbationError,
+                           match=r"^value with frequency 1.0 cannot be protected by perturbation$"):
+            bl.ratio_bound(1.0, beta)
 
 
 def test_build_model_m2():

@@ -139,13 +139,17 @@ def baseline_reference(table, dist, query):
 
 def reference_generalized(release, query):
     """The per-query generalized estimate, one query at a time: per class,
-    the SA match from a (classes, m + 1) prefix times the product of the
-    overlap fractions, in predicate order."""
+    the SA match from a (classes, m + 1) prefix times the product, in axis
+    order, of the overlap fractions with the intersection of the query's
+    predicates on each constrained axis (a NaN bound stays NaN)."""
     cum = np.cumsum(np.pad(release.class_counts, ((0, 0), (1, 0))), axis=1).astype(float)
     first, end = sa_span(query, release.dist.m)
     frac = np.ones(len(cum))
-    for k, q_lo, q_hi in query.qi:
-        frac *= reference_overlap(release.schema.qi_attributes[k].kind, *release.class_extents[k], q_lo, q_hi)
+    for k, attr in enumerate(release.schema.qi_attributes):
+        bounds = np.asarray([(lo, hi) for j, lo, hi in query.qi if j == k], dtype=float)
+        if len(bounds):
+            q_lo, q_hi = np.max(bounds[:, 0]), np.min(bounds[:, 1])
+            frac *= reference_overlap(attr.kind, *release.class_extents[k], q_lo, q_hi)
     return float(np.dot(cum[:, end] - cum[:, first], frac))
 
 
@@ -439,9 +443,6 @@ def test_cube_budget_follows_distinct_values():
 
 @pytest.mark.parametrize("qi_spec", ["census", "zip"])
 def test_generalized_estimates_match_the_reference_across_chunks(qi_spec):
-    # Queries constraining the same axes in the same order are estimated
-    # together: lam = d puts n queries in one group, several chunks long,
-    # and lam < d gives several groups.
     zip_qi = (bl.Attribute("zip", "qi", "numeric", lo=0, hi=99999),) if qi_spec == "zip" else ()
     table = bl.generate_synthetic(20_000, 50, qi_spec=bl.default_qi_spec() + zip_qi, seed=4,
                                   sa_freqs=bl.census_like_profile(50))
@@ -456,6 +457,33 @@ def test_generalized_estimates_match_the_reference_across_chunks(qi_spec):
     expected = [reference_generalized(release, q) for q in workload]
     assert np.array_equal(report.est, expected)
     assert report.est[-1] == table.n_rows
+
+
+def test_every_report_reads_one_box_per_query():
+    # Repeating a predicate or reversing the predicates leaves the box as it
+    # is, and with it every report's count and estimate, bit for bit.
+    table = bl.generate_synthetic(20_000, 50, seed=1, sa_freqs=bl.census_like_profile(50))
+    release = bl.generalize(table, 4.0, seed=1)
+    perturbed, model = perturbation_of(table)
+    dist = bl.sa_distribution(table)
+    d = len(table.schema.qi_attributes)
+    workload = [q for lam in range(1, d + 1) for q in bl.gen_workload(table, lam, 0.1, 20, seed=lam)]
+    variants = {
+        "repeated": [AggregateQuery(q.qi[:1] + q.qi, q.sa_lo, q.sa_hi) for q in workload],
+        "reversed": [AggregateQuery(q.qi[::-1], q.sa_lo, q.sa_hi) for q in workload],
+    }
+    reports = {
+        "generalized": lambda w: bl.workload_report_generalized(table, release, w),
+        "perturbed": lambda w: bl.workload_report_perturbed(table, perturbed, model, w),
+        "baseline": lambda w: bl.workload_report_baseline(table, dist, w),
+    }
+    for name, report in reports.items():
+        original = report(workload)
+        assert original.dropped < len(workload) / 2, name
+        for variant, changed in variants.items():
+            answer = report(changed)
+            assert np.array_equal(answer.prec, original.prec), (name, variant)
+            assert answer.est.tobytes() == original.est.tobytes(), (name, variant)
 
 
 def test_distinct_extents_gather_back_the_class_extents(census_release_b4):
