@@ -225,7 +225,10 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise DataError(f"seed must be >= 0, got {args.seed}")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Output still buffered meets a closed pipe here, not at exit.
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # An OSError, so it must be caught before USER_ERRORS.
         return EXIT_BROKEN_PIPE

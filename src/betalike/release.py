@@ -22,10 +22,10 @@ those it caches (`sa_prefix`, `distinct_extents`), are read-only.
 attribute the schema does not name, a negative seed, a curve order `hilbert`
 would refuse, an extent outside the schema domain or not a hierarchy node,
 an empty class, or class counts that do not add up to the distribution.
-Reading a field at a time over all classes, it only marks the faulty ones;
-`_check_class` then reads the lowest-numbered marked class again and raises
-its first fault. Both passes share `_check_extent`, `_counts` and the JSON
-type rule, so each rule is written once.
+Reading a field at a time over all classes, it only detects that some class
+is faulty; `_check_class` then reads the classes in order and raises the
+first faulty one's first fault. Both share `_check_extent`, `_counts` and the
+JSON type rule, so each rule is written once.
 `save_release` writes the file's fixed layout from the class arrays.
 """
 from __future__ import annotations
@@ -35,8 +35,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Sequence
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -304,61 +305,56 @@ def _check_class(cls: dict, at: str, qi, dist: Distribution) -> None:
         raise DataError(f"{at}: class is empty")
 
 
+def _first_fault(classes: list, path: Path, qi, dist: Distribution) -> NoReturn:
+    """Raise `_check_class`'s error for the first faulty class in file order."""
+    for k, cls in enumerate(classes):
+        _check_class(cls, f"{path}: classes[{k}]", qi, dist)
+    raise AssertionError(f"{path}: the classes read as faulty, but no class shows a fault")
+
+
 def _read_classes(classes: list, path: Path, schema: DatasetSchema,
                   dist: Distribution) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """(counts, extents) of the release's `classes`, read a field at a time
-    over all of them into a mask of the faulty ones; the lowest-numbered
-    is read again by `_check_class`, whose error is the file's. Then the
-    per-value sums must give the distribution's counts; a sum that may pass
-    2**63 is taken in Python ints, which no file can wrap."""
+    over all of them; a check that finds some class faulty calls `_first_fault`.
+    Then the per-value sums must give the distribution's counts; a sum that
+    may pass 2**63 is taken in Python ints, which no file can wrap."""
     n, m, qi = len(classes), dist.m, schema.qi_attributes
-    raw = list(map(dict.get, classes, repeat("extents")))
-    # Any other `extents` reads as empty objects, whose missing fields mark the class.
-    blank = ({},) * len(qi)
-    rows = [e if ok and len(e) == len(qi) else blank for e, ok in zip(raw, json_types(raw, list, dict).tolist())]
-    failing = np.zeros(n, dtype=bool)
+    rows = list(map(dict.get, classes, repeat("extents")))
+    if not (json_types(rows, list, dict).all() and all(len(e) == len(qi) for e in rows)):
+        _first_fault(classes, path, qi, dist)
     bounds = []
     for axis, attr in enumerate(qi):
         fields = _EXTENT_FIELDS[attr.kind]
         objs = [row[axis] for row in rows]
         columns = [list(map(dict.get, objs, repeat(key))) for key, _ in fields]
-        typed = np.logical_and.reduce([json_types(column, kind) for column, (_, kind) in zip(columns, fields)])
-        failing |= ~typed
-        # Each distinct extent is checked once. Only typed fields are keyed: a
-        # list or an object is not hashable.
-        keys, ok = list(zip(*columns)), typed.tolist()
-        faulty = set()
-        for key, ext in dict(zip(compress(keys, ok), compress(objs, ok))).items():
+        faulty = not all(json_types(column, kind).all() for column, (_, kind) in zip(columns, fields))
+        if not faulty:
             try:
-                _check_extent(attr, ext, "")
+                # Each distinct extent is checked once; typed fields are numbers or strings, which hash.
+                for ext in dict(zip(zip(*columns), objs)).values():
+                    _check_extent(attr, ext, "")
             except DataError:
-                faulty.add(key)
+                faulty = True
         if faulty:
-            failing |= np.fromiter((t and key in faulty for t, key in zip(ok, keys)), dtype=bool, count=n)
+            _first_fault(classes, path, qi, dist)
         bounds.append(columns[-2:])
     sa = list(map(dict.get, classes, repeat("sa")))
-    is_dict = json_types(sa, dict)
-    failing |= ~is_dict
-    objs = [d if ok else {} for d, ok in zip(sa, is_dict.tolist())]
-    lengths = np.fromiter(map(len, objs), dtype=np.int64, count=n)
+    if not json_types(sa, dict).all():
+        _first_fault(classes, path, qi, dist)
+    lengths = np.fromiter(map(len, sa), dtype=np.int64, count=n)
     index = {v: i for i, v in enumerate(dist.values)}
-    codes = np.fromiter(map(index.get, chain.from_iterable(objs), repeat(-1)), dtype=np.int64, count=lengths.sum())
-    counted, counts = _counts(list(chain.from_iterable(map(dict.values, objs))), dist.total)
-    fine = (codes >= 0) & counted
-    owner = np.repeat(np.arange(n), lengths)
-    failing |= np.bincount(owner[~fine], minlength=n) > 0
+    codes = np.fromiter(map(index.get, chain.from_iterable(sa), repeat(-1)), dtype=np.int64, count=lengths.sum())
+    counted, counts = _counts(list(chain.from_iterable(map(dict.values, sa))), dist.total)
+    if not (counted.all() and (codes >= 0).all()):
+        _first_fault(classes, path, qi, dist)
     matrix = np.zeros((n, m), dtype=np.int64)
-    matrix.ravel()[(owner * m + codes)[fine]] = counts[fine]
+    matrix.ravel()[np.repeat(np.arange(0, n * m, m), lengths) + codes] = counts
     # Each count is below 2**63, but their sums need not be.
     exact = matrix.astype(object) if matrix.sum(dtype=float) >= 2**62 else matrix
     sums = exact.sum(axis=1).tolist()
     size = list(map(dict.get, classes, repeat("size")))
-    failing |= ~json_types(size, int)
-    failing |= np.fromiter((s != t or t == 0 for s, t in zip(size, sums)), dtype=bool, count=n)
-    if failing.any():
-        k = int(failing.argmax())
-        _check_class(classes[k], f"{path}: classes[{k}]", qi, dist)
-        raise AssertionError(f"{path}: classes[{k}] is marked faulty but shows no fault")
+    if not json_types(size, int).all() or any(s != t or t == 0 for s, t in zip(size, sums)):
+        _first_fault(classes, path, qi, dist)
     for value, total, expected in zip(dist.values, exact.sum(axis=0).tolist(), dist.counts):
         if total != expected:
             raise DataError(f"{path}: field 'classes': counts of {value!r} sum to {total}, "

@@ -998,10 +998,10 @@ def test_closed_stdout_exits_quietly(example_files, tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == ""
 
 
-def test_console_entry_point_exits_141_on_a_closed_pipe(tmp_path):
-    # The `betalike` script is `cli.main`. It runs here as a process whose
-    # stdout is a real pipe, and the reader closes it after one line.
-    table = bl.generate_synthetic(200_000, 50, seed=1, sa_freqs=bl.census_like_profile(50))
+def _console_audit(tmp_path, rows: int) -> tuple[list[str], dict]:
+    """The `betalike` script, which is `cli.main`, as a process auditing a
+    census release of `rows` rows, and its environment."""
+    table = bl.generate_synthetic(rows, 50, seed=1, sa_freqs=bl.census_like_profile(50))
     csv, schema, release = tmp_path / "t.csv", tmp_path / "t.schema.json", tmp_path / "r.json"
     bl.save_table(table, csv)
     bl.save_schema(table.schema, schema)
@@ -1012,11 +1012,29 @@ def test_console_entry_point_exits_141_on_a_closed_pipe(tmp_path):
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     audit = [sys.executable, "-m", "betalike.cli", "audit", "--release", str(release),
              "--input", str(csv), "--schema", str(schema)]
+    return audit, env
+
+
+def test_console_entry_point_exits_141_on_a_closed_pipe(tmp_path):
+    # The process's stdout is a real pipe, and the reader closes it after one line.
+    audit, env = _console_audit(tmp_path, 200_000)
     done = subprocess.run(audit, env=env, capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout) > 1 << 17             # more than a pipe buffer holds
     with subprocess.Popen(audit, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == EXIT_BROKEN_PIPE
+    assert err == b""
+
+
+def test_console_entry_point_exits_141_when_short_output_meets_a_closed_pipe(tmp_path):
+    # All of the output fits the stdout buffer, so it is first written when
+    # `run` flushes it, after the reader has closed the pipe unread. `main`
+    # must then keep the flush at exit from failing on the pipe again.
+    audit, env = _console_audit(tmp_path, 2_000)
+    with subprocess.Popen(audit, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=300) == EXIT_BROKEN_PIPE

@@ -9,19 +9,28 @@ of `ODD_VALUES`. Or it changes one byte of `pm.txt` (read by `queryeval`).
 The key is reached by a random walk from the document's root, which stops
 at each level with even odds, so the few top-level keys are not drowned
 out by the many keys inside the classes.
+
+The release loader is also checked against a per-class reference: the
+classes read in order by `_check_class`, one at a time. Each example changes
+one key inside one class of a small release, and the loader must raise the
+reference's error, or, when the reference finds none, no error that names a
+class.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import betalike as bl
 from betalike.cli import EXIT_VIOLATION, run
+from betalike.release import _check_class
 
 ODD_VALUES = [None, True, False, 0, -1, 2**63, 1e308, 0.5, "", "x", [], {}]
 DELETE = object()
@@ -53,8 +62,8 @@ def _run(root, target: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _mutate(doc, data):
-    """`doc` with one key, reached by a random walk, deleted or set to an odd value."""
+def _mutate(doc, data, values=ODD_VALUES):
+    """`doc` with one key, reached by a random walk, deleted or set to one of `values`."""
     parent = doc
     while True:
         keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
@@ -65,7 +74,7 @@ def _mutate(doc, data):
         if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
             parent = child
             continue
-        value = data.draw(st.sampled_from([DELETE, *ODD_VALUES]))
+        value = data.draw(st.sampled_from([DELETE, *values]))
         if value is DELETE:
             del parent[key]
         else:
@@ -95,3 +104,54 @@ def test_one_changed_field_or_byte_is_an_artifact_or_one_error_line(artifacts, t
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+
+
+@pytest.fixture(scope="module")
+def small_release(tmp_path_factory):
+    """A saved 85-class release, its schema and its SA distribution."""
+    table = bl.generate_synthetic(300, 7, seed=1)
+    release = bl.generalize(table, 4.0, seed=1)
+    path = tmp_path_factory.mktemp("release") / "release.json"
+    bl.save_release(release, path)
+    return path, table.schema, release.dist
+
+
+def _reference_error(classes: list, path, qi, dist) -> str | None:
+    """The first fault of the first faulty class, read one class at a time."""
+    try:
+        for k, cls in enumerate(classes):
+            _check_class(cls, f"{path}: classes[{k}]", qi, dist)
+    except bl.DataError as exc:
+        return str(exc)
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_the_loader_names_the_class_the_per_class_reference_names(small_release, tmp_path_factory, data):
+    source, schema, dist = small_release
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    cls = data.draw(st.sampled_from(doc["classes"]))
+    # Besides the walk, three faults no one key set to a fixed value makes.
+    edit = data.draw(st.sampled_from(["walk", "walk", "walk", "unknown SA value", "float size", "empty"]))
+    if edit == "walk":
+        _mutate(cls, data, [*ODD_VALUES, 1, math.nan, math.inf])
+    elif edit == "unknown SA value":
+        cls["sa"]["not an SA value"] = 1
+    elif edit == "float size":
+        cls["size"] = float(cls["size"])
+    else:
+        cls["sa"], cls["size"] = {}, 0
+    path = tmp_path_factory.mktemp("differential") / "release.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = _reference_error(doc["classes"], path, schema.qi_attributes, dist)
+    try:
+        bl.load_release(path, schema)
+        error = None
+    except bl.DataError as exc:
+        error = str(exc)
+    if expected is not None:
+        assert error == expected
+    else:
+        # Only the file-level check of the class sums may still fail.
+        assert error is None or error.startswith(f"{path}: field 'classes': counts of "), error
