@@ -806,6 +806,10 @@ _WRITE_BLOCK = 4096
 # The byte lanes of a uint64 word.
 _LANES = np.arange(8)
 
+# 10 to 10**18: a magnitude below 2**63 has one digit more than the number
+# of these it reaches.
+_TENS = np.array([10**k for k in range(1, 19)], dtype=np.uint64)
+
 
 class _Lines(list):
     """A file for `csv.writer` that keeps each line written to it."""
@@ -813,13 +817,56 @@ class _Lines(list):
     write = list.append
 
 
-def _fields(table: Table) -> list[tuple[list[bytes], np.ndarray]]:
-    """Per column in schema order, (fields, codes): each distinct label as
-    the file holds it, UTF-8 with its comma or, in the last column, its
-    newline, and each row's index into them. A number is written as
-    `str(_num(x))`, which holds no comma, quote or line break; any other
-    label as `csv.writer` writes a field, quoted if it holds a comma, a
-    quote, a CR or an LF."""
+def _field_words(fields: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """(words, sizes) of the fields: each zero-padded to whole uint64
+    words and laid end to end, and each one's length in bytes."""
+    sizes = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    widths = (8 * ((sizes + 7) // 8)).tolist()
+    return np.frombuffer(b"".join(map(bytes.ljust, fields, widths, repeat(b"\0"))), dtype=np.uint64), sizes
+
+
+def _integer_words(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """`_field_words` of `(str(int(x)) + sep).encode()` for each x of
+    values, all integral and below 2**63 in magnitude, made in numpy with
+    no Python string: the inverse of `_key_numbers`. The digits are taken
+    right to left, from the magnitude as uint64, in place in the bytes.
+    Only uint64 arrays and scalars meet in the arithmetic: numpy 1 turns
+    int64 with uint64 into float64."""
+    negative = values < 0
+    q = values.astype(np.int64).view(np.uint64)
+    np.negative(q, out=q, where=negative)
+    digits = np.searchsorted(_TENS, q, side="right") + 1
+    sizes = negative + digits + 1
+    spans = (sizes + 7) // 8
+    starts = 8 * (np.cumsum(spans) - spans)
+    # Each field's last byte, its separator; its i-th digit from the
+    # right is i bytes before it.
+    lasts = starts + sizes - 1
+    out = np.zeros(8 * int(spans.sum()), dtype=np.uint8)
+    out[lasts] = ord(sep)
+    out[starts[negative]] = ord("-")
+    del spans, starts
+    # Shortest first: the fields with an i-th digit follow those with
+    # fewer digits, so each pass drops a prefix.
+    order = np.argsort(digits.astype(np.uint8), kind="stable")
+    q, lasts = q[order], lasts[order]
+    ten, zero = np.uint64(10), np.uint8(ord("0"))
+    for i, shorter in enumerate(np.bincount(digits)[:-1].tolist(), start=1):
+        q, lasts = q[shorter:], lasts[shorter:]
+        nq = q // ten
+        out[lasts - i] = (q - nq * ten).astype(np.uint8) + zero
+        q = nq
+    return out.view(np.uint64), sizes
+
+
+def _fields(table: Table) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per column in schema order, (words, sizes, codes): the column's
+    distinct labels as the file holds them, UTF-8 with their comma or, in
+    the last column, their newline, in `_field_words`' layout, and each
+    row's index into them. A number is written as `str(_num(x))`, which
+    holds no comma, quote or line break; an integral column's by
+    `_integer_words`. Any other label is written as `csv.writer` writes a
+    field, quoted if it holds a comma, a quote, a CR or an LF."""
     qi_idx = {a.name: k for k, a in enumerate(table.schema.qi_attributes)}
     last = len(table.schema.attributes) - 1
     columns = []
@@ -832,12 +879,11 @@ def _fields(table: Table) -> list[tuple[list[bytes], np.ndarray]]:
             codes = table.qi_codes[k]
             if attr.kind == NUMERIC:
                 values = table.qi_values[k]
-                # Integral values below 2**63 print as their int64s do.
+                # Integral values below 2**63 in magnitude are exact as int64s.
                 if (np.abs(values) < 2**63).all() and (np.trunc(values) == values).all():
-                    values = values.astype(np.int64).tolist()
+                    columns.append((*_integer_words(values, sep), codes))
                 else:
-                    values = map(_num, values.tolist())
-                columns.append(([(str(x) + sep).encode() for x in values], codes))
+                    columns.append((*_field_words([(str(_num(x)) + sep).encode() for x in values.tolist()]), codes))
                 continue
             labels = [attr.hierarchy.leaves[v] for v in table.qi_values[k].tolist()]
         # A label then an empty field is written as the field, then ",\r\n".
@@ -845,7 +891,7 @@ def _fields(table: Table) -> list[tuple[list[bytes], np.ndarray]]:
         # holds a CR, as it quotes one that holds an LF.
         lines = _Lines()
         csv.writer(lines, lineterminator="\r\n").writerows([label, ""] for label in labels)
-        columns.append(([(line[:-3] + sep).encode() for line in lines], codes))
+        columns.append((*_field_words([(line[:-3] + sep).encode() for line in lines]), codes))
     return columns
 
 
@@ -854,25 +900,23 @@ def save_table(table: Table, path) -> None:
     `csv.writer(lineterminator="\\r\\n")` writes for its rows, each line
     ended by LF in place of CRLF.
 
-    Each column's distinct labels are formatted once (`_fields`). The
-    fields of all columns are zero-padded to whole uint64 words and laid
-    end to end in one word array, beside a mask of the words' field bytes.
-    A block of `_WRITE_BLOCK` rows gathers its fields' words and masks in
-    file order by `Table.qi_codes` and `sa_codes`, drops the padding with
-    the mask and goes to the file in one write. Memory is the distinct
-    labels plus one block, whatever the number of rows.
+    Each column's distinct labels are formatted once (`_fields`), an
+    integral numeric column's in numpy, with no Python string per number.
+    The fields of all columns are zero-padded to whole uint64 words and
+    laid end to end in one word array, beside a mask of the words' field
+    bytes. A block of `_WRITE_BLOCK` rows gathers its fields' words and
+    masks in file order by `Table.qi_codes` and `sa_codes`, drops the
+    padding with the mask and goes to the file in one write. Memory is the
+    distinct labels plus one block, whatever the number of rows.
     """
     path = Path(path)
-    fields, codes = zip(*_fields(table))
+    words, sizes, codes = zip(*_fields(table))
     # Column j's field c is field bases[j] + c of the table; field f starts
     # at word firsts[f] and spans spans[f] words.
-    bases = np.cumsum([0, *map(len, fields)]).tolist()
-    fields = list(chain.from_iterable(fields))
-    sizes = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    bases = np.cumsum([0, *map(len, sizes)]).tolist()
+    words, sizes = np.concatenate(words), np.concatenate(sizes)
     spans = (sizes + 7) // 8
     firsts = np.cumsum(spans) - spans
-    words = np.frombuffer(b"".join(map(bytes.ljust, fields, (8 * spans).tolist(), repeat(b"\0"))), dtype=np.uint64)
-    del fields
     # The bytes of its field left from each word on.
     left = np.repeat(sizes + 8 * firsts, spans) - 8 * np.arange(len(words))
     masks = (_LANES < left[:, None]).view(np.uint64).ravel()

@@ -569,7 +569,7 @@ def test_save_in_blocks_lays_out_fields_of_several_words(tmp_path, monkeypatch, 
 # Numbers with long or exact forms, and labels of the bytes that `csv`
 # quotes, doubles or passes through, empty, spaced, and of 9 and 40 bytes.
 _NUMBERS = st.one_of(st.sampled_from([-0.0, 5e-324, 0.1 + 0.2, 2.0**53, 2.0**63, 1e16, 1e300, -1e300]),
-                     st.integers(-3, 12).map(float))
+                     st.integers(-3, 12).map(float), st.integers(-(2**63), 2**63 - 1024).map(float))
 _ALPHABET = st.sampled_from(',"\r\n\0\x0b\x85\u2028é日 a')
 _TEXT_LABELS = st.one_of(st.text(_ALPHABET, max_size=6), st.text(_ALPHABET, min_size=9, max_size=9),
                          st.sampled_from(["", " lead", "trail ", " both ", "9 bytes!!", "forty bytes " * 3 + "long"]),
@@ -638,10 +638,18 @@ def test_labels_and_names_with_a_cr_are_quoted_and_load_back(tmp_path):
     [-0.0, 0.5, 1.0, -2.25, 2.0**53],
     [0.0, 2.0**63, -(2.0**63)],
     [1.0, 1e300, -1e300],
+    # Each digit count's ends, as `_integer_words` counts digits.
+    [float(sign * (10**k + end)) for k in range(1, 19) for end in (-1, 0) for sign in (1, -1)],
+    [sign * np.nextafter(10.0**k, 0) for k in range(1, 19) for sign in (1, -1)],
+    [-(2.0**63), 2.0**63 - 1024, -(2.0**63 - 1024)],
+    [2.0**63 - 1024, -(2.0**63 - 1024)],
+    [0.0, -0.0],
+    # Fields of one, two and three words: 21 bytes with a sign and a comma.
+    [7.0, -123456789.0, -(2.0**63 - 1024), 2.0**62],
 ])
 def test_numbers_write_as_their_python_forms(tmp_path, values):
-    """Integral columns below 2**63 print from int64s; the bytes are
-    `str(_num(x))`'s either way."""
+    """Integral columns below 2**63 are formatted in numpy
+    (`_integer_words`); the bytes are `str(_num(x))`'s either way."""
     schema = bl.DatasetSchema((bl.Attribute("x", "qi", "numeric", lo=-1e300, hi=1e300), bl.Attribute("s", "sa")))
     table = table_from_qi_columns(schema, (values,), [0] * len(values), ("a",))
     reference_save(table, tmp_path / "ref.csv")
@@ -681,3 +689,23 @@ def test_save_peak_with_one_long_label(tmp_path):
     # The formatted labels, their words and masks, and a block's word
     # indices, words, masks and bytes: 1.2 MB, 4.9 times the sum, here.
     assert peak <= 6 * (distinct + block), (peak, distinct, block)
+
+
+def test_save_peak_with_a_distinct_integer_per_row(tmp_path):
+    """200,000 rows of signed integers of up to 13 digits, nearly all
+    distinct: the peak is the distinct labels' words and working arrays
+    plus one block."""
+    schema = bl.DatasetSchema((bl.Attribute("id", "qi", "numeric", lo=-1e12, hi=1e12), bl.Attribute("s", "sa")))
+    rng = np.random.default_rng(1)
+    n = 200_000
+    table = table_from_qi_columns(schema, (rng.integers(-10**12, 10**12, n).astype(float),), rng.integers(0, 3, n),
+                                  ("a", "b", "c"))
+    path = tmp_path / "t.csv"
+    peak = traced_peak(bl.save_table, table, path)
+    distinct = len(table.qi_values[0])
+    rows = path.read_bytes().split(b"\n")[1:-1]
+    block = max(sum(map(len, rows[i:i + data._WRITE_BLOCK])) + len(rows[i:i + data._WRITE_BLOCK])
+                for i in range(0, n, data._WRITE_BLOCK))
+    # About 81 bytes per distinct label here; 240 when each number was
+    # formatted as a Python string.
+    assert peak <= 120 * distinct + 6 * block, (peak, distinct, block)
